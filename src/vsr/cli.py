@@ -131,8 +131,9 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 def _cmd_sim(args: argparse.Namespace) -> int:
     depth_limit = _depth_limit_from_env()
-    ref = clean(_parsed_ast(args.ref, _read_text(args.ref)))
-    gen = clean(_parsed_ast(args.gen, _read_text(args.gen)))
+    table: dict = {}
+    ref = clean(_parsed_ast(args.ref, _read_text(args.ref)), table)
+    gen = clean(_parsed_ast(args.gen, _read_text(args.gen)), table)
     try:
         if args.trace:
             score, steps = sim_ast_with_trace(gen, ref, depth_limit=depth_limit)

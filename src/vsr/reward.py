@@ -74,7 +74,8 @@ def reward(
         return RewardOutcome(gen_v.status, None, REWARD_PARSE_FAIL)
     assert gen_v.ast is not None and ref_v.ast is not None
     fn = sim_ast if mode == "ast" else sim_ast_seq
-    sim = fn(clean(gen_v.ast), clean(ref_v.ast), depth_limit=depth_limit)
+    table: dict = {}  # one per pair: equal structure on both sides is shared
+    sim = fn(clean(gen_v.ast, table), clean(ref_v.ast, table), depth_limit=depth_limit)
     return RewardOutcome(gen_v.status, sim, REWARD_SCALE * sim)
 
 

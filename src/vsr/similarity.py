@@ -16,6 +16,15 @@ exists to show.
 
 Both walk the trees iteratively and reject inputs deeper than a configured
 limit instead of overflowing the interpreter stack.
+
+Cleaned trees are hash-consed (see `vsr.trees.clean`), so equal subtrees are
+often one shared object, within a tree and across the two sides of a pair.
+Both measures score a pair `a is b` as exactly 1.0 without walking it, and
+their memos, keyed on node identity, hit wherever structure repeats.  The
+shortcut is exact, not an approximation: on identical children the greedy
+scan matches child i to child i (each scores 1.0, and the scan takes the
+first candidate that does), and a sum of m ones divided by m is 1.0.  Trees
+built without sharing get the same scores, only without the shortcut.
 """
 
 from __future__ import annotations
@@ -62,112 +71,87 @@ def _check_depth(t1: CleanNode, t2: CleanNode, limit: int) -> None:
             raise DepthLimitError(f"tree depth {d} exceeds limit {limit}")
 
 
-def _greedy_row(a: CleanNode, b: CleanNode, scores) -> tuple[float, list[int]]:
-    """Greedy one-to-one child matching for one node pair.
-
-    Returns (score sum, chosen right index per left child; -1 for no match).
-    Accumulation order is fixed so results are bit-identical across runs.
-    Scanning a row stops as soon as a candidate scores 1.0: scores never
-    exceed 1.0 and a later candidate would have to beat the best strictly,
-    so the choice cannot change.  The scan order here must stay in lockstep
-    with _greedy_scores, which fills the memo in exactly this order.
-    """
-    c2s = b.children
-    taken = [False] * len(c2s)
-    total = 0.0
-    chosen: list[int] = []
-    for ca in a.children:
-        best_s = 0.0
-        best_j = -1
-        for j, cb in enumerate(c2s):
-            if taken[j] or ca.kind is not cb.kind:
-                continue
-            s = scores[(id(ca), id(cb))]
-            if s > best_s:
-                best_s = s
-                best_j = j
-                if s == 1.0:
-                    break
-        chosen.append(best_j)
-        if best_j >= 0:
-            total += best_s
-            taken[best_j] = True
-    return total, chosen
-
-
-class _RowFrame:
-    """Resumable row scan for one node pair; see _greedy_scores."""
-
-    __slots__ = ("a", "b", "i", "j", "best_s", "best_j", "total", "taken")
-
-    def __init__(self, a: CleanNode, b: CleanNode) -> None:
-        self.a = a
-        self.b = b
-        self.i = 0
-        self.j = 0
-        self.best_s = 0.0
-        self.best_j = -1
-        self.total = 0.0
-        self.taken = [False] * len(b.children)
-
-
-def _greedy_scores(t1: CleanNode, t2: CleanNode) -> dict[tuple[int, int], float]:
+def _greedy_scores(
+    t1: CleanNode,
+    t2: CleanNode,
+    choices: dict[tuple[int, int], list[int]] | None = None,
+) -> dict[tuple[int, int], float]:
     """Score the root pair, memoizing every node pair the matching visits.
 
     Pair scores are computed on demand: a row scan that needs a child pair's
     score suspends, the child pair is evaluated, and the scan resumes.  Only
     pairs the greedy matching actually inspects are ever scored, which keeps
-    near-identical trees close to linear instead of quadratic.
+    near-identical trees close to linear instead of quadratic.  A pair of
+    one shared node scores 1.0 without a walk (see the module docstring).
+
+    Each left child takes the highest-scoring unmatched right child of its
+    kind; accumulation order is fixed so results are bit-identical across
+    runs.  A row stops as soon as a candidate scores 1.0: scores never
+    exceed 1.0 and a later candidate would have to beat the best strictly,
+    so the choice cannot change.  When `choices` is given it receives, per
+    scored pair, the chosen right index of every left child (-1 for none).
     """
+    root = (id(t1), id(t2))
+    if t1 is t2 or t1.kind is not t2.kind:
+        return {root: 1.0 if t1 is t2 else 0.0}
     scores: dict[tuple[int, int], float] = {}
-    stack: list[_RowFrame] = [_RowFrame(t1, t2)]
+    # One frame per suspended pair: (a, b, key, row i, column j, best score
+    # and column so far in row i, sum of finished rows, taken columns,
+    # chosen column per finished row).  Only pairs of the same kind that are
+    # not one node and not yet scored are ever pushed.
+    stack = [(t1, t2, root, 0, 0, 0.0, -1, 0.0, [False] * len(t2.children), [])]
     while stack:
-        frame = stack[-1]
-        a, b = frame.a, frame.b
-        key = (id(a), id(b))
-        if key in scores:
-            stack.pop()
-            continue
-        if a.kind is not b.kind:
-            scores[key] = 0.0
-            stack.pop()
-            continue
+        a, b, key, i, j, best_s, best_j, total, taken, chosen = stack[-1]
         c1s, c2s = a.children, b.children
-        missing: tuple[CleanNode, CleanNode] | None = None
-        while frame.i < len(c1s):
-            ca = c1s[frame.i]
-            while frame.j < len(c2s):
-                j = frame.j
+        n1, n2 = len(c1s), len(c2s)
+        missing = None
+        while i < n1:
+            ca = c1s[i]
+            kind = ca.kind
+            while j < n2:
                 cb = c2s[j]
-                if frame.taken[j] or ca.kind is not cb.kind:
-                    frame.j += 1
+                if taken[j] or cb.kind is not kind:
+                    j += 1
                     continue
-                s = scores.get((id(ca), id(cb)))
-                if s is None:
-                    missing = (ca, cb)
-                    break
-                frame.j += 1
-                if s > frame.best_s:
-                    frame.best_s = s
-                    frame.best_j = j
+                if ca is cb:
+                    s = 1.0
+                else:
+                    pair = (id(ca), id(cb))
+                    s = scores.get(pair)
+                    if s is None:
+                        missing = (ca, cb, pair)
+                        break
+                if s > best_s:
+                    best_s = s
+                    best_j = j
                     if s == 1.0:
                         break
+                j += 1
             if missing is not None:
                 break
-            if frame.best_j >= 0:
-                frame.total += frame.best_s
-                frame.taken[frame.best_j] = True
-            frame.i += 1
-            frame.j = 0
-            frame.best_s = 0.0
-            frame.best_j = -1
+            chosen.append(best_j)
+            if best_j >= 0:
+                total += best_s
+                taken[best_j] = True
+            i += 1
+            j = 0
+            best_s = 0.0
+            best_j = -1
         if missing is not None:
-            stack.append(_RowFrame(missing[0], missing[1]))
+            stack[-1] = (a, b, key, i, j, best_s, best_j, total, taken, chosen)
+            ca, cb, pair = missing
+            stack.append((ca, cb, pair, 0, 0, 0.0, -1, 0.0, [False] * len(cb.children), []))
             continue
-        m = max(len(c1s), len(c2s))
-        scores[key] = frame.total / m if m > 0 else 1.0
+        m = max(n1, n2)
+        scores[key] = total / m if m > 0 else 1.0
+        if choices is not None:
+            choices[key] = chosen
         stack.pop()
     return scores
+
+
+def _pair_score(scores: dict[tuple[int, int], float], a: CleanNode, b: CleanNode) -> float:
+    return 1.0 if a is b else scores[(id(a), id(b))]
 
 
 def sim_ast(
@@ -179,8 +163,7 @@ def sim_ast(
     DepthLimitError when either tree is deeper than `depth_limit`.
     """
     _check_depth(t1, t2, depth_limit)
-    scores = _greedy_scores(t1, t2)
-    return scores[(id(t1), id(t2))]
+    return _pair_score(_greedy_scores(t1, t2), t1, t2)
 
 
 def sim_ast_with_trace(
@@ -188,11 +171,15 @@ def sim_ast_with_trace(
 ) -> tuple[float, tuple[MatchStep, ...]]:
     """Like sim_ast, also returning the greedy matches chosen at every node.
 
-    Within any one parent the matched right children are pairwise distinct.
-    Unmatched children produce no step.
+    Steps come from a preorder walk of the matched pairs, where visiting a
+    pair lists its child matches leftmost first.  Within any one parent the
+    matched right children are pairwise distinct.  Unmatched children
+    produce no step.  The matches are the ones the scoring pass chose; a
+    pair of one shared node matches every child to itself.
     """
     _check_depth(t1, t2, depth_limit)
-    scores = _greedy_scores(t1, t2)
+    choices: dict[tuple[int, int], list[int]] = {}
+    scores = _greedy_scores(t1, t2, choices)
     steps: list[MatchStep] = []
     if t1.kind is t2.kind:
         work: list[tuple[CleanNode, CleanNode, tuple[int, ...], tuple[int, ...]]] = [
@@ -200,17 +187,20 @@ def sim_ast_with_trace(
         ]
         while work:
             a, b, path1, path2 = work.pop()
-            _, chosen = _greedy_row(a, b, scores)
+            if a is b:
+                chosen: list[int] | range = range(len(a.children))
+            else:
+                chosen = choices[(id(a), id(b))]
             matched = []
             for i, j in enumerate(chosen):
                 if j < 0:
                     continue
                 ca, cb = a.children[i], b.children[j]
-                pair_score = scores[(id(ca), id(cb))]
-                steps.append(MatchStep(path1 + (i,), path2 + (j,), pair_score))
-                matched.append((ca, cb, path1 + (i,), path2 + (j,)))
+                left, right = path1 + (i,), path2 + (j,)
+                steps.append(MatchStep(left, right, _pair_score(scores, ca, cb)))
+                matched.append((ca, cb, left, right))
             work.extend(reversed(matched))  # preorder, leftmost first
-    return scores[(id(t1), id(t2))], tuple(steps)
+    return _pair_score(scores, t1, t2), tuple(steps)
 
 
 def sim_ast_seq(
@@ -218,8 +208,9 @@ def sim_ast_seq(
 ) -> float:
     """Positional variant of sim_ast: children pair by index, no matching.
 
-    Shares the kind gate, the max-size normalization, and the leaf rule with
-    sim_ast, so it differs only when child order differs.
+    Shares the kind gate, the max-size normalization, the leaf rule, and the
+    shared-node shortcut with sim_ast, so it differs only when child order
+    differs.
     """
     _check_depth(t1, t2, depth_limit)
     scores: dict[tuple[int, int], float] = {}
@@ -230,11 +221,11 @@ def sim_ast_seq(
         if ready:
             total = 0.0
             for ca, cb in zip(a.children, b.children):
-                total += scores[(id(ca), id(cb))]
+                total += _pair_score(scores, ca, cb)
             m = max(len(a.children), len(b.children))
             scores[key] = total / m if m > 0 else 1.0
             continue
-        if key in scores:
+        if a is b or key in scores:
             continue
         if a.kind is not b.kind:
             scores[key] = 0.0
@@ -242,7 +233,7 @@ def sim_ast_seq(
         stack.append((a, b, True))
         for ca, cb in zip(a.children, b.children):
             stack.append((ca, cb, False))
-    return scores[(id(t1), id(t2))]
+    return _pair_score(scores, t1, t2)
 
 
 @dataclass(frozen=True)
@@ -275,5 +266,8 @@ def compare_sources(
     if ref_v.is_parsed and gen_v.is_parsed:
         assert ref_v.ast is not None and gen_v.ast is not None
         fn = sim_ast if mode == "ast" else sim_ast_seq
-        score = fn(clean(gen_v.ast), clean(ref_v.ast), depth_limit=depth_limit)
+        table: dict = {}
+        score = fn(
+            clean(gen_v.ast, table), clean(ref_v.ast, table), depth_limit=depth_limit
+        )
     return SourceComparison(score=score, ref=ref_v, gen=gen_v)

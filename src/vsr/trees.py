@@ -212,25 +212,41 @@ def iter_tree(root):
         stack.extend(reversed(node.children))
 
 
-def clean(root: RawNode) -> CleanNode:
+def clean(root: RawNode, table: dict | None = None) -> CleanNode:
     """Erase names, values, modifiers, and spans; keep kinds and child order.
 
-    The result has exactly the same shape as the input: one CleanNode per
-    RawNode, children in the same order.
+    The result has exactly the same shape as the input, children in the same
+    order.  It is hash-consed: each node is looked up in `table` by its kind
+    and the identities of its already-interned children, so structurally
+    equal subtrees come back as one shared CleanNode object.  Similarity uses
+    that identity to score equal subtrees without walking them and to reuse
+    its memo across repeated structure.
+
+    Pass one table when cleaning both sides of a pair, so sharing also spans
+    the two trees.  The table keeps its nodes alive, which keeps the ids in
+    its keys valid; drop it with the pair.  Without a table, sharing stays
+    within the one tree.
     """
-    done: dict[int, CleanNode] = {}
+    if table is None:
+        table = {}
+    out: list[CleanNode] = []  # finished subtrees, children in order
     stack: list[tuple[RawNode, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            done[id(node)] = CleanNode(
-                node.kind, tuple(done[id(c)] for c in node.children)
-            )
+            first = len(out) - len(node.children)
+            kids = tuple(out[first:])
+            del out[first:]
+            key = (node.kind, *map(id, kids))
+            shared = table.get(key)
+            if shared is None:
+                shared = table[key] = CleanNode(node.kind, kids)
+            out.append(shared)
         else:
             stack.append((node, True))
             for child in reversed(node.children):
                 stack.append((child, False))
-    return done[id(root)]
+    return out[0]
 
 
 def serialize(tree: CleanNode) -> str:

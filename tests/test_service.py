@@ -234,6 +234,27 @@ class TestTimeout:
         assert "exceeded" in resp["error"]
         assert resp["id"] == "slow"
 
+    def test_wide_case_against_swapped_copy_beats_default_timeout(self):
+        # Every arm of both sides has one shape, so the greedy matcher
+        # compares 800 x 800 arm pairs.  Hash-consed trees score them from
+        # one memo entry; walking every pair took longer than the 5 s
+        # default timeout, so one request denied service.
+        arms = "".join(
+            f"      10'd{i}: y = (a + b) + 8'd{i % 256};\n" for i in range(800)
+        )
+        ref = (
+            "module big(input [9:0] sel, input [7:0] a, input [7:0] b,"
+            " output reg [7:0] y);\n  always @(*) begin\n    case (sel)\n"
+            + arms
+            + "      default: y = 8'd0;\n    endcase\n  end\nendmodule\n"
+        )
+        gen = ref.replace("+", "-")
+        assert ServiceConfig().timeout_ms == 5000
+        (resp,) = handle_line(json.dumps({"id": "case", "ref": ref, "gen": gen}))
+        assert resp["error"] is None
+        assert resp["status"] == "parsed"
+        assert 0.0 < resp["sim"] < 1.0
+
     def test_zero_timeout_disables_the_clock(self):
         config = ServiceConfig(timeout_ms=0)
         (resp,) = handle_line(

@@ -11,6 +11,7 @@ from naive_reference import (
     permutation_equal,
     structural_equal,
 )
+from vsr.corpus import MutationKind, MutationSpec, mutate
 from vsr.parser import classify
 from vsr.similarity import (
     DepthLimitError,
@@ -19,7 +20,7 @@ from vsr.similarity import (
     sim_ast_seq,
     sim_ast_with_trace,
 )
-from vsr.trees import CleanNode, NodeKind, clean
+from vsr.trees import CleanNode, NodeKind, RawNode, clean
 
 P, Q, R, S = NodeKind.MODULE_DEF, NodeKind.ALWAYS, NodeKind.ID, NodeKind.CONST
 
@@ -148,12 +149,13 @@ class TestProperties:
         assert sim_ast_seq(parent, swapped) < 1.0
 
 
-class TestTrace:
-    def _subtree(self, t, path):
-        for i in path:
-            t = t.children[i]
-        return t
+def _subtree(t, path):
+    for i in path:
+        t = t.children[i]
+    return t
 
+
+class TestTrace:
     def test_trace_matches_score_and_is_one_to_one(self):
         rng = random.Random(11)
         a = random_clean_tree(rng, max_depth=5)
@@ -165,8 +167,8 @@ class TestTrace:
         assert len(lefts) == len(set(lefts))
         assert len(rights) == len(set(rights))
         for step in steps:
-            sub_a = self._subtree(a, step.left)
-            sub_b = self._subtree(b, step.right)
+            sub_a = _subtree(a, step.left)
+            sub_b = _subtree(b, step.right)
             assert step.score == sim_ast(sub_a, sub_b)
             assert sub_a.kind is sub_b.kind
 
@@ -178,6 +180,103 @@ class TestTrace:
         pairs = {(s.left, s.right) for s in steps}
         assert ((0,), (1,)) in pairs  # Q subtree crossed over
         assert ((1,), (0,)) in pairs
+
+
+def unshared(tree):
+    """Rebuild `tree` with a fresh CleanNode per node, sharing nothing."""
+    return CleanNode(tree.kind, tuple(unshared(c) for c in tree.children))
+
+
+def as_raw(tree, rng):
+    """A raw-shaped copy of `tree` with random names, as the parser makes."""
+    return RawNode(
+        tree.kind,
+        [as_raw(c, rng) for c in tree.children],
+        name=f"n{rng.randrange(4)}",
+        value=str(rng.randrange(4)),
+    )
+
+
+def preorder(lefts):
+    """The trace's step order: a preorder walk of the matched pairs from the
+    root, where visiting a pair lists its child matches leftmost first."""
+    kids = {}
+    for left in lefts:
+        kids.setdefault(left[:-1], []).append(left)
+    out = []
+    work = [()]
+    while work:
+        mine = sorted(kids.get(work.pop(), []))
+        out.extend(mine)
+        work.extend(reversed(mine))
+    return out
+
+
+class TestSharedStructure:
+    """Both sides cleaned through one table share their equal subtrees; the
+    scores, the trace, and their agreement with the naive transcription must
+    not notice."""
+
+    def check(self, a, b):
+        want = naive_sim_ast(a, b)
+        assert sim_ast(a, b) == want
+        assert sim_ast_seq(a, b) == naive_sim_ast_seq(a, b)
+        score, steps = sim_ast_with_trace(a, b)
+        assert score == want
+        assert (score, steps) == sim_ast_with_trace(unshared(a), unshared(b))
+        lefts = [step.left for step in steps]
+        assert lefts == preorder(lefts)
+        rights_by_parent = {}
+        for step in steps:
+            rights = rights_by_parent.setdefault((step.left[:-1], step.right[:-1]), set())
+            assert step.right[-1] not in rights
+            rights.add(step.right[-1])
+            sub_a, sub_b = _subtree(a, step.left), _subtree(b, step.right)
+            assert step.score == naive_sim_ast(sub_a, sub_b)
+
+    @settings(max_examples=200)
+    @given(small_trees, st.integers(0, 2**32 - 1))
+    def test_random_raw_pairs_through_one_table(self, t, seed):
+        rng = random.Random(seed)
+        other = perturb_somewhere(permute_tree(t, rng), rng)
+        table = {}
+        a = clean(as_raw(t, rng), table)
+        b = clean(as_raw(other, rng), table)
+        self.check(a, b)
+        self.check(b, a)
+        self.check(a, a)
+
+    def test_golden_pairs_and_mutants_through_one_table(self, golden_sources):
+        names = sorted(golden_sources)
+        asts = {n: classify(golden_sources[n]).ast for n in names}
+        for i, name in enumerate(names):
+            source = golden_sources[name]
+            reordered = mutate(source, MutationSpec(MutationKind.REORDER_TOP_ITEMS, i))
+            table = {}
+            base = clean(asts[name], table)
+            self.check(clean(classify(reordered).ast, table), base)
+        for left in names[:4]:
+            for right in names[:12]:
+                table = {}
+                self.check(clean(asts[left], table), clean(asts[right], table))
+
+    def test_identical_subtrees_are_shared_and_scored_without_a_walk(self):
+        table = {}
+        arm = as_raw(node(Q, leaf(R), node(P, leaf(R), leaf(S))), random.Random(1))
+        a = clean(RawNode(P, [arm, arm, as_raw(leaf(S), random.Random(2))]), table)
+        b = clean(RawNode(P, [as_raw(leaf(S), random.Random(3)), arm]), table)
+        assert a.children[0] is a.children[1] is b.children[1]
+        assert sim_ast(a, b) == naive_sim_ast(a, b) == 2 / 3
+        score, steps = sim_ast_with_trace(a, b)
+        assert score == 2 / 3
+        assert [(s.left, s.right) for s in steps] == [
+            ((0,), (1,)),
+            ((2,), (0,)),
+            ((0, 0), (1, 0)),
+            ((0, 1), (1, 1)),
+            ((0, 1, 0), (1, 1, 0)),
+            ((0, 1, 1), (1, 1, 1)),
+        ]
 
 
 class TestDepthLimit:

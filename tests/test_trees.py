@@ -72,6 +72,50 @@ class TestClean:
         assert clean(ast) == clean(ast)
 
 
+def unshared_clean(raw):
+    """One fresh CleanNode per raw node, as cleaning did before hash-consing."""
+    return CleanNode(raw.kind, tuple(unshared_clean(c) for c in raw.children))
+
+
+class TestHashConsing:
+    def test_equal_subtrees_are_one_object(self):
+        src = (
+            "module m(input a, input b, output y, output z);\n"
+            "  assign y = a & b;\n  assign z = b & a;\nendmodule\n"
+        )
+        other = "module n(input c, output w);\n  assign w = c & c;\nendmodule\n"
+        table = {}
+        t1 = clean(classify(src).ast, table)
+        t2 = clean(classify(other).ast, table)
+        mod1, mod2 = t1.children[0], t2.children[0]
+        assign_y, assign_z = mod1.children[-2], mod1.children[-1]
+        assert assign_y.kind is NodeKind.CONTINUOUS_ASSIGN
+        assert assign_y is assign_z
+        assert mod2.children[-1] is assign_y  # shared across the two trees
+        and_node = assign_y.children[1]
+        assert and_node.children[0] is and_node.children[1]
+        # a separate table shares nothing with the first one
+        t3 = clean(classify(other).ast)
+        assert t3 == t2 and t3 is not t2
+        assert t3.children[0].children[-1] is not assign_y
+
+    def test_serialize_and_stats_unchanged(self, golden_source):
+        ast = classify(golden_source).ast
+        plain = unshared_clean(ast)
+        shared = clean(ast, {})
+        assert serialize(shared) == serialize(plain)
+        assert tree_stats(shared) == tree_stats(plain) == tree_stats(ast)
+
+    @settings(max_examples=100)
+    @given(clean_trees, clean_trees)
+    def test_one_table_keeps_every_tree_intact(self, a, b):
+        table = {}
+        ca, cb = clean(a, table), clean(b, table)
+        assert serialize(ca) == serialize(a) and serialize(cb) == serialize(b)
+        assert tree_stats(ca) == tree_stats(a) and tree_stats(cb) == tree_stats(b)
+        assert (ca is cb) == (ca == cb)
+
+
 class TestSerialize:
     def test_exact_text(self):
         tree = node(
