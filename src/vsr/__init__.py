@@ -40,11 +40,9 @@ from vsr.reward import (
     REWARD_NOT_CODE,
     REWARD_PARSE_FAIL,
     REWARD_SCALE,
-    ReferenceFailure,
     ReferenceParseError,
     RewardOutcome,
     reward,
-    reward_batch,
 )
 from vsr.service import (
     ServiceConfig,
@@ -58,8 +56,6 @@ from vsr.similarity import (
     DEFAULT_DEPTH_LIMIT,
     DepthLimitError,
     MatchStep,
-    SourceComparison,
-    compare_sources,
     sim_ast,
     sim_ast_seq,
     sim_ast_with_trace,

@@ -15,7 +15,6 @@ preserves the cleaned tree's node-kind multiset.
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 from dataclasses import dataclass, replace
@@ -24,7 +23,7 @@ from pathlib import Path
 
 from vsr.lexer import KEYWORDS, LexError, lex
 from vsr.parser import ValidityStatus, classify
-from vsr.printer import pretty_print
+from vsr.printer import PrintError, pretty_print
 from vsr.trees import (
     DECL_KINDS,
     PORT_KINDS,
@@ -32,6 +31,7 @@ from vsr.trees import (
     RawNode,
     TreeStats,
     clean,  # noqa: F401  importable here: the benchmark tracer rebinds vsr.corpus.clean
+    clone_raw,
     iter_tree,
     tree_stats,
 )
@@ -373,7 +373,8 @@ def mutate(code: str, spec: MutationSpec) -> str:
     Same (kind, seed, input) always produces identical output.  The output
     re-parses, and its cleaned tree has the same node-kind multiset as the
     input's; reordering additionally only permutes module children.  Raises
-    MutationError when the input does not parse or has nothing to mutate.
+    MutationError when the input does not parse, has nothing to mutate, or
+    gives a tree too deep to print.
     """
     validity = classify(code)
     if validity.status is not ValidityStatus.PARSED:
@@ -382,7 +383,7 @@ def mutate(code: str, spec: MutationSpec) -> str:
         )
         raise MutationError(f"input is {validity.status.value}: {detail}")
     assert validity.ast is not None
-    unit = copy.deepcopy(validity.ast)
+    unit = clone_raw(validity.ast)
     rng = random.Random(spec.seed)
     if spec.kind is MutationKind.REORDER_TOP_ITEMS:
         _reorder_top_items(unit, rng)
@@ -392,4 +393,7 @@ def mutate(code: str, spec: MutationSpec) -> str:
         _rewrite_constants(unit, rng)
     else:  # pragma: no cover - enum is closed
         raise MutationError(f"unknown mutation kind {spec.kind!r}")
-    return pretty_print(unit)
+    try:
+        return pretty_print(unit)
+    except PrintError as exc:
+        raise MutationError(f"cannot print the mutated tree: {exc}") from exc

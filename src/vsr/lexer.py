@@ -9,8 +9,8 @@ string; every token's text is exactly `source[start:end]`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -23,8 +23,9 @@ class TokenKind(Enum):
     DIRECTIVE = "directive"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme.  Immutable: a named tuple, cheap to build."""
+
     kind: TokenKind
     text: str
     span: tuple[int, int]
@@ -61,14 +62,6 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_OPERATORS_3 = ("<<<", ">>>", "===", "!==")
-_OPERATORS_2 = (
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "~&", "~|", "~^", "^~", "**", "+:", "-:",
-)
-_OPERATORS_1 = frozenset("+-*/%&|^~!<>=?")
-_PUNCTUATION = frozenset("()[]{};,.:#@")
-
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _SYS_ID_RE = re.compile(r"\$[A-Za-z0-9_$]+")
 # Ordered alternation: based literal, real, plain decimal.  Digit classes are
@@ -80,6 +73,37 @@ _NUMBER_RE = re.compile(
     r"|\d[\d_]*[eE][+-]?\d[\d_]*"
     r"|\d[\d_]*"
 )
+# Operators longest first, so `<<<` is never read as `<<` then `<`.  A `/`
+# that opens a comment is left to the comment branches.
+_OPERATORS = (
+    "<<<", ">>>", "===", "!==",
+    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+    "~&", "~|", "~^", "^~", "**", "+:", "-:",
+)
+_OPERATOR_RE = "|".join(map(re.escape, _OPERATORS)) + r"|[-+*%&|^~!<>=?]|/(?![/*])"
+
+# One master pattern for the common lexemes (the tokenizer recipe from the
+# `re` module docs); its group number is the lexeme class.  A number must
+# start with an ASCII digit or a quote, as `\d` alone would admit other
+# scripts' digits.  The last group takes any other character, which starts a
+# lexeme `_lex_rare` handles: block comment, directive, string, escaped or
+# system identifier, or an error.  Every alternative consumes at least one
+# character, so scanning never stalls.
+_SKIP, _WORD, _NUMBER, _OPERATOR, _PUNCT, _RARE = range(1, 7)
+_MASTER_RE = re.compile(
+    r"([ \t\r\f\v\n]+|//[^\n]*)"
+    rf"|({_ID_RE.pattern})"
+    rf"|(?=[0-9'])({_NUMBER_RE.pattern})"
+    rf"|({_OPERATOR_RE})"
+    r"|([()\[\]{};,.:#@])"
+    r"|(.)",
+    re.DOTALL,
+)
+_KIND_OF_GROUP = {
+    _NUMBER: TokenKind.NUMBER,
+    _OPERATOR: TokenKind.OPERATOR,
+    _PUNCT: TokenKind.PUNCTUATION,
+}
 
 
 def lex(source: str) -> list[Token]:
@@ -92,113 +116,89 @@ def lex(source: str) -> list[Token]:
     also a directive token.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    line_start = 0  # offset just after the most recent newline
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line_start = i + 1
-            i += 1
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            nl = source.find("\n", i)
-            i = n if nl < 0 else nl
-            continue
-        if source.startswith("/*", i):
-            close = source.find("*/", i + 2)
-            if close < 0:
-                raise LexError("unterminated block comment", (i, i + 2))
-            i = close + 2
-            continue
-        if ch == "`":
-            if source[line_start:i].strip() == "":
-                # whole-line directive such as `define or `timescale
-                nl = source.find("\n", i)
-                end = n if nl < 0 else nl
-            else:
-                m = _ID_RE.match(source, i + 1)
-                if m is None:
-                    raise LexError("stray backtick", (i, i + 1))
-                end = m.end()
-            tokens.append(Token(TokenKind.DIRECTIVE, source[i:end], (i, end)))
-            i = end
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n:
-                c = source[j]
-                if c == "\\":
-                    j += 2
-                    continue
-                if c == "\n":
-                    break
-                if c == '"':
-                    tokens.append(
-                        Token(TokenKind.STRING, source[i : j + 1], (i, j + 1))
-                    )
-                    i = j + 1
-                    break
-                j += 1
-            else:
-                raise LexError("unterminated string", (i, n))
-            if i == j + 1:
+    append = tokens.append
+    scan = _MASTER_RE.finditer
+    new = tuple.__new__  # builds a Token without NamedTuple's Python __new__
+    keywords = KEYWORDS
+    kind_of_group = _KIND_OF_GROUP
+    identifier, keyword = TokenKind.IDENTIFIER, TokenKind.KEYWORD
+    pos = 0
+    while True:
+        for m in scan(source, pos):
+            group = m.lastindex
+            if group == _SKIP:
                 continue
-            raise LexError("unterminated string", (i, i + 1))
-        if ch == "\\":
-            # escaped identifier: backslash through the next whitespace
-            j = i + 1
-            while j < n and not source[j].isspace():
-                j += 1
-            if j == i + 1:
-                raise LexError("empty escaped identifier", (i, i + 1))
-            tokens.append(Token(TokenKind.IDENTIFIER, source[i:j], (i, j)))
-            i = j
-            continue
-        if "0" <= ch <= "9" or ch == "'":
-            m = _NUMBER_RE.match(source, i)
+            if group == _WORD:
+                text = m.group()
+                kind = keyword if text in keywords else identifier
+                append(new(Token, (kind, text, m.span())))
+            elif group != _RARE:
+                append(new(Token, (kind_of_group[group], m.group(), m.span())))
+            else:
+                break
+        else:
+            return tokens
+        pos = _lex_rare(source, m.start(), append)
+
+
+def _lex_rare(source: str, i: int, append) -> int:
+    """Lex the one lexeme at `i` the master pattern leaves alone.
+
+    Appends its token, if it makes one, and returns the offset just past it;
+    raises LexError when the text at `i` is malformed.
+    """
+    n = len(source)
+    ch = source[i]
+    if source.startswith("/*", i):
+        close = source.find("*/", i + 2)
+        if close < 0:
+            raise LexError("unterminated block comment", (i, i + 2))
+        return close + 2
+    if ch == "`":
+        # Only blanks since the last newline: a whole-line directive.  A
+        # newline inside a comment or string leaves that comment's or
+        # string's closing characters in between, so it never counts.
+        line_start = source.rfind("\n", 0, i) + 1
+        if source[line_start:i].strip() == "":
+            # whole-line directive such as `define or `timescale
+            nl = source.find("\n", i)
+            end = n if nl < 0 else nl
+        else:
+            m = _ID_RE.match(source, i + 1)
             if m is None:
-                raise LexError("malformed number literal", (i, i + 1))
-            tokens.append(Token(TokenKind.NUMBER, m.group(), (i, m.end())))
-            i = m.end()
-            continue
-        if ch == "$":
-            m = _SYS_ID_RE.match(source, i)
-            if m is None:
-                raise LexError("stray '$'", (i, i + 1))
-            tokens.append(Token(TokenKind.IDENTIFIER, m.group(), (i, m.end())))
-            i = m.end()
-            continue
-        # ASCII ranges only: unicode letters and digits are illegal characters,
-        # and str.isalpha would wrongly admit them here
-        if "a" <= ch <= "z" or "A" <= ch <= "Z" or ch == "_":
-            m = _ID_RE.match(source, i)
-            assert m is not None
-            text = m.group()
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(kind, text, (i, m.end())))
-            i = m.end()
-            continue
-        three = source[i : i + 3]
-        if three in _OPERATORS_3:
-            tokens.append(Token(TokenKind.OPERATOR, three, (i, i + 3)))
-            i += 3
-            continue
-        two = source[i : i + 2]
-        if two in _OPERATORS_2:
-            tokens.append(Token(TokenKind.OPERATOR, two, (i, i + 2)))
-            i += 2
-            continue
-        if ch in _OPERATORS_1:
-            tokens.append(Token(TokenKind.OPERATOR, ch, (i, i + 1)))
-            i += 1
-            continue
-        if ch in _PUNCTUATION:
-            tokens.append(Token(TokenKind.PUNCTUATION, ch, (i, i + 1)))
-            i += 1
-            continue
-        raise LexError(f"illegal character {ch!r}", (i, i + 1))
-    return tokens
+                raise LexError("stray backtick", (i, i + 1))
+            end = m.end()
+        append(Token(TokenKind.DIRECTIVE, source[i:end], (i, end)))
+        return end
+    if ch == '"':
+        j = i + 1
+        while j < n:
+            c = source[j]
+            if c == "\\":
+                j += 2
+                continue
+            if c == "\n":
+                raise LexError("unterminated string", (i, i + 1))
+            if c == '"':
+                append(Token(TokenKind.STRING, source[i : j + 1], (i, j + 1)))
+                return j + 1
+            j += 1
+        raise LexError("unterminated string", (i, n))
+    if ch == "\\":
+        # escaped identifier: backslash through the next whitespace
+        j = i + 1
+        while j < n and not source[j].isspace():
+            j += 1
+        if j == i + 1:
+            raise LexError("empty escaped identifier", (i, i + 1))
+        append(Token(TokenKind.IDENTIFIER, source[i:j], (i, j)))
+        return j
+    if ch == "'":  # a quote the number pattern rejected
+        raise LexError("malformed number literal", (i, i + 1))
+    if ch == "$":
+        m = _SYS_ID_RE.match(source, i)
+        if m is None:
+            raise LexError("stray '$'", (i, i + 1))
+        append(Token(TokenKind.IDENTIFIER, m.group(), (i, m.end())))
+        return m.end()
+    raise LexError(f"illegal character {ch!r}", (i, i + 1))

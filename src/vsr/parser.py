@@ -17,12 +17,11 @@ recovery: the first error wins.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import Enum
 
 from vsr.lexer import LexError, Token, TokenKind, lex
-from vsr.trees import NodeKind, RawNode
+from vsr.trees import NodeKind, RawNode, clone_raw
 
 # Combined statement/expression nesting cap.  Keeps pathological inputs from
 # exhausting the interpreter stack; realistic RTL nests far shallower.
@@ -140,28 +139,32 @@ _CASE_KIND = {
 
 class Parser:
     def __init__(self, tokens: list[Token]):
-        # Directives are lexed for span bookkeeping but never parsed.
-        self._toks = [t for t in tokens if t.kind is not TokenKind.DIRECTIVE]
+        # Directives are lexed for span bookkeeping but never parsed.  Two
+        # None sentinels end the list, so looking at the current or the next
+        # token needs no bounds check: the position never passes the first.
+        self._toks: list[Token | None] = [
+            t for t in tokens if t.kind is not TokenKind.DIRECTIVE
+        ]
+        self._toks += (None, None)
         self._pos = 0
         self._depth = 0
 
     # ---- Token plumbing ----
 
     def _peek(self, offset: int = 0) -> Token | None:
-        pos = self._pos + offset
-        return self._toks[pos] if pos < len(self._toks) else None
+        return self._toks[self._pos + offset]
 
     def _at_end(self) -> bool:
-        return self._pos >= len(self._toks)
+        return self._toks[self._pos] is None
 
     def _mark(self) -> int:
-        tok = self._peek()
+        tok = self._toks[self._pos]
         return tok.span[0] if tok else self._end()
 
     def _end(self) -> int:
         if self._pos == 0:
             return 0
-        return self._toks[self._pos - 1].span[1]
+        return self._toks[self._pos - 1].span[1]  # type: ignore[union-attr]
 
     def _error(self, message: str) -> None:
         tok = self._peek()
@@ -170,26 +173,26 @@ class Parser:
         raise ParseError(f"{message}, found {tok.text!r}", tok.span)
 
     def _advance(self) -> Token:
-        tok = self._peek()
+        tok = self._toks[self._pos]
         if tok is None:
             self._error("unexpected end of input")
         self._pos += 1
         return tok  # type: ignore[return-value]
 
     def _at_kw(self, word: str) -> bool:
-        tok = self._peek()
+        tok = self._toks[self._pos]
         return tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == word
 
     def _at_op(self, text: str) -> bool:
-        tok = self._peek()
+        tok = self._toks[self._pos]
         return tok is not None and tok.kind is TokenKind.OPERATOR and tok.text == text
 
     def _at_punct(self, text: str) -> bool:
-        tok = self._peek()
+        tok = self._toks[self._pos]
         return tok is not None and tok.kind is TokenKind.PUNCTUATION and tok.text == text
 
     def _at_ident(self) -> bool:
-        tok = self._peek()
+        tok = self._toks[self._pos]
         return tok is not None and tok.kind is TokenKind.IDENTIFIER
 
     def _expect_kw(self, word: str) -> Token:
@@ -272,7 +275,7 @@ class Parser:
                 name = self._expect_ident().text
                 self._expect_op("=")
                 init = self._expr()
-                kids = [copy.deepcopy(width)] if width else []
+                kids = [clone_raw(width)] if width else []
                 kids.append(init)
                 nodes.append(
                     RawNode(
@@ -343,7 +346,7 @@ class Parser:
             elif direction is None:
                 self._error("expected port direction")
             name = self._expect_ident().text
-            kids = [copy.deepcopy(width)] if width else []
+            kids = [clone_raw(width)] if width else []
             ports.append(
                 RawNode(
                     direction,
@@ -412,7 +415,7 @@ class Parser:
             name = self._expect_ident().text
             self._expect_op("=")
             init = self._expr()
-            kids = [copy.deepcopy(width)] if width else []
+            kids = [clone_raw(width)] if width else []
             kids.append(init)
             nodes.append(
                 RawNode(kind, kids, name=name, mods=mods, span=(start, self._end()))
@@ -440,7 +443,7 @@ class Parser:
         nodes = []
         while True:
             name = self._expect_ident().text
-            kids = [copy.deepcopy(width)] if width else []
+            kids = [clone_raw(width)] if width else []
             nodes.append(
                 RawNode(direction, kids, name=name, mods=mods, span=(start, self._end()))
             )
@@ -462,7 +465,7 @@ class Parser:
         nodes = []
         while True:
             name = self._expect_ident().text
-            kids = [copy.deepcopy(width)] if width else []
+            kids = [clone_raw(width)] if width else []
             if self._at_op("="):
                 self._advance()
                 kids.append(self._expr())
@@ -489,7 +492,7 @@ class Parser:
         nodes = []
         while True:
             name = self._expect_ident().text
-            kids = [copy.deepcopy(width)] if width else []
+            kids = [clone_raw(width)] if width else []
             if self._at_punct("["):
                 kids.append(self._width())  # memory address range
             if self._at_op("="):
@@ -604,7 +607,7 @@ class Parser:
             self._expect_punct("(")
             conns = self._conn_list(param=False)
             self._expect_punct(")")
-            kids = [copy.deepcopy(p) for p in params] if nodes else params
+            kids = [clone_raw(p) for p in params] if nodes else params
             nodes.append(
                 RawNode(
                     NodeKind.INSTANCE,

@@ -4,15 +4,21 @@ Generated code that parses earns 10 x its structural similarity to the
 reference; code-shaped text that fails to parse earns -5; text that is not
 code at all earns -10.  An unparsable *reference* is a data error on the
 caller's side, never a scoring tier, so it raises instead of returning.
+
+In RL one reference is scored against a group of samples, so a reference
+can be prepared once per batch: the caller passes the same `memo` dict to
+every `reward` call of the batch, and each reference text is classified
+and cleaned on its first use only.  The memo belongs to the caller and
+lives as long as the caller keeps it; nothing is cached globally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from vsr.parser import Diagnostic, ValidityStatus, classify
+from vsr.parser import Diagnostic, Validity, ValidityStatus, classify
 from vsr.similarity import DEFAULT_DEPTH_LIMIT, sim_ast, sim_ast_seq
-from vsr.trees import clean
+from vsr.trees import CleanNode, clean
 
 REWARD_SCALE = 10.0
 REWARD_PARSE_FAIL = -5.0
@@ -33,10 +39,18 @@ class RewardOutcome:
 
 
 @dataclass(frozen=True)
-class ReferenceFailure:
-    """Per-element marker used by reward_batch for unusable references."""
+class PreparedReference:
+    """A reference classified once and, when it parsed, cleaned once.
 
-    message: str
+    `tree` is the hash-consed cleaned tree and `table` the intern table that
+    holds it; both are None/empty when the reference did not parse.  Scoring
+    cleans each sample into a copy of `table`, so a prepared reference is
+    never changed and can serve any number of samples.
+    """
+
+    validity: Validity
+    tree: CleanNode | None
+    table: dict
 
 
 class ReferenceParseError(ValueError):
@@ -47,21 +61,37 @@ class ReferenceParseError(ValueError):
         self.diagnostics = diagnostics
 
 
+def _prepare_reference(ref: str) -> PreparedReference:
+    validity = classify(ref)
+    table: dict = {}
+    tree = clean(validity.ast, table) if validity.ast is not None else None
+    return PreparedReference(validity, tree, table)
+
+
 def reward(
     gen: str,
     ref: str,
     *,
     mode: str = "ast",
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    memo: dict[str, PreparedReference] | None = None,
 ) -> RewardOutcome:
     """Score generated source `gen` against reference source `ref`.
 
-    `mode` picks the similarity ('ast' greedy, 'seq' positional).  Raises
-    ReferenceParseError when the reference itself is not parsable.
+    `mode` picks the similarity ('ast' greedy, 'seq' positional).  `memo`,
+    when given, maps reference text to its prepared form: a hit skips the
+    reference's lex, parse and clean, a miss fills the entry.  Outcomes are
+    identical with and without it.  Raises ReferenceParseError when the
+    reference itself is not parsable.
     """
     if mode not in ("ast", "seq"):
         raise ValueError(f"mode must be 'ast' or 'seq', got {mode!r}")
-    ref_v = classify(ref)
+    prepared = memo.get(ref) if memo is not None else None
+    if prepared is None:
+        prepared = _prepare_reference(ref)
+        if memo is not None:
+            memo[ref] = prepared
+    ref_v = prepared.validity
     if not ref_v.is_parsed:
         detail = ref_v.diagnostics[0].message if ref_v.diagnostics else "unparsable"
         raise ReferenceParseError(
@@ -72,29 +102,10 @@ def reward(
         return RewardOutcome(gen_v.status, None, REWARD_NOT_CODE)
     if gen_v.status is ValidityStatus.PARSE_FAIL:
         return RewardOutcome(gen_v.status, None, REWARD_PARSE_FAIL)
-    assert gen_v.ast is not None and ref_v.ast is not None
+    assert gen_v.ast is not None and prepared.tree is not None
     fn = sim_ast if mode == "ast" else sim_ast_seq
-    table: dict = {}  # one per pair: equal structure on both sides is shared
-    sim = fn(clean(gen_v.ast, table), clean(ref_v.ast, table), depth_limit=depth_limit)
+    # A copy, so the sample shares the reference's structure without adding
+    # its own nodes to the prepared table.
+    table = dict(prepared.table)
+    sim = fn(clean(gen_v.ast, table), prepared.tree, depth_limit=depth_limit)
     return RewardOutcome(gen_v.status, sim, REWARD_SCALE * sim)
-
-
-def reward_batch(
-    pairs,
-    *,
-    mode: str = "ast",
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
-) -> list[RewardOutcome | ReferenceFailure]:
-    """Score (gen, ref) pairs element-wise.
-
-    Equivalent to mapping `reward` over the list, except that an unparsable
-    reference yields a ReferenceFailure marker in its slot instead of
-    poisoning the whole batch.  Output order matches input order.
-    """
-    results: list[RewardOutcome | ReferenceFailure] = []
-    for gen, ref in pairs:
-        try:
-            results.append(reward(gen, ref, mode=mode, depth_limit=depth_limit))
-        except ReferenceParseError as exc:
-            results.append(ReferenceFailure(str(exc)))
-    return results

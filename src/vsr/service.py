@@ -15,6 +15,10 @@ Response: {"id", "status", "sim", "reward", "error"} with status one of
           parsed / parse_fail / not_code / reference_error.  Invalid
           requests, unparsable references, internal faults, and timeouts
           all report reference_error with sim and reward null.
+
+A batch (a stdio {"batch": [...]} line or a /v1/reward/batch body) gets a
+fresh reference memo (see `vsr.reward`), so each distinct reference in it is
+prepared once; an entry is dropped after the batch's last item using it.
 """
 
 from __future__ import annotations
@@ -55,8 +59,13 @@ def _error_response(req_id, message: str) -> dict:
     }
 
 
-def evaluate(request, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> dict:
-    """Score one request object and build its response object."""
+def evaluate(
+    request, *, depth_limit: int = DEFAULT_DEPTH_LIMIT, memo: dict | None = None
+) -> dict:
+    """Score one request object and build its response object.
+
+    `memo` is the batch's reference memo, passed on to `reward`.
+    """
     if not isinstance(request, dict):
         return _error_response(None, "request must be a JSON object")
     req_id = request.get("id")
@@ -70,7 +79,7 @@ def evaluate(request, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> dict:
     if mode not in ("ast", "seq"):
         return _error_response(req_id, "mode must be 'ast' or 'seq'")
     try:
-        outcome = reward(gen, ref, mode=mode, depth_limit=depth_limit)
+        outcome = reward(gen, ref, mode=mode, depth_limit=depth_limit, memo=memo)
     except ReferenceParseError as exc:
         return _error_response(req_id, f"reference does not parse: {exc}")
     return {
@@ -86,28 +95,53 @@ def _request_id(request) -> object:
     return request.get("id") if isinstance(request, dict) else None
 
 
-def _evaluate_guarded(request, depth_limit: int) -> dict:
+def _evaluate_guarded(request, depth_limit: int, memo: dict | None) -> dict:
     try:
-        return evaluate(request, depth_limit=depth_limit)
+        return evaluate(request, depth_limit=depth_limit, memo=memo)
     except Exception as exc:  # a service answers; it does not die
         return _error_response(_request_id(request), f"internal error: {exc}")
 
 
-def _evaluate_with_timeout(request, config: ServiceConfig) -> dict:
+def _evaluate_with_timeout(
+    request, config: ServiceConfig, memo: dict | None = None
+) -> dict:
     if config.timeout_ms <= 0:
-        return _evaluate_guarded(request, config.depth_limit)
+        return _evaluate_guarded(request, config.depth_limit, memo)
     pool = ThreadPoolExecutor(max_workers=1)
-    future = pool.submit(_evaluate_guarded, request, config.depth_limit)
+    future = pool.submit(_evaluate_guarded, request, config.depth_limit, memo)
     try:
         return future.result(timeout=config.timeout_ms / 1000.0)
     except _FutureTimeout:
         # The worker thread is abandoned, not killed; it finishes in the
-        # background while the caller gets a timely error.
+        # background while the caller gets a timely error.  It may still add
+        # a finished entry to the batch memo, which is safe: entries are
+        # complete when stored and never changed.
         return _error_response(
             _request_id(request), f"evaluation exceeded {config.timeout_ms} ms"
         )
     finally:
         pool.shutdown(wait=False)
+
+
+def _reference_text(item) -> str | None:
+    ref = item.get("ref") if isinstance(item, dict) else None
+    return ref if isinstance(ref, str) else None
+
+
+def _evaluate_batch(items: list, config: ServiceConfig) -> list[dict]:
+    # One memo per batch, so each distinct reference is prepared once.  An
+    # entry is dropped after the last item that uses it: a prepared
+    # reference is tens of times larger than its text, and a batch of
+    # unique references must not hold them all at once.
+    last_use = {_reference_text(item): i for i, item in enumerate(items)}
+    memo: dict = {}
+    responses = []
+    for i, item in enumerate(items):
+        responses.append(_evaluate_with_timeout(item, config, memo))
+        ref = _reference_text(item)
+        if last_use[ref] == i:
+            memo.pop(ref, None)
+    return responses
 
 
 def handle_line(line: str, config: ServiceConfig = ServiceConfig()) -> list[dict]:
@@ -120,7 +154,7 @@ def handle_line(line: str, config: ServiceConfig = ServiceConfig()) -> list[dict
         batch = obj["batch"]
         if not isinstance(batch, list):
             return [_error_response(None, "'batch' must be an array")]
-        return [_evaluate_with_timeout(item, config) for item in batch]
+        return _evaluate_batch(batch, config)
     return [_evaluate_with_timeout(obj, config)]
 
 
@@ -190,9 +224,7 @@ class _RewardHandler(BaseHTTPRequestHandler):
             if not isinstance(obj, list):
                 self._send_json(400, {"error": "batch body must be a JSON array"})
                 return
-            self._send_json(
-                200, [_evaluate_with_timeout(item, config) for item in obj]
-            )
+            self._send_json(200, _evaluate_batch(obj, config))
 
 
 def create_http_server(

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from vsr.parser import Validity, classify
-from vsr.trees import CleanNode, clean
+from vsr.trees import CleanNode
 
 DEFAULT_DEPTH_LIMIT = 512
 
@@ -234,40 +233,3 @@ def sim_ast_seq(
         for ca, cb in zip(a.children, b.children):
             stack.append((ca, cb, False))
     return _pair_score(scores, t1, t2)
-
-
-@dataclass(frozen=True)
-class SourceComparison:
-    """Similarity of two sources, or the classification that blocked it."""
-
-    score: float | None
-    ref: Validity
-    gen: Validity
-
-
-def compare_sources(
-    ref: str,
-    gen: str,
-    mode: str = "ast",
-    *,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
-) -> SourceComparison:
-    """Classify both sources; when both parse, score their cleaned roots.
-
-    The generated tree is the first similarity argument and the reference the
-    second, matching the reward definition.  `mode` selects 'ast' (greedy)
-    or 'seq' (positional).
-    """
-    if mode not in ("ast", "seq"):
-        raise ValueError(f"mode must be 'ast' or 'seq', got {mode!r}")
-    ref_v = classify(ref)
-    gen_v = classify(gen)
-    score = None
-    if ref_v.is_parsed and gen_v.is_parsed:
-        assert ref_v.ast is not None and gen_v.ast is not None
-        fn = sim_ast if mode == "ast" else sim_ast_seq
-        table: dict = {}
-        score = fn(
-            clean(gen_v.ast, table), clean(ref_v.ast, table), depth_limit=depth_limit
-        )
-    return SourceComparison(score=score, ref=ref_v, gen=gen_v)

@@ -212,6 +212,24 @@ def iter_tree(root):
         stack.extend(reversed(node.children))
 
 
+def clone_raw(root: RawNode) -> RawNode:
+    """Copy a raw tree node by node, without recursion.
+
+    Every node is new, so editing the copy never touches the original;
+    the immutable fields (strings, spans, modifier tuples) are shared.
+    """
+    top = RawNode(root.kind, [], root.name, root.value, root.mods, root.span)
+    stack = [(root, top)]
+    while stack:
+        src, dst = stack.pop()
+        for child in src.children:
+            copy = RawNode(child.kind, [], child.name, child.value, child.mods, child.span)
+            dst.children.append(copy)
+            if child.children:
+                stack.append((child, copy))
+    return top
+
+
 def clean(root: RawNode, table: dict | None = None) -> CleanNode:
     """Erase names, values, modifiers, and spans; keep kinds and child order.
 
@@ -223,9 +241,10 @@ def clean(root: RawNode, table: dict | None = None) -> CleanNode:
     its memo across repeated structure.
 
     Pass one table when cleaning both sides of a pair, so sharing also spans
-    the two trees.  The table keeps its nodes alive, which keeps the ids in
-    its keys valid; drop it with the pair.  Without a table, sharing stays
-    within the one tree.
+    the two trees (`vsr.reward` cleans each sample into a copy of its
+    prepared reference's table).  The table keeps its nodes alive, which
+    keeps the ids in its keys valid; drop it with the pair.  Without a
+    table, sharing stays within the one tree.
     """
     if table is None:
         table = {}
@@ -233,19 +252,25 @@ def clean(root: RawNode, table: dict | None = None) -> CleanNode:
     stack: list[tuple[RawNode, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if expanded:
-            first = len(out) - len(node.children)
+        children = node.children
+        if children and not expanded:
+            stack.append((node, True))
+            for child in reversed(children):
+                stack.append((child, False))
+            continue
+        # A leaf, or a node whose children are finished.  The kind enters
+        # the key by id: hashing an Enum member runs Python code.
+        if children:
+            first = len(out) - len(children)
             kids = tuple(out[first:])
             del out[first:]
-            key = (node.kind, *map(id, kids))
-            shared = table.get(key)
-            if shared is None:
-                shared = table[key] = CleanNode(node.kind, kids)
-            out.append(shared)
         else:
-            stack.append((node, True))
-            for child in reversed(node.children):
-                stack.append((child, False))
+            kids = ()
+        key = (id(node.kind), *map(id, kids))
+        shared = table.get(key)
+        if shared is None:
+            shared = table[key] = CleanNode(node.kind, kids)
+        out.append(shared)
     return out[0]
 
 

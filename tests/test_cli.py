@@ -264,6 +264,19 @@ class TestCorpusCommand:
         assert proc.returncode == 1
         assert "reorderable" in proc.stderr
 
+    def test_mutate_too_deep_is_a_message_not_a_traceback(self, tmp_path):
+        src = tmp_path / "chain.v"
+        src.write_text(
+            "module m(input a, output y);\n  assign y = "
+            + " + ".join(["a"] * 600)
+            + ";\nendmodule\n"
+        )
+        proc = vsr("corpus", "mutate", str(src), "--kind", "rename", "--seed", "1")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "too deep to print" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestServeCommand:
     def test_stdio_round_trip(self, simple_file):

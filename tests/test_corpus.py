@@ -249,3 +249,17 @@ class TestMutations:
         no_consts = "module m(input a, output y);\n    wire t;\n    assign t = a;\n    assign y = t;\nendmodule"
         with pytest.raises(MutationError, match="constants"):
             mutate(no_consts, MutationSpec(MutationKind.REWRITE_CONSTANTS, 0))
+
+    @pytest.mark.parametrize("kind", list(MutationKind))
+    def test_long_operator_chain_raises_mutation_error(self, kind):
+        # The parser reads the chain in a loop, so the tree is 600 deep;
+        # no mutation may fail with a bare RecursionError.
+        chain = (
+            "module m(input a, output y);\n  assign y = "
+            + " + ".join(["a"] * 600)
+            + ";\nendmodule\n"
+        )
+        with pytest.raises(MutationError) as err:
+            mutate(chain, MutationSpec(kind, seed=1))
+        if kind is MutationKind.RENAME_IDENTIFIERS:
+            assert "too deep to print" in str(err.value)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsr.lexer import KEYWORDS, LexError, TokenKind, lex
+from vsr.lexer import KEYWORDS, LexError, Token, TokenKind, lex
 
 
 def kinds_and_texts(src):
@@ -137,6 +137,79 @@ def test_keyword_set_is_reserved_words_only():
     # identifier-looking names must not be swallowed
     assert "clk" not in KEYWORDS
     assert "data" not in KEYWORDS
+
+
+@pytest.mark.parametrize(
+    "source,message,span",
+    [
+        ("x /* never ends", "unterminated block comment", (2, 4)),
+        ("a ` b", "stray backtick", (2, 3)),
+        ("a `", "stray backtick", (2, 3)),
+        ('x "ab\ncd"', "unterminated string", (2, 3)),
+        ('x "abc', "unterminated string", (2, 6)),
+        ('x "a\\', "unterminated string", (2, 5)),
+        ("a \\ b", "empty escaped identifier", (2, 3)),
+        ("x \\", "empty escaped identifier", (2, 3)),
+        ("x = 'q;", "malformed number literal", (4, 5)),
+        ("8'hqq", "malformed number literal", (1, 2)),
+        ("a $ b", "stray '$'", (2, 3)),
+        ("wire \u00e9;", "illegal character '\u00e9'", (5, 6)),
+        ("x = \u0663;", "illegal character '\u0663'", (4, 5)),
+    ],
+)
+def test_lex_error_message_and_span(source, message, span):
+    with pytest.raises(LexError) as err:
+        lex(source)
+    assert str(err.value) == message
+    assert err.value.span == span
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        ("a / b", [("a", (0, 1)), ("/", (2, 3)), ("b", (4, 5))]),
+        ("a/b", [("a", (0, 1)), ("/", (1, 2)), ("b", (2, 3))]),
+        ("a/", [("a", (0, 1)), ("/", (1, 2))]),
+        ("a **/ b", [("a", (0, 1)), ("**", (2, 4)), ("/", (4, 5)), ("b", (6, 7))]),
+        ("a // b\nc", [("a", (0, 1)), ("c", (7, 8))]),
+        ("a//", [("a", (0, 1))]),
+        ("a /* b */ c", [("a", (0, 1)), ("c", (10, 11))]),
+        ("a /*/ b */ c", [("a", (0, 1)), ("c", (11, 12))]),
+        ("a/**/b", [("a", (0, 1)), ("b", (5, 6))]),
+    ],
+)
+def test_slash_comment_boundaries(source, expected):
+    assert [(t.text, t.span) for t in lex(source)] == expected
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        ("a = `FOO + 1", ["a", "=", "`FOO", "+", "1"]),
+        # a comment, even one spanning lines, leaves the backtick mid-line
+        ("/* c */ `define X", ["`define", "X"]),
+        ("/* a\n */ `FOO x", ["`FOO", "x"]),
+        ('a "s\\\n" `M', ["a", '"s\\\n"', "`M"]),
+        # only blanks before it: the whole line is one directive
+        ("  `define W 8\nx", ["`define W 8", "x"]),
+    ],
+)
+def test_backtick_after_code_is_a_macro_token(source, expected):
+    tokens = lex(source)
+    assert [t.text for t in tokens] == expected
+    directives = [t.text for t in tokens if t.kind is TokenKind.DIRECTIVE]
+    assert directives == [text for text in expected if text.startswith("`")]
+
+
+def test_token_is_immutable():
+    (token,) = lex("abc")
+    assert token == Token(TokenKind.IDENTIFIER, "abc", (0, 3))
+    assert repr(token) == "Token(identifier, 'abc', 0:3)"
+    with pytest.raises(AttributeError):
+        token.text = "xyz"  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        token.span = (1, 2)  # type: ignore[misc]
+    assert token.text == "abc" and token.span == (0, 3)
 
 
 @settings(max_examples=200)

@@ -1,18 +1,20 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsr.parser import ValidityStatus
+from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate
+from vsr.parser import ValidityStatus, classify
 from vsr.reward import (
     REWARD_NOT_CODE,
     REWARD_PARSE_FAIL,
     REWARD_SCALE,
-    ReferenceFailure,
     ReferenceParseError,
-    RewardOutcome,
     reward,
-    reward_batch,
 )
+from vsr.similarity import sim_ast
+from vsr.trees import clean
 
 REF = """
 module blinker(input clk, output reg led);
@@ -86,17 +88,100 @@ def test_invalid_mode_rejected():
         reward(REF, REF, mode="fuzzy")
 
 
-def test_batch_keeps_order_and_isolates_reference_failures():
-    results = reward_batch([(REF, REF), (REF, BROKEN), (PROSE, REF)])
-    assert isinstance(results[0], RewardOutcome) and results[0].reward == 10.0
-    assert isinstance(results[1], ReferenceFailure)
-    assert "parse_fail" in results[1].message
-    assert isinstance(results[2], RewardOutcome)
-    assert results[2].reward == REWARD_NOT_CODE
+def test_invalid_mode_rejected_before_parsing():
+    # The mode is checked first: an unparsable side must not turn a bad mode
+    # into a score or a ReferenceParseError.
+    for gen, ref in (("nonsense", REF), (BROKEN, REF), (REF, BROKEN)):
+        with pytest.raises(ValueError):
+            reward(gen, ref, mode="zip")
 
 
-def test_batch_empty():
-    assert reward_batch([]) == []
+def test_scores_generated_against_reference():
+    # The generated tree is the first similarity argument, the reference the
+    # second; greedy similarity is not symmetric, so the order shows.
+    gen = "module m(input a, output y);\n  assign y = a;\nendmodule"
+    ref = "module m(input a, output y);\n  assign y = a | ~a;\n  assign y = a;\nendmodule"
+    gen_tree, ref_tree = clean(classify(gen).ast), clean(classify(ref).ast)
+    forward, backward = sim_ast(gen_tree, ref_tree), sim_ast(ref_tree, gen_tree)
+    assert forward != backward
+    assert reward(gen, ref).sim == forward
+
+
+def test_unparsable_generation_gives_no_sim():
+    for gen, status in (
+        ("nonsense", ValidityStatus.NOT_CODE),
+        (BROKEN, ValidityStatus.PARSE_FAIL),
+    ):
+        out = reward(gen, "module m; endmodule")
+        assert out.status is status
+        assert out.sim is None
+
+
+def _samples_for(name, sources):
+    """The golden file's mutants plus four other golden files, in a fixed order."""
+    src = sources[name]
+    samples = [src]
+    for kind in MutationKind:
+        try:
+            samples.append(mutate(src, MutationSpec(kind, seed=7)))
+        except MutationError:
+            pass
+    names = sorted(sources)
+    at = names.index(name)
+    samples += [sources[names[(at + k) % len(names)]] for k in (1, 2, 17, 40)]
+    return samples
+
+
+class TestReferenceMemo:
+    def test_memo_gives_bit_identical_outcomes(self, golden_sources):
+        memo: dict = {}
+        pairs = 0
+        for name in sorted(golden_sources):
+            ref = golden_sources[name]
+            for gen in _samples_for(name, golden_sources) + ["prose", BROKEN]:
+                for mode in ("ast", "seq"):
+                    plain = reward(gen, ref, mode=mode)
+                    cached = reward(gen, ref, mode=mode, memo=memo)
+                    assert cached == plain, (name, mode)
+                    assert repr(cached.sim) == repr(plain.sim)
+                    pairs += 1
+        assert pairs > 1000
+
+    def test_one_entry_per_distinct_reference(self, golden_sources):
+        refs = [golden_sources[name] for name in sorted(golden_sources)[:5]]
+        memo: dict = {}
+        for ref in refs * 3:
+            reward(REF, ref, memo=memo)
+        for _ in range(3):
+            with pytest.raises(ReferenceParseError):
+                reward(REF, BROKEN, memo=memo)
+        assert list(memo) == refs + [BROKEN]
+        assert memo[BROKEN].tree is None
+
+    def test_scoring_leaves_the_entry_unchanged(self, golden_sources):
+        memo: dict = {}
+        reward(REF, REF, memo=memo)
+        entry = memo[REF]
+        tree, size = entry.tree, len(entry.table)
+        for name in sorted(golden_sources):
+            reward(golden_sources[name], REF, memo=memo)
+            reward(golden_sources[name], REF, mode="seq", memo=memo)
+        assert memo[REF] is entry
+        assert entry.tree is tree
+        assert len(entry.table) == size
+
+    def test_hit_does_not_classify_the_reference_again(self, monkeypatch):
+        # the module, not the `reward` function the package re-exports
+        reward_module = importlib.import_module("vsr.reward")
+        seen = []
+        real = reward_module.classify
+        monkeypatch.setattr(
+            reward_module, "classify", lambda text: seen.append(text) or real(text)
+        )
+        memo: dict = {}
+        for gen in (REF, BROKEN, PROSE, REF):
+            reward(gen, REF, memo=memo)
+        assert seen == [REF, REF, BROKEN, PROSE, REF]
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import threading
@@ -6,7 +7,9 @@ import urllib.request
 
 import pytest
 
+from conftest import golden_paths
 from helpers import wide_module
+from vsr.corpus import MutationKind, MutationSpec, mutate
 from vsr.reward import reward
 from vsr.service import (
     ServiceConfig,
@@ -18,6 +21,24 @@ from vsr.service import (
 
 REF = "module m(input a, output y);\n  assign y = ~a;\nendmodule"
 GEN = "module m(input b, output z);\n  assign z = ~b;\nendmodule"
+REF2 = "module m(input a, output y);\n  assign y = a & a;\nendmodule"
+BROKEN_REF = "module m(input a output y); endmodule"
+
+
+def mixed_batch():
+    """One golden reference with mutant, cross, parse-fail and prose samples,
+    plus slots whose reference does not parse."""
+    ref_path, cross_path = golden_paths()[:2]
+    ref = ref_path.read_text(encoding="utf-8")
+    cross = cross_path.read_text(encoding="utf-8")
+    gens = [ref, cross, "module m(input a endmodule", "Sure, here is the code."]
+    gens += [mutate(ref, MutationSpec(kind, seed=5)) for kind in MutationKind]
+    batch = [{"id": i, "ref": ref, "gen": gen} for i, gen in enumerate(gens)]
+    batch.insert(2, {"id": "bad-1", "ref": BROKEN_REF, "gen": ref})
+    batch.insert(5, {"id": "bad-2", "ref": BROKEN_REF, "gen": cross})
+    batch.append({"id": "seq", "ref": ref, "gen": cross, "mode": "seq"})
+    batch.append({"id": "other", "ref": cross, "gen": ref})
+    return batch
 
 
 class TestEvaluate:
@@ -102,6 +123,63 @@ class TestStdio:
         out = self.run_lines(line)
         assert [json.loads(o)["id"] for o in out] == [0, 1, 2]
 
+    def test_batch_keeps_order_and_isolates_reference_failures(self):
+        line = json.dumps(
+            {
+                "batch": [
+                    {"id": 0, "ref": REF, "gen": REF},
+                    {"id": 1, "ref": BROKEN_REF, "gen": REF},
+                    {"id": 2, "ref": REF, "gen": "prose"},
+                    {"id": 3, "ref": BROKEN_REF, "gen": GEN},
+                    {"id": 4, "ref": REF, "gen": GEN},
+                ]
+            }
+        )
+        out = [json.loads(o) for o in self.run_lines(line)]
+        assert [o["id"] for o in out] == [0, 1, 2, 3, 4]
+        assert [o["status"] for o in out] == [
+            "parsed",
+            "reference_error",
+            "not_code",
+            "reference_error",
+            "parsed",
+        ]
+        assert [o["reward"] for o in out] == [10.0, None, -10.0, None, 10.0]
+        assert "parse_fail" in out[1]["error"]
+        assert out[1]["error"] == out[3]["error"]
+
+    def test_batch_empty(self):
+        assert handle_line(json.dumps({"batch": []})) == []
+        assert self.run_lines(json.dumps({"batch": []})) == []
+
+    def test_batch_answers_as_single_requests_do(self):
+        batch = mixed_batch()
+        batched = self.run_lines(json.dumps({"batch": batch}))
+        single = self.run_lines(*(json.dumps(request) for request in batch))
+        assert batched == single
+        statuses = {json.loads(o)["status"] for o in batched}
+        assert statuses == {"parsed", "parse_fail", "not_code", "reference_error"}
+
+    def test_batch_prepares_each_reference_once_and_drops_it_after_last_use(
+        self, monkeypatch
+    ):
+        service = importlib.import_module("vsr.service")
+        real_evaluate = service.evaluate
+        held = []
+
+        def recording_evaluate(request, *, depth_limit, memo):
+            held.append(sorted(memo, key=[REF, REF2].index))
+            return real_evaluate(request, depth_limit=depth_limit, memo=memo)
+
+        monkeypatch.setattr(service, "evaluate", recording_evaluate)
+        refs = [REF, REF2, REF, 5, REF2, REF2]  # 5: a request with a bad ref
+        batch = [{"id": i, "ref": ref, "gen": GEN} for i, ref in enumerate(refs)]
+        out = handle_line(json.dumps({"batch": batch}))
+        statuses = [r["status"] for r in out]
+        assert statuses == ["parsed"] * 3 + ["reference_error"] + ["parsed"] * 2
+        # REF is kept until its last use (item 2), then dropped
+        assert held == [[], [REF], [REF, REF2], [REF2], [REF2], [REF2]]
+
     def test_malformed_line_yields_error_response(self):
         out = self.run_lines("{nope", json.dumps({"id": 1, "ref": REF, "gen": GEN}))
         first = json.loads(out[0])
@@ -163,6 +241,25 @@ class TestHttp:
         assert status == 200
         rewards = [r["reward"] for r in json.loads(payload)]
         assert rewards == [10.0, -10.0]
+
+    def test_batch_endpoint_answers_as_single_requests_do(self, http_server):
+        batch = mixed_batch()
+        status, payload = http_post(
+            http_server, "/v1/reward/batch", json.dumps(batch).encode("utf-8")
+        )
+        assert status == 200
+        singles = [
+            http_post(http_server, "/v1/reward", json.dumps(r).encode("utf-8"))[1]
+            for r in batch
+        ]
+        assert payload == ("[" + ", ".join(s.decode() for s in singles) + "]").encode()
+        stdio_out = io.StringIO()
+        serve_stdio(io.StringIO(json.dumps({"batch": batch}) + "\n"), stdio_out)
+        assert stdio_out.getvalue().splitlines() == [s.decode() for s in singles]
+
+    def test_batch_endpoint_empty(self, http_server):
+        status, payload = http_post(http_server, "/v1/reward/batch", b"[]")
+        assert (status, json.loads(payload)) == (200, [])
 
     def test_healthz(self, http_server):
         with urllib.request.urlopen(http_server + "/healthz", timeout=10) as resp:

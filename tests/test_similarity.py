@@ -15,7 +15,6 @@ from vsr.corpus import MutationKind, MutationSpec, mutate
 from vsr.parser import classify
 from vsr.similarity import (
     DepthLimitError,
-    compare_sources,
     sim_ast,
     sim_ast_seq,
     sim_ast_with_trace,
@@ -306,21 +305,3 @@ class TestDepthLimit:
         with pytest.raises(ValueError):
             sim_ast(leaf(S), leaf(S), depth_limit=0)
 
-
-class TestCompareSources:
-    def test_scores_generated_against_reference(self, reordered_pair):
-        left, right = reordered_pair
-        cmp = compare_sources(left, right, mode="ast")
-        assert cmp.score == 1.0
-        assert cmp.ref.is_parsed and cmp.gen.is_parsed
-        seq = compare_sources(left, right, mode="seq")
-        assert seq.score is not None and seq.score < 1.0
-
-    def test_unparsable_side_gives_none(self):
-        cmp = compare_sources("module m; endmodule", "nonsense")
-        assert cmp.score is None
-        assert not cmp.gen.is_parsed
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            compare_sources("module m; endmodule", "module m; endmodule", mode="zip")
