@@ -41,6 +41,7 @@ from vsr.reward import (
     REWARD_PARSE_FAIL,
     REWARD_SCALE,
     ReferenceParseError,
+    ReferenceTooDeepError,
     RewardOutcome,
     reward,
 )

@@ -28,7 +28,7 @@ from vsr.corpus import (
 from vsr.lexer import LexError, lex
 from vsr.metrics import aggregate_pass_at_k, hit_at_k, pass_at_k, read_outcomes
 from vsr.parser import ParseError, ValidityStatus, classify
-from vsr.reward import ReferenceParseError, reward
+from vsr.reward import ReferenceParseError, ReferenceTooDeepError, reward
 from vsr.service import ServiceConfig, serve_http, serve_stdio
 from vsr.similarity import (
     DEFAULT_DEPTH_LIMIT,
@@ -81,19 +81,28 @@ def _parsed_ast(path: str, text: str) -> RawNode:
     return validity.ast
 
 
-def _dump_raw(node: RawNode, out: list[str], indent: int = 0) -> None:
-    parts = [node.kind.value]
-    if node.name is not None:
-        parts.append(f"name={node.name}")
-    if node.value is not None:
-        parts.append(f"value={node.value}")
-    if node.mods:
-        parts.append("mods=" + ",".join(node.mods))
-    if node.span is not None:
-        parts.append(f"span={node.span[0]}:{node.span[1]}")
-    out.append("  " * indent + " ".join(parts))
-    for child in node.children:
-        _dump_raw(child, out, indent + 1)
+def _dump_raw(root: RawNode) -> list[str]:
+    """One line per node in preorder, indented two spaces per level.
+
+    Iterative, because a long operator chain nests deeper than the
+    interpreter stack allows.
+    """
+    out: list[str] = []
+    stack = [(root, 0)]
+    while stack:
+        node, indent = stack.pop()
+        parts = [node.kind.value]
+        if node.name is not None:
+            parts.append(f"name={node.name}")
+        if node.value is not None:
+            parts.append(f"value={node.value}")
+        if node.mods:
+            parts.append("mods=" + ",".join(node.mods))
+        if node.span is not None:
+            parts.append(f"span={node.span[0]}:{node.span[1]}")
+        out.append("  " * indent + " ".join(parts))
+        stack.extend((child, indent + 1) for child in reversed(node.children))
+    return out
 
 
 # ---- commands ----
@@ -109,10 +118,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         for token in tokens:
             print(f"{token.kind.value}\t{token.text}")
         return 0
-    ast = _parsed_ast(args.file, text)
-    lines: list[str] = []
-    _dump_raw(ast, lines)
-    print("\n".join(lines))
+    print("\n".join(_dump_raw(_parsed_ast(args.file, text))))
     return 0
 
 
@@ -160,8 +166,8 @@ def _cmd_reward(args: argparse.Namespace) -> int:
         outcome = reward(gen_text, ref_text, mode=args.mode, depth_limit=depth_limit)
     except ReferenceParseError as exc:
         raise _CliError(f"{args.ref}: reference does not parse: {exc}") from exc
-    except DepthLimitError as exc:
-        raise _CliError(str(exc)) from exc
+    except ReferenceTooDeepError as exc:
+        raise _CliError(f"{args.ref}: reference is too deep: {exc}") from exc
     sim_text = "-" if outcome.sim is None else _f(outcome.sim)
     print(f"{outcome.status.value}\t{sim_text}\t{_f(outcome.reward)}")
     return 0

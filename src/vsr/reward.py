@@ -5,6 +5,14 @@ reference; code-shaped text that fails to parse earns -5; text that is not
 code at all earns -10.  An unparsable *reference* is a data error on the
 caller's side, never a scoring tier, so it raises instead of returning.
 
+Depth is judged the same way.  A reference whose cleaned tree is deeper
+than `depth_limit` raises ReferenceTooDeepError, before the generation is
+looked at.  A generation that parses but whose cleaned tree is too deep
+(a long `a + a + ...` chain nests one level per operator) cannot be
+scored by similarity, so it earns the parse-fail tier: status
+`parse_fail`, no sim, -5.  `reward` therefore never lets a
+DepthLimitError escape.
+
 In RL one reference is scored against a group of samples, so a reference
 can be prepared once per batch: the caller passes the same `memo` dict to
 every `reward` call of the batch, and each reference text is classified
@@ -17,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from vsr.parser import Diagnostic, Validity, ValidityStatus, classify
-from vsr.similarity import DEFAULT_DEPTH_LIMIT, sim_ast, sim_ast_seq
-from vsr.trees import CleanNode, clean
+from vsr.similarity import DEFAULT_DEPTH_LIMIT, DepthLimitError, sim_ast, sim_ast_seq
+from vsr.trees import CleanNode, clean, tree_stats
 
 REWARD_SCALE = 10.0
 REWARD_PARSE_FAIL = -5.0
@@ -42,15 +50,17 @@ class RewardOutcome:
 class PreparedReference:
     """A reference classified once and, when it parsed, cleaned once.
 
-    `tree` is the hash-consed cleaned tree and `table` the intern table that
-    holds it; both are None/empty when the reference did not parse.  Scoring
-    cleans each sample into a copy of `table`, so a prepared reference is
-    never changed and can serve any number of samples.
+    `tree` is the hash-consed cleaned tree, `table` the intern table that
+    holds it and `depth` the tree's depth (root at 1); they are None, empty
+    and 0 when the reference did not parse.  Scoring cleans each sample into
+    a copy of `table`, so a prepared reference is never changed and can
+    serve any number of samples, whatever their depth limit.
     """
 
     validity: Validity
     tree: CleanNode | None
     table: dict
+    depth: int
 
 
 class ReferenceParseError(ValueError):
@@ -61,11 +71,17 @@ class ReferenceParseError(ValueError):
         self.diagnostics = diagnostics
 
 
+class ReferenceTooDeepError(ValueError):
+    """The reference parsed, but its cleaned tree exceeds the depth limit."""
+
+
 def _prepare_reference(ref: str) -> PreparedReference:
     validity = classify(ref)
+    if validity.ast is None:
+        return PreparedReference(validity, None, {}, 0)
     table: dict = {}
-    tree = clean(validity.ast, table) if validity.ast is not None else None
-    return PreparedReference(validity, tree, table)
+    tree = clean(validity.ast, table)
+    return PreparedReference(validity, tree, table, tree_stats(tree).depth)
 
 
 def reward(
@@ -82,10 +98,13 @@ def reward(
     when given, maps reference text to its prepared form: a hit skips the
     reference's lex, parse and clean, a miss fills the entry.  Outcomes are
     identical with and without it.  Raises ReferenceParseError when the
-    reference itself is not parsable.
+    reference itself is not parsable and ReferenceTooDeepError when it is
+    deeper than `depth_limit`; a too-deep generation scores as parse_fail.
     """
     if mode not in ("ast", "seq"):
         raise ValueError(f"mode must be 'ast' or 'seq', got {mode!r}")
+    if depth_limit < 1:
+        raise ValueError(f"depth limit must be >= 1, got {depth_limit}")
     prepared = memo.get(ref) if memo is not None else None
     if prepared is None:
         prepared = _prepare_reference(ref)
@@ -97,15 +116,26 @@ def reward(
         raise ReferenceParseError(
             f"reference is {ref_v.status.value}: {detail}", ref_v.diagnostics
         )
+    if prepared.depth > depth_limit:
+        raise ReferenceTooDeepError(
+            f"tree depth {prepared.depth} exceeds limit {depth_limit}"
+        )
     gen_v = classify(gen)
     if gen_v.status is ValidityStatus.NOT_CODE:
         return RewardOutcome(gen_v.status, None, REWARD_NOT_CODE)
     if gen_v.status is ValidityStatus.PARSE_FAIL:
         return RewardOutcome(gen_v.status, None, REWARD_PARSE_FAIL)
     assert gen_v.ast is not None and prepared.tree is not None
+    # Looked up on each call, not bound at import: tracing rebinds these
+    # module globals.
     fn = sim_ast if mode == "ast" else sim_ast_seq
     # A copy, so the sample shares the reference's structure without adding
     # its own nodes to the prepared table.
     table = dict(prepared.table)
-    sim = fn(clean(gen_v.ast, table), prepared.tree, depth_limit=depth_limit)
+    try:
+        sim = fn(clean(gen_v.ast, table), prepared.tree, depth_limit=depth_limit)
+    except DepthLimitError:
+        # The reference is within the limit (checked above), so the
+        # generation is too deep: the parse-fail tier, see the module doc.
+        return RewardOutcome(ValidityStatus.PARSE_FAIL, None, REWARD_PARSE_FAIL)
     return RewardOutcome(gen_v.status, sim, REWARD_SCALE * sim)

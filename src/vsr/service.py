@@ -13,8 +13,9 @@ Request:  {"id": any, "ref": str, "gen": str, "mode": "ast" | "seq"}
           mode is optional and defaults to "ast".
 Response: {"id", "status", "sim", "reward", "error"} with status one of
           parsed / parse_fail / not_code / reference_error.  Invalid
-          requests, unparsable references, internal faults, and timeouts
-          all report reference_error with sim and reward null.
+          requests, unparsable or too-deep references, internal faults,
+          and timeouts all report reference_error with sim and reward null;
+          a too-deep generation is parse_fail (see `vsr.reward`).
 
 A batch (a stdio {"batch": [...]} line or a /v1/reward/batch body) gets a
 fresh reference memo (see `vsr.reward`), so each distinct reference in it is
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import IO
 
-from vsr.reward import ReferenceParseError, reward
+from vsr.reward import ReferenceParseError, ReferenceTooDeepError, reward
 from vsr.similarity import DEFAULT_DEPTH_LIMIT
 
 STATUS_REFERENCE_ERROR = "reference_error"
@@ -82,6 +83,8 @@ def evaluate(
         outcome = reward(gen, ref, mode=mode, depth_limit=depth_limit, memo=memo)
     except ReferenceParseError as exc:
         return _error_response(req_id, f"reference does not parse: {exc}")
+    except ReferenceTooDeepError as exc:
+        return _error_response(req_id, f"reference is too deep: {exc}")
     return {
         "id": req_id,
         "status": outcome.status.value,

@@ -25,6 +25,38 @@ shortcut is exact, not an approximation: on identical children the greedy
 scan matches child i to child i (each scores 1.0, and the scan takes the
 first candidate that does), and a sum of m ones divided by m is 1.0.  Trees
 built without sharing get the same scores, only without the shortcut.
+
+The greedy scan also skips, exactly, candidates that provably cannot win
+their row.  For a node x, the leaf-path profile P_x maps each kind path
+from x down to a leaf to a weight: the sum, over the leaves at the end of
+that path, of the product of 1/len(children) over the leaf's ancestors
+within x (a leaf's own profile is its empty path with weight 1).  Then
+
+    s(a, b) <= B(a, b) = sum over paths p of min(P_a[p], P_b[p]).
+
+Proof by induction on depth.  Different kinds score 0 and B >= 0.  Two
+leaves of one kind score 1 and have equal profiles, so B = 1; a leaf
+against an inner node scores 0.  For inner nodes with n and n' children,
+s(a, b) is a sum over the matched child pairs (c, c') of s(c, c') / m with
+m = max(n, n') >= n, n'.  By induction each term is at most
+sum_p min(P_c[p] / n, P_c'[p] / n').  For a fixed p, the matching uses
+every child at most once on each side, so the sum of those minima over the
+matched pairs of kind k is at most min(sum_c P_c[p] / n, sum_c' P_c'[p] / n')
+over the children of kind k, which is min(P_a[k.p], P_b[k.p]).  Summing
+over k and p gives B.
+
+A row only changes its choice on a candidate whose score is strictly
+above the row's best so far, so a candidate not yet scored whose bound is
+below that best can be skipped without scoring it.  The test is
+B < best - 1e-9, and the margin covers rounding: the computed score and
+the computed bound are float sums of non-negative terms at most 1, built
+from products of at most `depth` reciprocals, so each is within about
+(node count + 2 x depth) x 2^-52 of its exact value.  At the default
+depth limit of 512 that is below 1e-9 for trees of up to about four
+million nodes, far more than the quadratic scan gets through, so a
+skipped candidate's computed score could not have beaten the best
+either.  The choices, the scores and the
+trace are those of the plain greedy scan; only the pair memo shrinks.
 """
 
 from __future__ import annotations
@@ -34,6 +66,11 @@ from dataclasses import dataclass
 from vsr.trees import CleanNode
 
 DEFAULT_DEPTH_LIMIT = 512
+
+
+# A pair is skipped only when its bound is below the row's best by more
+# than this; see the module docstring for why it covers rounding.
+_BOUND_MARGIN = 1e-9
 
 
 class DepthLimitError(RuntimeError):
@@ -70,6 +107,44 @@ def _check_depth(t1: CleanNode, t2: CleanNode, limit: int) -> None:
             raise DepthLimitError(f"tree depth {d} exceeds limit {limit}")
 
 
+def _profile(
+    x: CleanNode, profiles: dict[int, dict[int, float]], trie: list[dict[int, int]]
+) -> dict[int, float]:
+    """The leaf-path profile of `x` (module docstring), cached by id in
+    `profiles`.  A path is an int: 0 for `x` itself and, for a child of the
+    node at path p, trie[p][id(child kind)], added on first use.  Profiles
+    compared by `_bound` must come from one trie."""
+    prof = profiles.get(id(x))
+    if prof is None:
+        prof = profiles[id(x)] = {}
+        work = [(x, 0, 1.0)]
+        while work:
+            node, path, weight = work.pop()
+            kids = node.children
+            if not kids:
+                prof[path] = prof.get(path, 0.0) + weight
+                continue
+            weight /= len(kids)
+            branch = trie[path]
+            for kid in kids:
+                kid_path = branch.get(id(kid.kind))
+                if kid_path is None:
+                    kid_path = branch[id(kid.kind)] = len(trie)
+                    trie.append({})
+                work.append((kid, kid_path, weight))
+    return prof
+
+
+def _bound(left: dict[int, float], right: dict[int, float]) -> float:
+    """B(a, b) of the module docstring, from the two leaf-path profiles."""
+    total = 0.0
+    for path, weight in left.items():
+        other = right.get(path)
+        if other is not None:
+            total += weight if weight < other else other
+    return total
+
+
 def _greedy_scores(
     t1: CleanNode,
     t2: CleanNode,
@@ -87,13 +162,19 @@ def _greedy_scores(
     kind; accumulation order is fixed so results are bit-identical across
     runs.  A row stops as soon as a candidate scores 1.0: scores never
     exceed 1.0 and a later candidate would have to beat the best strictly,
-    so the choice cannot change.  When `choices` is given it receives, per
-    scored pair, the chosen right index of every left child (-1 for none).
+    so the choice cannot change.  For the same reason a candidate pair not
+    yet scored is skipped, unscored, when its leaf-path bound is below the
+    row's best (see the module docstring).  When `choices` is given it
+    receives, per scored pair, the chosen right index of every left child
+    (-1 for none).
     """
     root = (id(t1), id(t2))
     if t1 is t2 or t1.kind is not t2.kind:
         return {root: 1.0 if t1 is t2 else 0.0}
     scores: dict[tuple[int, int], float] = {}
+    # Leaf-path profiles and their path trie, for this call only.
+    profiles: dict[int, dict[int, float]] = {}
+    trie: list[dict[int, int]] = [{}]
     # One frame per suspended pair: (a, b, key, row i, column j, best score
     # and column so far in row i, sum of finished rows, taken columns,
     # chosen column per finished row).  Only pairs of the same kind that are
@@ -107,6 +188,7 @@ def _greedy_scores(
         while i < n1:
             ca = c1s[i]
             kind = ca.kind
+            left = None  # ca's profile, fetched when the row first needs it
             while j < n2:
                 cb = c2s[j]
                 if taken[j] or cb.kind is not kind:
@@ -118,6 +200,13 @@ def _greedy_scores(
                     pair = (id(ca), id(cb))
                     s = scores.get(pair)
                     if s is None:
+                        if best_s > 0.0:
+                            if left is None:
+                                left = _profile(ca, profiles, trie)
+                            right = _profile(cb, profiles, trie)
+                            if _bound(left, right) < best_s - _BOUND_MARGIN:
+                                j += 1
+                                continue
                         missing = (ca, cb, pair)
                         break
                 if s > best_s:

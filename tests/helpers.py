@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 from vsr.trees import CleanNode, NodeKind
@@ -87,3 +88,77 @@ def wide_module(assign_count: int, name: str = "gen_block") -> str:
         prev = f"out_{i}"
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
+
+
+def chain_module(terms: int) -> str:
+    """A module whose one assign is a `terms`-term left-associative sum.
+
+    The parser nests one level per operator, so 600 terms clean to a tree
+    of depth 603, over the default depth limit of 512.
+    """
+    chain = " + ".join(["a"] * terms)
+    return f"module m(input a, output y);\n  assign y = {chain};\nendmodule\n"
+
+
+_SWAP_OPS = {"+": "-", "-": "+", "&": "|", "|": "&", "^": "|"}
+_SIGNALS = ("a", "b", "s0", "s1", "s2", "s3")
+
+
+def _random_expr(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(_SIGNALS)
+    op = rng.choice(tuple(_SWAP_OPS))
+    return [op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1)]
+
+
+def _render_expr(e) -> str:
+    if isinstance(e, str):
+        return e
+    return f"({_render_expr(e[1])} {e[0]} {_render_expr(e[2])})"
+
+
+def _operators(e, acc: list) -> list:
+    if not isinstance(e, str):
+        acc.append(e)
+        _operators(e[1], acc)
+        _operators(e[2], acc)
+    return acc
+
+
+def swapped_item_pair(rng: random.Random, items: int) -> tuple[str, str]:
+    """A wide module and a reordered copy with one operator swapped per item.
+
+    Items are clocked if/else blocks and continuous assigns of random
+    expressions.  No item of the copy matches its original exactly, so a
+    greedy row never stops early on a perfect match.  Returns (reference,
+    generation) source texts.
+    """
+    body = []
+    for i in range(items):
+        target = _SIGNALS[2 + i % 4]
+        if i % 8 == 0:
+            body.append(["assign", target, _random_expr(rng, 3)])
+        else:
+            body.append(["ff", target, _random_expr(rng, 2), _random_expr(rng, 2)])
+
+    def text(rows) -> str:
+        lines = ["module w(input clk, input rst, input [7:0] a, input [7:0] b);"]
+        lines += [f"    reg [7:0] {s};" for s in _SIGNALS[2:]]
+        for row in rows:
+            if row[0] == "assign":
+                lines.append(f"    assign {row[1]} = {_render_expr(row[2])};")
+            else:
+                lines.append(
+                    f"    always @(posedge clk) if (rst) {row[1]} <= "
+                    f"{_render_expr(row[2])}; else {row[1]} <= {_render_expr(row[3])};"
+                )
+        return "\n".join(lines + ["endmodule"]) + "\n"
+
+    swapped = copy.deepcopy(body)
+    for row in swapped:
+        ops = [op for e in row[2:] for op in _operators(e, [])]
+        if ops:
+            op = rng.choice(ops)
+            op[0] = _SWAP_OPS[op[0]]
+    rng.shuffle(swapped)
+    return text(body), text(swapped)

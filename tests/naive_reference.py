@@ -34,6 +34,38 @@ def naive_sim_ast(t1: CleanNode, t2: CleanNode) -> float:
     return total / m
 
 
+def naive_greedy_trace(t1: CleanNode, t2: CleanNode) -> list:
+    """(left path, right path, score) of every greedy match, in the order
+    `sim_ast_with_trace` lists them: visiting a matched pair lists its child
+    matches leftmost first, then visits each of them in turn."""
+    steps = []
+
+    def visit(a, b, path1, path2):
+        taken = [False] * len(b.children)
+        matched = []
+        for i, c1 in enumerate(a.children):
+            best_score = 0.0
+            best_j = -1
+            for j, c2 in enumerate(b.children):
+                if taken[j] or c2.kind is not c1.kind:
+                    continue
+                score = naive_sim_ast(c1, c2)
+                if score > best_score:
+                    best_score = score
+                    best_j = j
+            if best_j >= 0:
+                taken[best_j] = True
+                matched.append((i, best_j, best_score))
+        for i, j, score in matched:
+            steps.append((path1 + (i,), path2 + (j,), score))
+        for i, j, _ in matched:
+            visit(a.children[i], b.children[j], path1 + (i,), path2 + (j,))
+
+    if t1.kind is t2.kind:
+        visit(t1, t2, (), ())
+    return steps
+
+
 def naive_sim_ast_seq(t1: CleanNode, t2: CleanNode) -> float:
     if t1.kind is not t2.kind:
         return 0.0

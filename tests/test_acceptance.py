@@ -46,7 +46,7 @@ from vsr.parser import ValidityStatus, classify
 from vsr.reward import ReferenceParseError, reward
 from vsr.service import ServiceConfig, create_http_server, evaluate, serve_stdio
 from vsr.similarity import sim_ast, sim_ast_seq
-from vsr.trees import clean
+from vsr.trees import CleanNode, clean
 
 
 def _clean_of(source: str):
@@ -58,7 +58,8 @@ def _clean_of(source: str):
 def test_greedy_similarity_matches_naive_transcription():
     """Production sim_ast and sim_ast_seq agree bit for bit with direct
     recursive transcriptions on 240 random tree pairs (depth <= 8,
-    branching <= 6), in under 10 seconds."""
+    branching <= 6) and 24 pairs with 30-60 child roots, in under 10
+    seconds."""
     started = time.perf_counter()
     rng = random.Random(101)
     pairs = []
@@ -76,6 +77,24 @@ def test_greedy_similarity_matches_naive_transcription():
         base = random_clean_tree(rng, max_depth=rng.randint(3, 7), max_children=6)
         pairs.append((base, permute_tree(base, rng)))
         pairs.append((base, perturb_somewhere(base, rng)))
+    # Wide roots whose children share one kind, so every row scans many
+    # candidates and the matcher's pruning bound gets to fire; the narrow
+    # roots above seldom have more than one candidate per row.
+    for _ in range(12):
+        base = CleanNode(
+            SMALL_POOL[0],
+            tuple(
+                CleanNode(SMALL_POOL[1], random_clean_tree(rng, 4, 4).children)
+                for _ in range(rng.randint(30, 60))
+            ),
+        )
+        shuffled = permute_tree(base, rng)
+        perturbed = tuple(
+            perturb_somewhere(kid, rng) if rng.random() < 0.5 else kid
+            for kid in shuffled.children
+        )
+        pairs.append((base, shuffled))
+        pairs.append((base, CleanNode(base.kind, perturbed)))
     assert len(pairs) >= 200
     for a, b in pairs:
         assert sim_ast(a, b) == naive_sim_ast(a, b)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import chain_module
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,6 +63,17 @@ class TestParseCommand:
         proc = vsr("parse", "/no/such/file.v")
         assert proc.returncode == 1
         assert "cannot read" in proc.stderr
+
+    def test_ast_dump_of_a_long_chain(self, tmp_path):
+        # 3000 terms nest 3000 levels deep, past the interpreter stack.
+        deep = tmp_path / "deep.v"
+        deep.write_text(chain_module(3000))
+        proc = vsr("parse", str(deep))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("SourceUnit ")
+        assert sum(line.lstrip().startswith("Plus ") for line in lines) == 2999
+        assert max(len(line) - len(line.lstrip(" ")) for line in lines) > 2 * 3000
 
     def test_bad_flag_is_exit_2(self, simple_file):
         proc = vsr("parse", simple_file, "--emit", "pictures")
@@ -145,6 +158,20 @@ class TestRewardCommand:
         proc = vsr("reward", str(bad), simple_file)
         assert proc.returncode == 1
         assert "reference" in proc.stderr
+
+    def test_too_deep_generation_is_parse_fail(self, simple_file, tmp_path):
+        deep = tmp_path / "gen.v"
+        deep.write_text(chain_module(600))
+        proc = vsr("reward", simple_file, str(deep))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "parse_fail\t-\t-5.000000"
+
+    def test_too_deep_reference_is_error(self, simple_file, tmp_path):
+        deep = tmp_path / "ref.v"
+        deep.write_text(chain_module(600))
+        proc = vsr("reward", str(deep), simple_file)
+        assert proc.returncode == 1
+        assert "reference is too deep: tree depth 603 exceeds limit 512" in proc.stderr
 
 
 class TestPasskCommand:

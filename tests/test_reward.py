@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import chain_module
 from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate
 from vsr.parser import ValidityStatus, classify
 from vsr.reward import (
@@ -11,6 +12,8 @@ from vsr.reward import (
     REWARD_PARSE_FAIL,
     REWARD_SCALE,
     ReferenceParseError,
+    ReferenceTooDeepError,
+    RewardOutcome,
     reward,
 )
 from vsr.similarity import sim_ast
@@ -115,6 +118,37 @@ def test_unparsable_generation_gives_no_sim():
         out = reward(gen, "module m; endmodule")
         assert out.status is status
         assert out.sim is None
+
+
+DEEP = chain_module(600)  # cleans to depth 603, over the default limit 512
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("mode", ["ast", "seq"])
+    def test_too_deep_generation_is_the_parse_fail_tier(self, mode):
+        out = reward(DEEP, REF, mode=mode)
+        assert out == RewardOutcome(ValidityStatus.PARSE_FAIL, None, REWARD_PARSE_FAIL)
+
+    @pytest.mark.parametrize("mode", ["ast", "seq"])
+    def test_too_deep_reference_raises_whatever_the_generation(self, mode):
+        for gen in (REF, DEEP, BROKEN, PROSE):
+            with pytest.raises(
+                ReferenceTooDeepError, match="^tree depth 603 exceeds limit 512$"
+            ):
+                reward(gen, DEEP, mode=mode)
+
+    def test_memo_keeps_the_depth_and_each_call_judges_it(self):
+        memo = {}
+        assert reward(REF, DEEP, depth_limit=603, memo=memo).sim is not None
+        assert memo[DEEP].depth == 603
+        with pytest.raises(ReferenceTooDeepError):
+            reward(REF, DEEP, depth_limit=602, memo=memo)
+        assert reward(DEEP, REF, depth_limit=603).status is ValidityStatus.PARSED
+
+    def test_bad_limit_rejected_before_parsing(self):
+        for gen in (REF, PROSE):
+            with pytest.raises(ValueError, match="depth limit must be >= 1"):
+                reward(gen, REF, depth_limit=0)
 
 
 def _samples_for(name, sources):

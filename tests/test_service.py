@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from conftest import golden_paths
-from helpers import wide_module
+from helpers import chain_module, wide_module
 from vsr.corpus import MutationKind, MutationSpec, mutate
 from vsr.reward import reward
 from vsr.service import (
@@ -23,6 +23,25 @@ REF = "module m(input a, output y);\n  assign y = ~a;\nendmodule"
 GEN = "module m(input b, output z);\n  assign z = ~b;\nendmodule"
 REF2 = "module m(input a, output y);\n  assign y = a & a;\nendmodule"
 BROKEN_REF = "module m(input a output y); endmodule"
+DEEP = chain_module(600)  # cleans to depth 603, over the default limit 512
+DEEP_ANSWERS = [
+    {"id": "gen", "status": "parse_fail", "sim": None, "reward": -5.0, "error": None},
+    {
+        "id": "ref",
+        "status": "reference_error",
+        "sim": None,
+        "reward": None,
+        "error": "reference is too deep: tree depth 603 exceeds limit 512",
+    },
+]
+
+
+def deep_requests(mode="ast"):
+    """A too-deep generation, then a too-deep reference; see DEEP_ANSWERS."""
+    return [
+        {"id": "gen", "ref": REF, "gen": DEEP, "mode": mode},
+        {"id": "ref", "ref": DEEP, "gen": REF, "mode": mode},
+    ]
 
 
 def mixed_batch():
@@ -197,6 +216,14 @@ class TestStdio:
         out = self.run_lines("", json.dumps({"id": 1, "ref": REF, "gen": GEN}), "")
         assert len(out) == 1
 
+    @pytest.mark.parametrize("mode", ["ast", "seq"])
+    def test_too_deep_sides(self, mode):
+        requests = deep_requests(mode)
+        out = self.run_lines(*(json.dumps(r) for r in requests))
+        assert [json.loads(o) for o in out] == DEEP_ANSWERS
+        batched = self.run_lines(json.dumps({"batch": requests}))
+        assert batched == out
+
     def test_handle_line_matches_serve_stdio(self):
         line = json.dumps({"id": 5, "ref": REF, "gen": "prose"})
         direct = handle_line(line)
@@ -256,6 +283,13 @@ class TestHttp:
         stdio_out = io.StringIO()
         serve_stdio(io.StringIO(json.dumps({"batch": batch}) + "\n"), stdio_out)
         assert stdio_out.getvalue().splitlines() == [s.decode() for s in singles]
+
+    def test_too_deep_sides(self, http_server):
+        answers = [
+            json.loads(http_post(http_server, "/v1/reward", json.dumps(r).encode())[1])
+            for r in deep_requests()
+        ]
+        assert answers == DEEP_ANSWERS
 
     def test_batch_endpoint_empty(self, http_server):
         status, payload = http_post(http_server, "/v1/reward/batch", b"[]")

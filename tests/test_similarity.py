@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SMALL_POOL, permute_tree, perturb_somewhere, random_clean_tree
+from helpers import (
+    SMALL_POOL,
+    permute_tree,
+    perturb_somewhere,
+    random_clean_tree,
+    swapped_item_pair,
+)
 from naive_reference import (
+    naive_greedy_trace,
     naive_sim_ast,
     naive_sim_ast_seq,
     permutation_equal,
@@ -14,7 +21,11 @@ from naive_reference import (
 from vsr.corpus import MutationKind, MutationSpec, mutate
 from vsr.parser import classify
 from vsr.similarity import (
+    _BOUND_MARGIN,
     DepthLimitError,
+    _bound,
+    _greedy_scores,
+    _profile,
     sim_ast,
     sim_ast_seq,
     sim_ast_with_trace,
@@ -276,6 +287,62 @@ class TestSharedStructure:
             ((0, 1, 0), (1, 1, 0)),
             ((0, 1, 1), (1, 1, 1)),
         ]
+
+
+def leaf_path_bound(a, b):
+    profiles, trie = {}, [{}]
+    return _bound(_profile(a, profiles, trie), _profile(b, profiles, trie))
+
+
+class TestLeafPathBound:
+    """The pruning bound must never fall below the score it stands in for,
+    and pruning must leave the greedy choices exactly as they were."""
+
+    @settings(max_examples=300)
+    @given(small_trees, small_trees, st.integers(0, 2**32 - 1))
+    def test_bound_is_at_least_the_score(self, a, b, seed):
+        b = CleanNode(a.kind, b.children)  # the bound is only used within a kind
+        rng = random.Random(seed)
+        near = perturb_somewhere(permute_tree(a, rng), rng)
+        for x, y in ((a, b), (a, near), (near, a)):
+            want = naive_sim_ast(x, y)
+            assert leaf_path_bound(x, y) >= want - _BOUND_MARGIN
+            table = {}
+            shared = clean(as_raw(x, rng), table), clean(as_raw(y, rng), table)
+            assert leaf_path_bound(*shared) >= want - _BOUND_MARGIN
+
+    @pytest.fixture(scope="class")
+    def wide_pair(self):
+        # 150 items against a reordered copy with one operator swapped in
+        # each: no row ends on a perfect match, so only the bound prunes.
+        ref, gen = swapped_item_pair(random.Random(5), 150)
+        table = {}
+        return clean(classify(gen).ast, table), clean(classify(ref).ast, table)
+
+    def test_wide_pair_scores_and_trace_are_unchanged(self, wide_pair):
+        g, r = wide_pair
+        want = naive_sim_ast(g, r)
+        assert want < 1.0
+        assert sim_ast(g, r) == want
+        score, steps = sim_ast_with_trace(g, r)
+        assert score == want
+        assert [(s.left, s.right, s.score) for s in steps] == naive_greedy_trace(g, r)
+        assert (score, steps) == sim_ast_with_trace(unshared(g), unshared(r))
+
+    @settings(max_examples=150)
+    @given(small_trees, st.integers(0, 2**32 - 1))
+    def test_trace_matches_the_naive_choices(self, t, seed):
+        rng = random.Random(seed)
+        near = perturb_somewhere(permute_tree(t, rng), rng)
+        for x, y in ((t, near), (near, t)):
+            _, steps = sim_ast_with_trace(x, y)
+            assert [(s.left, s.right, s.score) for s in steps] == naive_greedy_trace(x, y)
+
+    def test_wide_pair_scores_under_a_third_of_the_candidates(self, wide_pair):
+        g, r = wide_pair
+        rows, cols = len(g.children[0].children), len(r.children[0].children)
+        assert rows >= 150 and cols >= 150
+        assert len(_greedy_scores(g, r)) < rows * cols / 3
 
 
 class TestDepthLimit:
