@@ -18,6 +18,7 @@ from vsr.corpus import (
     ingest,
     mutate,
 )
+from vsr.deadline import DeadlineExceeded
 from vsr.lexer import KEYWORDS, LexError, Token, TokenKind, lex
 from vsr.metrics import (
     TaskOutcome,

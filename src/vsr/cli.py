@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (unparsable input, bad file, bad
-values), 2 usage error.  Floats print with six decimals everywhere so
-output is stable to diff against.  VSR_DEPTH_LIMIT overrides the tree
-depth limit for the similarity commands.
+values) or standard output closed early by its reader, 2 usage error.
+Floats print with six decimals everywhere so output is stable to diff
+against.  VSR_DEPTH_LIMIT overrides the tree depth limit for the
+similarity commands.
 """
 
 from __future__ import annotations
@@ -374,7 +375,12 @@ def _build_parser() -> argparse.ArgumentParser:
     transport = p.add_mutually_exclusive_group(required=True)
     transport.add_argument("--stdio", action="store_true")
     transport.add_argument("--http", metavar="HOST:PORT")
-    p.add_argument("--timeout-ms", type=int, default=5000)
+    p.add_argument(
+        "--timeout-ms",
+        type=int,
+        default=5000,
+        help="per-request deadline; scoring stops when it passes (<= 0: none)",
+    )
     p.add_argument("--max-body-bytes", type=int, default=8 * 1024 * 1024)
     p.set_defaults(func=_cmd_serve)
 
@@ -384,7 +390,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (`vsr parse x.v | head -1`).  Point stdout at
+        # the null device, so the flush at interpreter exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _CliError as exc:
         print(f"vsr: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import islice
 from typing import NamedTuple
+
+from vsr.deadline import CHECK_EVERY, check
 
 
 class TokenKind(Enum):
@@ -106,14 +109,15 @@ _KIND_OF_GROUP = {
 }
 
 
-def lex(source: str) -> list[Token]:
+def lex(source: str, *, deadline: float | None = None) -> list[Token]:
     """Tokenize `source`, raising LexError on malformed input.
 
     Guarantees on success: spans are non-overlapping and strictly
     increasing, and no token is empty.  Comments never produce tokens.
     A line whose first non-blank character is a backtick becomes a single
     directive token; a mid-line backtick plus identifier (a macro use) is
-    also a directive token.
+    also a directive token.  Raises DeadlineExceeded once `deadline` (a
+    `time.monotonic()` value) has passed; see `vsr.deadline`.
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -122,9 +126,13 @@ def lex(source: str) -> list[Token]:
     keywords = KEYWORDS
     kind_of_group = _KIND_OF_GROUP
     identifier, keyword = TokenKind.IDENTIFIER, TokenKind.KEYWORD
+    end = len(source)
     pos = 0
-    while True:
-        for m in scan(source, pos):
+    matches = scan(source)
+    while pos < end:
+        # Lexemes are taken in slices, so the deadline is checked between
+        # slices at no cost per lexeme.
+        for m in islice(matches, CHECK_EVERY):
             group = m.lastindex
             if group == _SKIP:
                 continue
@@ -135,10 +143,15 @@ def lex(source: str) -> list[Token]:
             elif group != _RARE:
                 append(new(Token, (kind_of_group[group], m.group(), m.span())))
             else:
+                pos = _lex_rare(source, m.start(), append)
+                matches = scan(source, pos)
                 break
         else:
-            return tokens
-        pos = _lex_rare(source, m.start(), append)
+            # The matches tile the source, so the last one ends where the
+            # scan stands.  While pos < end the slice was not empty.
+            pos = m.end()
+            check(deadline)
+    return tokens
 
 
 def _lex_rare(source: str, i: int, append) -> int:

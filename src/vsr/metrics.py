@@ -31,9 +31,10 @@ class TaskOutcome:
 def pass_at_k(n: int, c: int, k: int) -> float:
     """Unbiased estimator of P(at least one pass among k of n trials).
 
-    Computed as 1 - C(n-c, k)/C(n, k) via the stable running product
-    prod_{j<k} (n-c-j)/(n-j), never through factorials.  Requires
-    0 <= c <= n and 1 <= k <= n.
+    Computed as 1 - C(n-c, k)/C(n, k), never through factorials: the ratio
+    is the running product prod_{j<k} (n-c-j)/(n-j), or equally
+    prod_{j<c} (n-k-j)/(n-j), and the shorter of the two is taken, so the
+    cost is min(k, c) steps.  Requires 0 <= c <= n and 1 <= k <= n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -44,8 +45,12 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     if n - c < k:
         return 1.0
     miss = 1.0
-    for j in range(k):
-        miss *= (n - c - j) / (n - j)
+    if c < k:
+        for j in range(c):
+            miss *= (n - k - j) / (n - j)
+    else:
+        for j in range(k):
+            miss *= (n - c - j) / (n - j)
     return 1.0 - miss
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from vsr.deadline import CHECK_EVERY, check
 from vsr.lexer import LexError, Token, TokenKind, lex
 from vsr.trees import NodeKind, RawNode, clone_raw
 
@@ -138,7 +139,7 @@ _CASE_KIND = {
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], deadline: float | None = None):
         # Directives are lexed for span bookkeeping but never parsed.  Two
         # None sentinels end the list, so looking at the current or the next
         # token needs no bounds check: the position never passes the first.
@@ -148,6 +149,7 @@ class Parser:
         self._toks += (None, None)
         self._pos = 0
         self._depth = 0
+        self._deadline = deadline
 
     # ---- Token plumbing ----
 
@@ -173,10 +175,15 @@ class Parser:
         raise ParseError(f"{message}, found {tok.text!r}", tok.span)
 
     def _advance(self) -> Token:
-        tok = self._toks[self._pos]
+        # Every token is consumed here and the position never moves back,
+        # so this is where the deadline is checked.
+        pos = self._pos
+        tok = self._toks[pos]
         if tok is None:
             self._error("unexpected end of input")
-        self._pos += 1
+        self._pos = pos = pos + 1
+        if not pos % CHECK_EVERY:
+            check(self._deadline)
         return tok  # type: ignore[return-value]
 
     def _at_kw(self, word: str) -> bool:
@@ -1015,9 +1022,12 @@ class Parser:
 # ---- Entry points ----
 
 
-def parse(tokens: list[Token]) -> RawNode:
-    """Parse a token stream into a SourceUnit tree; raises ParseError."""
-    return Parser(tokens).parse_source_unit()
+def parse(tokens: list[Token], *, deadline: float | None = None) -> RawNode:
+    """Parse a token stream into a SourceUnit tree; raises ParseError.
+
+    Raises DeadlineExceeded once `deadline` has passed (see `vsr.deadline`).
+    """
+    return Parser(tokens, deadline).parse_source_unit()
 
 
 def parse_source(text: str) -> RawNode:
@@ -1026,26 +1036,37 @@ def parse_source(text: str) -> RawNode:
 
 
 def _looks_like_code(tokens: list[Token]) -> bool:
-    saw_module = False
-    for tok in tokens:
-        if tok.kind is not TokenKind.KEYWORD:
-            continue
-        if tok.text == "module":
-            saw_module = True
-        elif tok.text == "endmodule" and saw_module:
+    """True when a `module` keyword comes before an `endmodule` keyword.
+
+    That holds exactly when the first `module` comes before the last
+    `endmodule`, so the scan runs in from both ends: on code it stops after
+    a token or two instead of reading the whole stream, which at the body
+    cap would take hundreds of ms without a deadline check.
+    """
+    keyword = TokenKind.KEYWORD
+    for first, tok in enumerate(tokens):
+        if tok.kind is keyword and tok.text == "module":
+            break
+    else:
+        return False
+    for i in range(len(tokens) - 1, first, -1):
+        tok = tokens[i]
+        if tok.kind is keyword and tok.text == "endmodule":
             return True
     return False
 
 
-def classify(source: str) -> Validity:
+def classify(source: str, *, deadline: float | None = None) -> Validity:
     """Total three-way triage of arbitrary text.
 
     NotCode: does not lex, or lexes without a module/endmodule keyword pair.
     ParseFail: code-shaped but rejected by the grammar.
-    Parsed: carries the raw AST.  Never raises.
+    Parsed: carries the raw AST.  Never raises, except DeadlineExceeded
+    once `deadline` (see `vsr.deadline`) has passed: that stops the work
+    and is no verdict on the text.
     """
     try:
-        tokens = lex(source)
+        tokens = lex(source, deadline=deadline)
     except LexError as exc:
         diag = Diagnostic("error", str(exc), exc.span)
         return Validity(ValidityStatus.NOT_CODE, None, (diag,))
@@ -1055,7 +1076,7 @@ def classify(source: str) -> Validity:
         )
         return Validity(ValidityStatus.NOT_CODE, None, (diag,))
     try:
-        ast = parse(tokens)
+        ast = parse(tokens, deadline=deadline)
     except ParseError as exc:
         diag = Diagnostic("error", str(exc), exc.span)
         return Validity(ValidityStatus.PARSE_FAIL, None, (diag,))

@@ -18,6 +18,13 @@ can be prepared once per batch: the caller passes the same `memo` dict to
 every `reward` call of the batch, and each reference text is classified
 and cleaned on its first use only.  The memo belongs to the caller and
 lives as long as the caller keeps it; nothing is cached globally.
+
+A `deadline` (see `vsr.deadline`) reaches every long loop of the pipeline:
+lex, parse, clean and similarity.  Once it has passed, the loop running
+at the time raises DeadlineExceeded and `reward` stops.  The memo only
+ever receives a finished PreparedReference, so a reference whose
+preparation was stopped leaves no entry and is prepared anew on its next
+use.
 """
 
 from __future__ import annotations
@@ -75,12 +82,12 @@ class ReferenceTooDeepError(ValueError):
     """The reference parsed, but its cleaned tree exceeds the depth limit."""
 
 
-def _prepare_reference(ref: str) -> PreparedReference:
-    validity = classify(ref)
+def _prepare_reference(ref: str, deadline: float | None) -> PreparedReference:
+    validity = classify(ref, deadline=deadline)
     if validity.ast is None:
         return PreparedReference(validity, None, {}, 0)
     table: dict = {}
-    tree = clean(validity.ast, table)
+    tree = clean(validity.ast, table, deadline=deadline)
     return PreparedReference(validity, tree, table, tree_stats(tree).depth)
 
 
@@ -91,6 +98,7 @@ def reward(
     mode: str = "ast",
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
     memo: dict[str, PreparedReference] | None = None,
+    deadline: float | None = None,
 ) -> RewardOutcome:
     """Score generated source `gen` against reference source `ref`.
 
@@ -100,6 +108,9 @@ def reward(
     identical with and without it.  Raises ReferenceParseError when the
     reference itself is not parsable and ReferenceTooDeepError when it is
     deeper than `depth_limit`; a too-deep generation scores as parse_fail.
+
+    `deadline` is a `time.monotonic()` value, or None for none; once it has
+    passed, the work stops with DeadlineExceeded (see the module doc).
     """
     if mode not in ("ast", "seq"):
         raise ValueError(f"mode must be 'ast' or 'seq', got {mode!r}")
@@ -107,7 +118,7 @@ def reward(
         raise ValueError(f"depth limit must be >= 1, got {depth_limit}")
     prepared = memo.get(ref) if memo is not None else None
     if prepared is None:
-        prepared = _prepare_reference(ref)
+        prepared = _prepare_reference(ref, deadline)
         if memo is not None:
             memo[ref] = prepared
     ref_v = prepared.validity
@@ -120,7 +131,7 @@ def reward(
         raise ReferenceTooDeepError(
             f"tree depth {prepared.depth} exceeds limit {depth_limit}"
         )
-    gen_v = classify(gen)
+    gen_v = classify(gen, deadline=deadline)
     if gen_v.status is ValidityStatus.NOT_CODE:
         return RewardOutcome(gen_v.status, None, REWARD_NOT_CODE)
     if gen_v.status is ValidityStatus.PARSE_FAIL:
@@ -133,7 +144,12 @@ def reward(
     # its own nodes to the prepared table.
     table = dict(prepared.table)
     try:
-        sim = fn(clean(gen_v.ast, table), prepared.tree, depth_limit=depth_limit)
+        sim = fn(
+            clean(gen_v.ast, table, deadline=deadline),
+            prepared.tree,
+            depth_limit=depth_limit,
+            deadline=deadline,
+        )
     except DepthLimitError:
         # The reference is within the limit (checked above), so the
         # generation is too deep: the parse-fail tier, see the module doc.

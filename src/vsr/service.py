@@ -17,6 +17,13 @@ Response: {"id", "status", "sim", "reward", "error"} with status one of
           and timeouts all report reference_error with sim and reward null;
           a too-deep generation is parse_fail (see `vsr.reward`).
 
+Each request, and each item of a batch, is evaluated on the thread that
+received it, with a deadline of `timeout_ms` from its start.  The timeout is
+cooperative: the scoring loops check the deadline as they go (see
+`vsr.deadline`), so the work stops when it passes and the request answers
+`evaluation exceeded N ms`; nothing keeps running afterwards.  A
+`timeout_ms` of 0 or less means no deadline.
+
 A batch (a stdio {"batch": [...]} line or a /v1/reward/batch body) gets a
 fresh reference memo (see `vsr.reward`), so each distinct reference in it is
 prepared once; an entry is dropped after the batch's last item using it.
@@ -26,12 +33,12 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
+import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import IO
 
+from vsr.deadline import DeadlineExceeded
 from vsr.reward import ReferenceParseError, ReferenceTooDeepError, reward
 from vsr.similarity import DEFAULT_DEPTH_LIMIT
 
@@ -61,11 +68,17 @@ def _error_response(req_id, message: str) -> dict:
 
 
 def evaluate(
-    request, *, depth_limit: int = DEFAULT_DEPTH_LIMIT, memo: dict | None = None
+    request,
+    *,
+    depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    memo: dict | None = None,
+    deadline: float | None = None,
 ) -> dict:
     """Score one request object and build its response object.
 
-    `memo` is the batch's reference memo, passed on to `reward`.
+    `memo` is the batch's reference memo and `deadline` the request's
+    deadline, both passed on to `reward`; past the deadline this raises
+    DeadlineExceeded.
     """
     if not isinstance(request, dict):
         return _error_response(None, "request must be a JSON object")
@@ -80,7 +93,9 @@ def evaluate(
     if mode not in ("ast", "seq"):
         return _error_response(req_id, "mode must be 'ast' or 'seq'")
     try:
-        outcome = reward(gen, ref, mode=mode, depth_limit=depth_limit, memo=memo)
+        outcome = reward(
+            gen, ref, mode=mode, depth_limit=depth_limit, memo=memo, deadline=deadline
+        )
     except ReferenceParseError as exc:
         return _error_response(req_id, f"reference does not parse: {exc}")
     except ReferenceTooDeepError as exc:
@@ -98,32 +113,21 @@ def _request_id(request) -> object:
     return request.get("id") if isinstance(request, dict) else None
 
 
-def _evaluate_guarded(request, depth_limit: int, memo: dict | None) -> dict:
-    try:
-        return evaluate(request, depth_limit=depth_limit, memo=memo)
-    except Exception as exc:  # a service answers; it does not die
-        return _error_response(_request_id(request), f"internal error: {exc}")
-
-
 def _evaluate_with_timeout(
     request, config: ServiceConfig, memo: dict | None = None
 ) -> dict:
-    if config.timeout_ms <= 0:
-        return _evaluate_guarded(request, config.depth_limit, memo)
-    pool = ThreadPoolExecutor(max_workers=1)
-    future = pool.submit(_evaluate_guarded, request, config.depth_limit, memo)
+    timeout_ms = config.timeout_ms
+    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms > 0 else None
     try:
-        return future.result(timeout=config.timeout_ms / 1000.0)
-    except _FutureTimeout:
-        # The worker thread is abandoned, not killed; it finishes in the
-        # background while the caller gets a timely error.  It may still add
-        # a finished entry to the batch memo, which is safe: entries are
-        # complete when stored and never changed.
-        return _error_response(
-            _request_id(request), f"evaluation exceeded {config.timeout_ms} ms"
+        return evaluate(
+            request, depth_limit=config.depth_limit, memo=memo, deadline=deadline
         )
-    finally:
-        pool.shutdown(wait=False)
+    except DeadlineExceeded:
+        return _error_response(
+            _request_id(request), f"evaluation exceeded {timeout_ms} ms"
+        )
+    except Exception as exc:  # a service answers; it does not die
+        return _error_response(_request_id(request), f"internal error: {exc}")
 
 
 def _reference_text(item) -> str | None:

@@ -15,7 +15,9 @@ semantically equivalent items lowers this score, which is exactly what it
 exists to show.
 
 Both walk the trees iteratively and reject inputs deeper than a configured
-limit instead of overflowing the interpreter stack.
+limit instead of overflowing the interpreter stack.  Both take an optional
+`deadline` (see `vsr.deadline`) and stop with DeadlineExceeded once it has
+passed.
 
 Cleaned trees are hash-consed (see `vsr.trees.clean`), so equal subtrees are
 often one shared object, within a tree and across the two sides of a pair.
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from vsr.deadline import CHECK_EVERY, check
 from vsr.trees import CleanNode
 
 DEFAULT_DEPTH_LIMIT = 512
@@ -149,6 +152,7 @@ def _greedy_scores(
     t1: CleanNode,
     t2: CleanNode,
     choices: dict[tuple[int, int], list[int]] | None = None,
+    deadline: float | None = None,
 ) -> dict[tuple[int, int], float]:
     """Score the root pair, memoizing every node pair the matching visits.
 
@@ -166,7 +170,7 @@ def _greedy_scores(
     yet scored is skipped, unscored, when its leaf-path bound is below the
     row's best (see the module docstring).  When `choices` is given it
     receives, per scored pair, the chosen right index of every left child
-    (-1 for none).
+    (-1 for none).  Raises DeadlineExceeded once `deadline` has passed.
     """
     root = (id(t1), id(t2))
     if t1 is t2 or t1.kind is not t2.kind:
@@ -180,12 +184,20 @@ def _greedy_scores(
     # chosen column per finished row).  Only pairs of the same kind that are
     # not one node and not yet scored are ever pushed.
     stack = [(t1, t2, root, 0, 0, 0.0, -1, 0.0, [False] * len(t2.children), [])]
+    # A row's scan costs at most its width, and each pushed frame is
+    # followed by its parent row resuming, so charging every row entry one
+    # plus its width bounds the work between checks.
+    countdown = CHECK_EVERY
     while stack:
         a, b, key, i, j, best_s, best_j, total, taken, chosen = stack[-1]
         c1s, c2s = a.children, b.children
         n1, n2 = len(c1s), len(c2s)
         missing = None
         while i < n1:
+            countdown -= n2 + 1
+            if countdown <= 0:
+                countdown = CHECK_EVERY
+                check(deadline)
             ca = c1s[i]
             kind = ca.kind
             left = None  # ca's profile, fetched when the row first needs it
@@ -243,15 +255,20 @@ def _pair_score(scores: dict[tuple[int, int], float], a: CleanNode, b: CleanNode
 
 
 def sim_ast(
-    t1: CleanNode, t2: CleanNode, *, depth_limit: int = DEFAULT_DEPTH_LIMIT
+    t1: CleanNode,
+    t2: CleanNode,
+    *,
+    depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    deadline: float | None = None,
 ) -> float:
     """Greedy order-insensitive similarity of two cleaned trees, in [0, 1].
 
     Deterministic: equal inputs give bit-identical results.  Raises
-    DepthLimitError when either tree is deeper than `depth_limit`.
+    DepthLimitError when either tree is deeper than `depth_limit`, and
+    DeadlineExceeded once `deadline` has passed.
     """
     _check_depth(t1, t2, depth_limit)
-    return _pair_score(_greedy_scores(t1, t2), t1, t2)
+    return _pair_score(_greedy_scores(t1, t2, None, deadline), t1, t2)
 
 
 def sim_ast_with_trace(
@@ -292,7 +309,11 @@ def sim_ast_with_trace(
 
 
 def sim_ast_seq(
-    t1: CleanNode, t2: CleanNode, *, depth_limit: int = DEFAULT_DEPTH_LIMIT
+    t1: CleanNode,
+    t2: CleanNode,
+    *,
+    depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    deadline: float | None = None,
 ) -> float:
     """Positional variant of sim_ast: children pair by index, no matching.
 
@@ -303,7 +324,12 @@ def sim_ast_seq(
     _check_depth(t1, t2, depth_limit)
     scores: dict[tuple[int, int], float] = {}
     stack: list[tuple[CleanNode, CleanNode, bool]] = [(t1, t2, False)]
+    countdown = CHECK_EVERY
     while stack:
+        countdown -= 1
+        if not countdown:
+            countdown = CHECK_EVERY
+            check(deadline)
         a, b, ready = stack.pop()
         key = (id(a), id(b))
         if ready:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, unique
 
+from vsr.deadline import CHECK_EVERY, check
+
 
 @unique
 class NodeKind(Enum):
@@ -230,7 +232,9 @@ def clone_raw(root: RawNode) -> RawNode:
     return top
 
 
-def clean(root: RawNode, table: dict | None = None) -> CleanNode:
+def clean(
+    root: RawNode, table: dict | None = None, *, deadline: float | None = None
+) -> CleanNode:
     """Erase names, values, modifiers, and spans; keep kinds and child order.
 
     The result has exactly the same shape as the input, children in the same
@@ -245,12 +249,19 @@ def clean(root: RawNode, table: dict | None = None) -> CleanNode:
     prepared reference's table).  The table keeps its nodes alive, which
     keeps the ids in its keys valid; drop it with the pair.  Without a
     table, sharing stays within the one tree.
+
+    Raises DeadlineExceeded once `deadline` has passed (see `vsr.deadline`).
     """
     if table is None:
         table = {}
     out: list[CleanNode] = []  # finished subtrees, children in order
     stack: list[tuple[RawNode, bool]] = [(root, False)]
+    countdown = CHECK_EVERY
     while stack:
+        countdown -= 1
+        if not countdown:
+            countdown = CHECK_EVERY
+            check(deadline)
         node, expanded = stack.pop()
         children = node.children
         if children and not expanded:

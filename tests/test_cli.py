@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import chain_module
+from helpers import chain_module, wide_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -323,6 +323,45 @@ class TestServeCommand:
         proc = vsr("serve", "--http", "noport")
         assert proc.returncode == 1
         assert "HOST:PORT" in proc.stderr
+
+
+class TestClosedOutput:
+    """A reader that stops early (`vsr parse x.v | head -1`) ends the
+    command quietly: exit 1, nothing on stderr."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["parse", "{file}"],
+            ["parse", "{file}", "--emit", "tokens"],
+            ["serve", "--stdio"],
+        ],
+    )
+    def test_reader_closes_after_one_line(self, tmp_path, args):
+        big = tmp_path / "big.v"
+        big.write_text(wide_module(3000))  # output far beyond a pipe buffer
+        requests = tmp_path / "requests.jsonl"
+        line = json.dumps({"id": 1, "ref": SIMPLE, "gen": SIMPLE})
+        requests.write_text((line + "\n") * 3000)
+        argv = [a.format(file=big) for a in args]
+        with open(requests, encoding="utf-8") as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "vsr", *argv],
+                stdin=stdin,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            try:
+                assert proc.stdout.readline()
+                proc.stdout.close()
+                stderr = proc.stderr.read()
+                code = proc.wait(timeout=120)
+            finally:
+                proc.kill()
+                proc.wait()
+        assert stderr == ""
+        assert code == 1
 
 
 def test_version_importable():

@@ -210,7 +210,9 @@ class TestReferenceMemo:
         seen = []
         real = reward_module.classify
         monkeypatch.setattr(
-            reward_module, "classify", lambda text: seen.append(text) or real(text)
+            reward_module,
+            "classify",
+            lambda text, **kw: seen.append(text) or real(text, **kw),
         )
         memo: dict = {}
         for gen in (REF, BROKEN, PROSE, REF):

@@ -2,6 +2,7 @@ import importlib
 import io
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -23,6 +24,7 @@ REF = "module m(input a, output y);\n  assign y = ~a;\nendmodule"
 GEN = "module m(input b, output z);\n  assign z = ~b;\nendmodule"
 REF2 = "module m(input a, output y);\n  assign y = a & a;\nendmodule"
 BROKEN_REF = "module m(input a output y); endmodule"
+FAT = wide_module(3000)  # far more than 1 ms of work, and of deadline checks
 DEEP = chain_module(600)  # cleans to depth 603, over the default limit 512
 DEEP_ANSWERS = [
     {"id": "gen", "status": "parse_fail", "sim": None, "reward": -5.0, "error": None},
@@ -186,9 +188,11 @@ class TestStdio:
         real_evaluate = service.evaluate
         held = []
 
-        def recording_evaluate(request, *, depth_limit, memo):
+        def recording_evaluate(request, *, depth_limit, memo, deadline):
             held.append(sorted(memo, key=[REF, REF2].index))
-            return real_evaluate(request, depth_limit=depth_limit, memo=memo)
+            return real_evaluate(
+                request, depth_limit=depth_limit, memo=memo, deadline=deadline
+            )
 
         monkeypatch.setattr(service, "evaluate", recording_evaluate)
         refs = [REF, REF2, REF, 5, REF2, REF2]  # 5: a request with a bad ref
@@ -392,3 +396,88 @@ class TestTimeout:
             json.dumps({"id": 1, "ref": REF, "gen": GEN}), config
         )
         assert resp["status"] == "parsed"
+
+    def test_timed_out_request_stops_its_work(self):
+        before = threading.active_count()
+        (resp,) = handle_line(
+            json.dumps({"id": "slow", "ref": FAT, "gen": FAT}),
+            ServiceConfig(timeout_ms=1),
+        )
+        assert resp["error"] == "evaluation exceeded 1 ms"
+        # Nothing runs on in the background: no thread, and no CPU burnt
+        # while this thread sleeps.
+        assert threading.active_count() == before
+        cpu = time.process_time()
+        time.sleep(0.2)
+        assert time.process_time() - cpu < 0.05
+
+    @pytest.mark.parametrize("transport", ["handle_line", "http"])
+    def test_request_after_a_timeout_answers_at_normal_latency(self, transport):
+        config = ServiceConfig(timeout_ms=1)
+        if transport == "http":
+            server = create_http_server("127.0.0.1", 0, config)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+
+            def call(request):
+                return json.loads(
+                    http_post(base, "/v1/reward", json.dumps(request).encode())[1]
+                )
+
+        else:
+
+            def call(request):
+                return handle_line(json.dumps(request), config)[0]
+
+        def timed(request):
+            start = time.perf_counter()
+            resp = call(request)
+            return time.perf_counter() - start, resp
+
+        trivial = {"id": 1, "ref": REF, "gen": GEN}
+        try:
+            normal = min(timed(trivial)[0] for _ in range(5))
+            _, slow = timed({"id": "slow", "ref": FAT, "gen": FAT})
+            after, resp = timed(trivial)
+        finally:
+            if transport == "http":
+                server.shutdown()
+                server.server_close()
+        assert slow["error"] == "evaluation exceeded 1 ms"
+        assert resp["status"] == "parsed"
+        assert after < normal + 0.1
+
+    def test_timeout_while_preparing_a_reference_leaves_no_memo_entry(
+        self, monkeypatch
+    ):
+        fat_mutant = mutate(FAT, MutationSpec(MutationKind.RENAME_IDENTIFIERS, 3))
+        gens = [FAT, fat_mutant, GEN, FAT]
+        batch = [{"id": i, "ref": FAT, "gen": gen} for i, gen in enumerate(gens)]
+        batch.append({"id": "small", "ref": REF, "gen": GEN})
+        singles = [json.dumps(handle_line(json.dumps(r))[0]) for r in batch]
+        # The first item gets a deadline that has already passed, so it
+        # stops in the lexer while preparing FAT; the later items get the
+        # configured 5000 ms.
+        service = importlib.import_module("vsr.service")
+        real_evaluate = service.evaluate
+        seen = []
+
+        def first_item_late(request, **kwargs):
+            if not seen:
+                kwargs["deadline"] = time.monotonic()
+            seen.append(request["id"])
+            return real_evaluate(request, **kwargs)
+
+        monkeypatch.setattr(service, "evaluate", first_item_late)
+        out = handle_line(json.dumps({"batch": batch}))
+        assert seen == [r["id"] for r in batch]
+        assert out[0] == {
+            "id": 0,
+            "status": "reference_error",
+            "sim": None,
+            "reward": None,
+            "error": "evaluation exceeded 5000 ms",
+        }
+        assert [json.dumps(r) for r in out[1:]] == singles[1:]
+        assert json.loads(singles[1])["sim"] == 1.0
