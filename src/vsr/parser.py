@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from vsr.deadline import CHECK_EVERY, check
 from vsr.lexer import LexError, Token, TokenKind, lex
@@ -140,13 +141,19 @@ _CASE_KIND = {
 
 class Parser:
     def __init__(self, tokens: list[Token], deadline: float | None = None):
-        # Directives are lexed for span bookkeeping but never parsed.  Two
-        # None sentinels end the list, so looking at the current or the next
-        # token needs no bounds check: the position never passes the first.
-        self._toks: list[Token | None] = [
-            t for t in tokens if t.kind is not TokenKind.DIRECTIVE
-        ]
-        self._toks += (None, None)
+        # Directives are lexed for span bookkeeping but never parsed.  They
+        # are filtered out in slices, so the deadline is checked between
+        # slices at no cost per token.  Two None sentinels end the list, so
+        # looking at the current or the next token needs no bounds check:
+        # the position never passes the first.
+        directive = TokenKind.DIRECTIVE
+        rest = iter(tokens)
+        toks: list[Token | None] = []
+        for _ in range(0, len(tokens), CHECK_EVERY):
+            toks += [t for t in islice(rest, CHECK_EVERY) if t.kind is not directive]
+            check(deadline)
+        toks += (None, None)
+        self._toks = toks
         self._pos = 0
         self._depth = 0
         self._deadline = deadline

@@ -11,7 +11,8 @@ looked at.  A generation that parses but whose cleaned tree is too deep
 (a long `a + a + ...` chain nests one level per operator) cannot be
 scored by similarity, so it earns the parse-fail tier: status
 `parse_fail`, no sim, -5.  `reward` therefore never lets a
-DepthLimitError escape.
+DepthLimitError escape.  Both checks read the cleaned root's `depth`
+(see `vsr.trees.CleanNode`) and do not walk either tree.
 
 In RL one reference is scored against a group of samples, so a reference
 can be prepared once per batch: the caller passes the same `memo` dict to
@@ -31,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from vsr.parser import Diagnostic, Validity, ValidityStatus, classify
-from vsr.similarity import DEFAULT_DEPTH_LIMIT, DepthLimitError, sim_ast, sim_ast_seq
-from vsr.trees import CleanNode, clean, tree_stats
+from vsr.parser import Diagnostic, ValidityStatus, classify
+from vsr.similarity import DEFAULT_DEPTH_LIMIT, sim_ast, sim_ast_seq
+from vsr.trees import CleanNode, clean
 
 REWARD_SCALE = 10.0
 REWARD_PARSE_FAIL = -5.0
@@ -57,17 +58,19 @@ class RewardOutcome:
 class PreparedReference:
     """A reference classified once and, when it parsed, cleaned once.
 
-    `tree` is the hash-consed cleaned tree, `table` the intern table that
-    holds it and `depth` the tree's depth (root at 1); they are None, empty
-    and 0 when the reference did not parse.  Scoring cleans each sample into
-    a copy of `table`, so a prepared reference is never changed and can
-    serve any number of samples, whatever their depth limit.
+    Only what scoring reads is kept: the reference's `status` and
+    `diagnostics`, its hash-consed cleaned `tree` and the intern `table`
+    that holds it.  The raw parse tree is not kept.  `tree` is None and
+    `table` empty when the reference did not parse; the depth limit is
+    judged on `tree.depth` at each call.  Scoring cleans each sample into a
+    copy of `table`, so a prepared reference is never changed and can serve
+    any number of samples, whatever their depth limit.
     """
 
-    validity: Validity
+    status: ValidityStatus
+    diagnostics: tuple[Diagnostic, ...]
     tree: CleanNode | None
     table: dict
-    depth: int
 
 
 class ReferenceParseError(ValueError):
@@ -84,11 +87,9 @@ class ReferenceTooDeepError(ValueError):
 
 def _prepare_reference(ref: str, deadline: float | None) -> PreparedReference:
     validity = classify(ref, deadline=deadline)
-    if validity.ast is None:
-        return PreparedReference(validity, None, {}, 0)
     table: dict = {}
-    tree = clean(validity.ast, table, deadline=deadline)
-    return PreparedReference(validity, tree, table, tree_stats(tree).depth)
+    tree = None if validity.ast is None else clean(validity.ast, table, deadline=deadline)
+    return PreparedReference(validity.status, validity.diagnostics, tree, table)
 
 
 def reward(
@@ -121,37 +122,31 @@ def reward(
         prepared = _prepare_reference(ref, deadline)
         if memo is not None:
             memo[ref] = prepared
-    ref_v = prepared.validity
-    if not ref_v.is_parsed:
-        detail = ref_v.diagnostics[0].message if ref_v.diagnostics else "unparsable"
+    ref_tree = prepared.tree
+    if ref_tree is None:
+        diagnostics = prepared.diagnostics
+        detail = diagnostics[0].message if diagnostics else "unparsable"
         raise ReferenceParseError(
-            f"reference is {ref_v.status.value}: {detail}", ref_v.diagnostics
+            f"reference is {prepared.status.value}: {detail}", diagnostics
         )
-    if prepared.depth > depth_limit:
+    if ref_tree.depth > depth_limit:
         raise ReferenceTooDeepError(
-            f"tree depth {prepared.depth} exceeds limit {depth_limit}"
+            f"tree depth {ref_tree.depth} exceeds limit {depth_limit}"
         )
     gen_v = classify(gen, deadline=deadline)
     if gen_v.status is ValidityStatus.NOT_CODE:
         return RewardOutcome(gen_v.status, None, REWARD_NOT_CODE)
     if gen_v.status is ValidityStatus.PARSE_FAIL:
         return RewardOutcome(gen_v.status, None, REWARD_PARSE_FAIL)
-    assert gen_v.ast is not None and prepared.tree is not None
-    # Looked up on each call, not bound at import: tracing rebinds these
-    # module globals.
-    fn = sim_ast if mode == "ast" else sim_ast_seq
-    # A copy, so the sample shares the reference's structure without adding
-    # its own nodes to the prepared table.
-    table = dict(prepared.table)
-    try:
-        sim = fn(
-            clean(gen_v.ast, table, deadline=deadline),
-            prepared.tree,
-            depth_limit=depth_limit,
-            deadline=deadline,
-        )
-    except DepthLimitError:
-        # The reference is within the limit (checked above), so the
-        # generation is too deep: the parse-fail tier, see the module doc.
+    assert gen_v.ast is not None
+    # `clean` and the similarities are looked up on each call, not bound at
+    # import: tracing rebinds these module globals.  The table is a copy, so
+    # the sample shares the reference's structure without adding its own
+    # nodes to the prepared table.
+    gen_tree = clean(gen_v.ast, dict(prepared.table), deadline=deadline)
+    if gen_tree.depth > depth_limit:
+        # Too deep to score: the parse-fail tier, see the module doc.
         return RewardOutcome(ValidityStatus.PARSE_FAIL, None, REWARD_PARSE_FAIL)
+    fn = sim_ast if mode == "ast" else sim_ast_seq
+    sim = fn(gen_tree, ref_tree, depth_limit=depth_limit, deadline=deadline)
     return RewardOutcome(gen_v.status, sim, REWARD_SCALE * sim)

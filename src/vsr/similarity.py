@@ -15,9 +15,10 @@ semantically equivalent items lowers this score, which is exactly what it
 exists to show.
 
 Both walk the trees iteratively and reject inputs deeper than a configured
-limit instead of overflowing the interpreter stack.  Both take an optional
-`deadline` (see `vsr.deadline`) and stop with DeadlineExceeded once it has
-passed.
+limit instead of overflowing the interpreter stack.  The depth check reads
+each root's `depth` (see `vsr.trees.CleanNode`) and does not walk.  Both
+take an optional `deadline` (see `vsr.deadline`) and stop with
+DeadlineExceeded once it has passed.
 
 Cleaned trees are hash-consed (see `vsr.trees.clean`), so equal subtrees are
 often one shared object, within a tree and across the two sides of a pair.
@@ -89,25 +90,13 @@ class MatchStep:
     score: float
 
 
-def _depth(tree: CleanNode) -> int:
-    deepest = 0
-    stack = [(tree, 1)]
-    while stack:
-        node, level = stack.pop()
-        if level > deepest:
-            deepest = level
-        for child in node.children:
-            stack.append((child, level + 1))
-    return deepest
-
-
 def _check_depth(t1: CleanNode, t2: CleanNode, limit: int) -> None:
     if limit < 1:
         raise ValueError(f"depth limit must be >= 1, got {limit}")
-    for tree in (t1, t2):
-        d = _depth(tree)
-        if d > limit:
-            raise DepthLimitError(f"tree depth {d} exceeds limit {limit}")
+    if t1.depth > limit:
+        raise DepthLimitError(f"tree depth {t1.depth} exceeds limit {limit}")
+    if t2.depth > limit:
+        raise DepthLimitError(f"tree depth {t2.depth} exceeds limit {limit}")
 
 
 def _profile(

@@ -5,11 +5,15 @@ spans still attached.  Cleaning keeps only the node kind and the child order
 and drops everything else, so two pieces of code that differ in naming or in
 constant values collapse to the same cleaned tree.  The cleaned tree is what
 every similarity and statistics routine operates on.
+
+Each cleaned node carries its depth, set once when the node is built, so the
+depth checks of `vsr.similarity` and `vsr.reward` read `.depth` and never
+walk a tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum, unique
 
 from vsr.deadline import CHECK_EVERY, check
@@ -155,12 +159,49 @@ class RawNode:
     span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True, eq=False)
+# Sets a slot of an immutable CleanNode past its own __setattr__.
+_set = object.__setattr__
+
+
 class CleanNode:
-    """Structure-only tree node: a kind and an ordered child tuple."""
+    """Structure-only tree node: a kind, an ordered child tuple and a depth.
+
+    `depth` counts levels with the root at 1, so a leaf has depth 1 and it
+    is the same number as `tree_stats(node).depth`.  The constructor sets
+    it to one plus the largest child depth; children are built first, so a
+    node knows its depth once it exists and nothing walks a tree for it.
+    Nodes are immutable: assigning or deleting an attribute raises
+    AttributeError (FrozenInstanceError, as for a frozen dataclass).
+    """
+
+    __slots__ = ("kind", "children", "depth")
 
     kind: NodeKind
-    children: tuple["CleanNode", ...] = ()
+    children: tuple["CleanNode", ...]
+    depth: int
+
+    def __init__(self, kind: NodeKind, children: tuple["CleanNode", ...] = ()) -> None:
+        depth = 0
+        for child in children:
+            if child.depth > depth:
+                depth = child.depth
+        _set(self, "kind", kind)
+        _set(self, "children", children)
+        _set(self, "depth", depth + 1)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"CleanNode(kind={self.kind!r}, children={self.children!r})"
+
+    # Copies and pickles go through the constructor, which sets the slots
+    # that __setattr__ refuses and works out the depth again.
+    def __reduce__(self):
+        return CleanNode, (self.kind, self.children)
 
     # Equality is structural but must not recurse: trees can be deeper than
     # the interpreter stack, and every other routine here is iterative too.

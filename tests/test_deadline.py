@@ -8,7 +8,7 @@ import pytest
 
 from helpers import wide_module
 from vsr.deadline import DeadlineExceeded
-from vsr.lexer import lex
+from vsr.lexer import TokenKind, lex
 from vsr.parser import classify, parse
 from vsr.reward import reward
 from vsr.similarity import sim_ast, sim_ast_seq
@@ -50,6 +50,13 @@ class TestEachLoopStops:
 
     def test_parse(self):
         tokens = lex(FAT)
+        with pytest.raises(DeadlineExceeded):
+            parse(tokens, deadline=passed())
+
+    def test_parse_directive_filter(self):
+        # Fewer tokens than one check interval reach the parser proper.
+        tokens = lex("`timescale 1ns/1ps\n" * (3 * 4096 + 1)) + lex(SMALL)
+        assert tokens[0].kind is TokenKind.DIRECTIVE
         with pytest.raises(DeadlineExceeded):
             parse(tokens, deadline=passed())
 

@@ -1,4 +1,7 @@
+import gc
 import importlib
+from enum import Enum
+from types import FunctionType, ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from vsr.reward import (
     reward,
 )
 from vsr.similarity import sim_ast
-from vsr.trees import clean
+from vsr.trees import RawNode, clean
 
 REF = """
 module blinker(input clk, output reg led);
@@ -140,7 +143,7 @@ class TestDepthLimit:
     def test_memo_keeps_the_depth_and_each_call_judges_it(self):
         memo = {}
         assert reward(REF, DEEP, depth_limit=603, memo=memo).sim is not None
-        assert memo[DEEP].depth == 603
+        assert memo[DEEP].tree.depth == 603
         with pytest.raises(ReferenceTooDeepError):
             reward(REF, DEEP, depth_limit=602, memo=memo)
         assert reward(DEEP, REF, depth_limit=603).status is ValidityStatus.PARSED
@@ -203,6 +206,21 @@ class TestReferenceMemo:
         assert memo[REF] is entry
         assert entry.tree is tree
         assert len(entry.table) == size
+
+    def test_entry_holds_no_raw_tree(self):
+        memo: dict = {}
+        reward(REF, REF, memo=memo)
+        # Everything the entry reaches, short of classes, modules, functions
+        # and enum members, which are shared by the whole program.
+        seen, todo = set(), [memo[REF]]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType, Enum)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, RawNode)
+            todo.extend(gc.get_referents(obj))
+        assert len(seen) > len(memo[REF].table)
 
     def test_hit_does_not_classify_the_reference_again(self, monkeypatch):
         # the module, not the `reward` function the package re-exports

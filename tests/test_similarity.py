@@ -372,3 +372,20 @@ class TestDepthLimit:
         with pytest.raises(ValueError):
             sim_ast(leaf(S), leaf(S), depth_limit=0)
 
+    @staticmethod
+    def chain(depth):
+        t = leaf(S)
+        for _ in range(depth - 1):
+            t = node(Q, t)
+        return t
+
+    @pytest.mark.parametrize("measure", [sim_ast, sim_ast_seq, sim_ast_with_trace])
+    def test_both_too_deep_names_the_left_tree(self, measure):
+        for left, right in ((7, 9), (9, 7)):
+            with pytest.raises(DepthLimitError, match=f"^tree depth {left} exceeds limit 5$"):
+                measure(self.chain(left), self.chain(right), depth_limit=5)
+
+    @pytest.mark.parametrize("measure", [sim_ast, sim_ast_seq, sim_ast_with_trace])
+    def test_only_right_too_deep_names_the_right_tree(self, measure):
+        with pytest.raises(DepthLimitError, match="^tree depth 8 exceeds limit 5$"):
+            measure(self.chain(3), self.chain(8), depth_limit=5)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -145,6 +147,7 @@ class TestSerialize:
         stats = tree_stats(tree)
         assert stats.depth == 10_001
         assert stats.node_count == 10_001
+        assert tree.depth == 10_001
 
 
 class TestDeserialize:
@@ -208,6 +211,63 @@ class TestTreeStats:
         raw = RawNode(kind=NodeKind.BLOCK, children=[RawNode(kind=NodeKind.ID)])
         s = tree_stats(raw)
         assert (s.depth, s.node_count, s.mean_branching) == (2, 2, 1.0)
+
+
+def every_depth_is_exact(tree):
+    return all(n.depth == tree_stats(n).depth for n in iter_tree(tree))
+
+
+class TestDepth:
+    def test_hand_built(self):
+        assert leaf().depth == 1
+        assert node(NodeKind.BLOCK, leaf(), node(NodeKind.ALWAYS, leaf())).depth == 3
+
+    @settings(max_examples=100)
+    @given(clean_trees)
+    def test_every_node_of_a_built_tree(self, tree):
+        assert every_depth_is_exact(tree)
+
+    @settings(max_examples=100)
+    @given(clean_trees, clean_trees)
+    def test_every_node_cleaned_into_one_table(self, a, b):
+        table = {}
+        assert every_depth_is_exact(clean(a, table))
+        assert every_depth_is_exact(clean(b, table))
+
+    @settings(max_examples=100)
+    @given(clean_trees)
+    def test_every_node_after_a_round_trip(self, tree):
+        assert every_depth_is_exact(deserialize(serialize(tree)))
+
+    def test_golden(self, golden_source):
+        ast = classify(golden_source).ast
+        tree = clean(ast)
+        assert every_depth_is_exact(tree)
+        assert tree.depth == tree_stats(ast).depth
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("name", ["kind", "children", "depth", "extra"])
+    def test_assigning_an_attribute_raises(self, name):
+        t = node(NodeKind.BLOCK, leaf())
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+        assert (t.kind, t.children, t.depth) == (NodeKind.BLOCK, (leaf(),), 2)
+
+    def test_copy_and_pickle_give_an_equal_node(self):
+        t = node(NodeKind.BLOCK, leaf(), node(NodeKind.ALWAYS, leaf()))
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and twin.depth == 3
+
+    def test_keyword_construction_and_repr(self):
+        t = CleanNode(kind=NodeKind.BLOCK, children=(CleanNode(NodeKind.ID),))
+        assert t == node(NodeKind.BLOCK, leaf())
+        assert repr(t) == (
+            "CleanNode(kind=<NodeKind.BLOCK: 'Block'>,"
+            " children=(CleanNode(kind=<NodeKind.ID: 'Id'>, children=()),))"
+        )
 
 
 class TestIterTree:
