@@ -99,8 +99,7 @@ def _dump_raw(root: RawNode) -> list[str]:
             parts.append(f"value={node.value}")
         if node.mods:
             parts.append("mods=" + ",".join(node.mods))
-        if node.span is not None:
-            parts.append(f"span={node.span[0]}:{node.span[1]}")
+        parts.append(f"span={node.span[0]}:{node.span[1]}")
         out.append("  " * indent + " ".join(parts))
         stack.extend((child, indent + 1) for child in reversed(node.children))
     return out

@@ -13,13 +13,30 @@ declarations and calls.
 Generate blocks, specify blocks, UDPs, delays, and SystemVerilog constructs
 are outside the subset and produce a ParseError.  There is no error
 recovery: the first error wins.
+
+One routine, `Parser._decl`, parses every declaration keyword in every
+position: module items, function and task bodies, the `#(...)` parameter
+header and the ANSI port list.  One keyword table gives the node kind, and
+the per-keyword rules are spelled out in its docstring.
+
+Tokens are tested by their text alone (`_at`, `_expect`), never by text
+and kind.  That is exact because the lexer never gives one text two kinds:
+keywords, operators and punctuation are disjoint sets; a word lexes as a
+keyword exactly when it is in the keyword set; and escaped identifiers
+start with `\\`, system identifiers with `$`, strings with `"`, numbers
+with a digit or `'`, and directives (which the parser drops first) with a
+backtick, none of which starts a keyword, operator or punctuation text.
+Kind tests remain only where any token of a kind will do: `_at_ident`
+and the unsupported-keyword errors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from typing import NoReturn
 
 from vsr.deadline import CHECK_EVERY, check
 from vsr.lexer import LexError, Token, TokenKind, lex
@@ -132,6 +149,20 @@ _VAR_KIND = {
     "time": NodeKind.TIME_DECL,
 }
 
+_PARAM_KIND = {
+    "parameter": NodeKind.PARAM_DECL,
+    "localparam": NodeKind.LOCAL_PARAM_DECL,
+}
+
+# Every declaration keyword and the node kind it declares.
+_DECL_KIND = {
+    **_PARAM_KIND,
+    **_DIRECTION_KIND,
+    "wire": NodeKind.WIRE_DECL,
+    "reg": NodeKind.REG_DECL,
+    **_VAR_KIND,
+}
+
 _CASE_KIND = {
     "case": NodeKind.CASE_STMT,
     "casez": NodeKind.CASEZ_STMT,
@@ -175,7 +206,7 @@ class Parser:
             return 0
         return self._toks[self._pos - 1].span[1]  # type: ignore[union-attr]
 
-    def _error(self, message: str) -> None:
+    def _error(self, message: str) -> NoReturn:
         tok = self._peek()
         if tok is None:
             raise ParseError(f"{message}, found end of input", (self._end(), self._end()))
@@ -191,36 +222,20 @@ class Parser:
         self._pos = pos = pos + 1
         if not pos % CHECK_EVERY:
             check(self._deadline)
-        return tok  # type: ignore[return-value]
+        return tok
 
-    def _at_kw(self, word: str) -> bool:
+    def _at(self, text: str) -> bool:
+        # The text alone is enough: a keyword, operator or punctuation text
+        # always lexes as that one kind (see the module docstring).
         tok = self._toks[self._pos]
-        return tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == word
-
-    def _at_op(self, text: str) -> bool:
-        tok = self._toks[self._pos]
-        return tok is not None and tok.kind is TokenKind.OPERATOR and tok.text == text
-
-    def _at_punct(self, text: str) -> bool:
-        tok = self._toks[self._pos]
-        return tok is not None and tok.kind is TokenKind.PUNCTUATION and tok.text == text
+        return tok is not None and tok.text == text
 
     def _at_ident(self) -> bool:
         tok = self._toks[self._pos]
         return tok is not None and tok.kind is TokenKind.IDENTIFIER
 
-    def _expect_kw(self, word: str) -> Token:
-        if not self._at_kw(word):
-            self._error(f"expected '{word}'")
-        return self._advance()
-
-    def _expect_op(self, text: str) -> Token:
-        if not self._at_op(text):
-            self._error(f"expected '{text}'")
-        return self._advance()
-
-    def _expect_punct(self, text: str) -> Token:
-        if not self._at_punct(text):
+    def _expect(self, text: str) -> Token:
+        if not self._at(text):
             self._error(f"expected '{text}'")
         return self._advance()
 
@@ -233,9 +248,6 @@ class Parser:
         self._depth += 1
         if self._depth > _MAX_NESTING:
             raise ParseError("nesting too deep", (self._mark(), self._mark() + 1))
-
-    def _exit(self) -> None:
-        self._depth -= 1
 
     # ---- Source structure ----
 
@@ -250,21 +262,21 @@ class Parser:
 
     def _module(self) -> RawNode:
         start = self._mark()
-        self._expect_kw("module")
+        self._expect("module")
         name = self._expect_ident().text
         children: list[RawNode] = []
         mods: tuple[str, ...] = ()
-        if self._at_punct("#"):
+        if self._at("#"):
             self._advance()
             children.extend(self._header_params())
-        if self._at_punct("("):
+        if self._at("("):
             self._advance()
             ports, ansi = self._port_header()
             children.extend(ports)
             if ansi:
                 mods += ("ansi",)
-        self._expect_punct(";")
-        while not self._at_kw("endmodule"):
+        self._expect(";")
+        while not self._at("endmodule"):
             if self._at_end():
                 self._error("expected 'endmodule'")
             children.extend(self._module_item())
@@ -274,48 +286,14 @@ class Parser:
         )
 
     def _header_params(self) -> list[RawNode]:
-        nodes: list[RawNode] = []
-        self._expect_punct("(")
-        while True:
-            start = self._mark()
-            self._expect_kw("parameter")
-            mods: tuple[str, ...] = ("header",)
-            if self._at_kw("signed"):
-                self._advance()
-                mods += ("signed",)
-            width = self._width() if self._at_punct("[") else None
-            regroup = False
-            while True:
-                name = self._expect_ident().text
-                self._expect_op("=")
-                init = self._expr()
-                kids = [clone_raw(width)] if width else []
-                kids.append(init)
-                nodes.append(
-                    RawNode(
-                        NodeKind.PARAM_DECL,
-                        kids,
-                        name=name,
-                        mods=mods,
-                        span=(start, self._end()),
-                    )
-                )
-                if self._at_punct(","):
-                    self._advance()
-                    if self._at_kw("parameter"):
-                        regroup = True
-                        break
-                    continue
-                break
-            if regroup:
-                continue
-            self._expect_punct(")")
-            break
-        return nodes
+        self._expect("(")
+        if not self._at("parameter"):
+            self._error("expected 'parameter'")
+        return self._decl(("parameter",))
 
     def _port_header(self) -> tuple[list[RawNode], bool]:
         """Parse the parenthesized port list; returns (ports, is_ansi)."""
-        if self._at_punct(")"):
+        if self._at(")"):
             self._advance()
             return [], True
         if self._at_ident():
@@ -330,52 +308,16 @@ class Parser:
                         span=tok.span,
                     )
                 )
-                if self._at_punct(","):
+                if self._at(","):
                     self._advance()
                     continue
                 break
-            self._expect_punct(")")
+            self._expect(")")
             return refs, False
-        ports: list[RawNode] = []
-        direction: NodeKind | None = None
-        group_start = self._mark()
-        group_mods: tuple[str, ...] = ()
-        width: RawNode | None = None
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind is TokenKind.KEYWORD and tok.text in _DIRECTION_KIND:
-                group_start = tok.span[0]
-                direction = _DIRECTION_KIND[tok.text]
-                self._advance()
-                group_mods = ("header",)
-                if self._at_kw("wire"):
-                    self._advance()
-                elif self._at_kw("reg"):
-                    self._advance()
-                    group_mods += ("reg",)
-                if self._at_kw("signed"):
-                    self._advance()
-                    group_mods += ("signed",)
-                width = self._width() if self._at_punct("[") else None
-            elif direction is None:
-                self._error("expected port direction")
-            name = self._expect_ident().text
-            kids = [clone_raw(width)] if width else []
-            ports.append(
-                RawNode(
-                    direction,
-                    kids,
-                    name=name,
-                    mods=group_mods,
-                    span=(group_start, self._end()),
-                )
-            )
-            if self._at_punct(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(")")
-        return ports, True
+        tok = self._peek()
+        if tok is None or tok.text not in _DIRECTION_KIND:
+            self._error("expected port direction")
+        return self._decl(_DIRECTION_KIND), True
 
     # ---- Module items ----
 
@@ -383,19 +325,10 @@ class Parser:
         tok = self._peek()
         if tok is None:
             self._error("expected module item")
-        assert tok is not None
+        word = tok.text
+        if word in _DECL_KIND:
+            return self._decl()
         if tok.kind is TokenKind.KEYWORD:
-            word = tok.text
-            if word in ("parameter", "localparam"):
-                return self._param_decl()
-            if word in _DIRECTION_KIND:
-                return self._port_decl()
-            if word == "wire":
-                return self._net_decl()
-            if word == "reg":
-                return self._reg_decl()
-            if word in _VAR_KIND:
-                return self._var_decl()
             if word == "assign":
                 return self._continuous_assign()
             if word == "always":
@@ -413,142 +346,71 @@ class Parser:
         if tok.kind is TokenKind.IDENTIFIER:
             return self._instances()
         self._error("expected module item")
-        return []  # unreachable
 
-    def _param_decl(self) -> list[RawNode]:
-        start = self._mark()
-        kw = self._advance().text
-        kind = NodeKind.PARAM_DECL if kw == "parameter" else NodeKind.LOCAL_PARAM_DECL
-        mods: tuple[str, ...] = ()
-        if self._at_kw("signed"):
-            self._advance()
-            mods += ("signed",)
-        width = self._width() if self._at_punct("[") else None
-        nodes = []
-        while True:
-            name = self._expect_ident().text
-            self._expect_op("=")
-            init = self._expr()
-            kids = [clone_raw(width)] if width else []
-            kids.append(init)
-            nodes.append(
-                RawNode(kind, kids, name=name, mods=mods, span=(start, self._end()))
-            )
-            if self._at_punct(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(";")
-        return nodes
+    def _decl(self, group_words: Collection[str] = ()) -> list[RawNode]:
+        """Parse declarations, one node per declared name.
 
-    def _port_decl(self) -> list[RawNode]:
-        start = self._mark()
-        direction = _DIRECTION_KIND[self._advance().text]
-        mods: tuple[str, ...] = ()
-        if self._at_kw("wire"):
-            self._advance()
-        elif self._at_kw("reg"):
-            self._advance()
-            mods += ("reg",)
-        if self._at_kw("signed"):
-            self._advance()
-            mods += ("signed",)
-        width = self._width() if self._at_punct("[") else None
-        nodes = []
-        while True:
-            name = self._expect_ident().text
-            kids = [clone_raw(width)] if width else []
-            nodes.append(
-                RawNode(direction, kids, name=name, mods=mods, span=(start, self._end()))
-            )
-            if self._at_punct(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(";")
-        return nodes
+        A declaration is a keyword from `_DECL_KIND`, its qualifiers, and
+        comma-separated names, each spanning from the keyword to its own
+        end.  Only a port direction takes `wire` or `reg`; `integer`,
+        `real` and `time` take no `signed` and no width; only `reg` names
+        take a memory range; a parameter name requires `= expr`, and a port
+        name takes no initializer.
 
-    def _net_decl(self) -> list[RawNode]:
-        start = self._mark()
-        self._expect_kw("wire")
-        mods: tuple[str, ...] = ()
-        if self._at_kw("signed"):
-            self._advance()
-            mods += ("signed",)
-        width = self._width() if self._at_punct("[") else None
-        nodes = []
+        With no `group_words` this is one module or routine item and ends
+        at its ';'.  Otherwise it is a `#(...)` or ANSI port list that ends
+        at its ')': a comma followed by one of `group_words` starts a new
+        declaration, and every node carries the 'header' mod.
+        """
+        header = ("header",) if group_words else ()
+        nodes: list[RawNode] = []
         while True:
-            name = self._expect_ident().text
-            kids = [clone_raw(width)] if width else []
-            if self._at_op("="):
-                self._advance()
-                kids.append(self._expr())
-            nodes.append(
-                RawNode(
-                    NodeKind.WIRE_DECL, kids, name=name, mods=mods, span=(start, self._end())
+            start = self._mark()
+            word = self._advance().text
+            kind = _DECL_KIND[word]
+            mods = header
+            if word in _DIRECTION_KIND:
+                if self._at("wire"):
+                    self._advance()
+                elif self._at("reg"):
+                    self._advance()
+                    mods += ("reg",)
+            width = None
+            if word not in _VAR_KIND:
+                if self._at("signed"):
+                    self._advance()
+                    mods += ("signed",)
+                if self._at("["):
+                    width = self._width()
+            while True:
+                name = self._expect_ident().text
+                kids = [clone_raw(width)] if width else []
+                if word == "reg" and self._at("["):
+                    kids.append(self._width())  # memory address range
+                if word in _PARAM_KIND:
+                    self._expect("=")
+                    kids.append(self._expr())
+                elif word not in _DIRECTION_KIND and self._at("="):
+                    self._advance()
+                    kids.append(self._expr())
+                nodes.append(
+                    RawNode(kind, kids, name=name, mods=mods, span=(start, self._end()))
                 )
-            )
-            if self._at_punct(","):
+                if not self._at(","):
+                    self._expect(")" if group_words else ";")
+                    return nodes
                 self._advance()
-                continue
-            break
-        self._expect_punct(";")
-        return nodes
-
-    def _reg_decl(self) -> list[RawNode]:
-        start = self._mark()
-        self._expect_kw("reg")
-        mods: tuple[str, ...] = ()
-        if self._at_kw("signed"):
-            self._advance()
-            mods += ("signed",)
-        width = self._width() if self._at_punct("[") else None
-        nodes = []
-        while True:
-            name = self._expect_ident().text
-            kids = [clone_raw(width)] if width else []
-            if self._at_punct("["):
-                kids.append(self._width())  # memory address range
-            if self._at_op("="):
-                self._advance()
-                kids.append(self._expr())
-            nodes.append(
-                RawNode(
-                    NodeKind.REG_DECL, kids, name=name, mods=mods, span=(start, self._end())
-                )
-            )
-            if self._at_punct(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(";")
-        return nodes
-
-    def _var_decl(self) -> list[RawNode]:
-        start = self._mark()
-        kind = _VAR_KIND[self._advance().text]
-        nodes = []
-        while True:
-            name = self._expect_ident().text
-            kids = []
-            if self._at_op("="):
-                self._advance()
-                kids.append(self._expr())
-            nodes.append(RawNode(kind, kids, name=name, span=(start, self._end())))
-            if self._at_punct(","):
-                self._advance()
-                continue
-            break
-        self._expect_punct(";")
-        return nodes
+                tok = self._peek()
+                if tok is not None and tok.text in group_words:
+                    break
 
     def _continuous_assign(self) -> list[RawNode]:
         start = self._mark()
-        self._expect_kw("assign")
+        self._expect("assign")
         nodes = []
         while True:
             lhs = self._lvalue()
-            self._expect_op("=")
+            self._expect("=")
             rhs = self._expr()
             nodes.append(
                 RawNode(
@@ -557,49 +419,49 @@ class Parser:
                     span=(start, self._end()),
                 )
             )
-            if self._at_punct(","):
+            if self._at(","):
                 self._advance()
                 continue
             break
-        self._expect_punct(";")
+        self._expect(";")
         return nodes
 
     def _always(self) -> RawNode:
         start = self._mark()
-        self._expect_kw("always")
+        self._expect("always")
         sens = self._sens_list()
         stmt = self._statement()
         return RawNode(NodeKind.ALWAYS, [sens, stmt], span=(start, self._end()))
 
     def _sens_list(self) -> RawNode:
         start = self._mark()
-        self._expect_punct("@")
+        self._expect("@")
         items: list[RawNode] = []
-        if self._at_op("*"):
+        if self._at("*"):
             tok = self._advance()
             items.append(RawNode(NodeKind.STAR_SENSE, span=tok.span))
         else:
-            self._expect_punct("(")
-            if self._at_op("*"):
+            self._expect("(")
+            if self._at("*"):
                 tok = self._advance()
                 items.append(RawNode(NodeKind.STAR_SENSE, span=tok.span))
             else:
                 while True:
                     items.append(self._sens_item())
-                    if self._at_kw("or") or self._at_punct(","):
+                    if self._at("or") or self._at(","):
                         self._advance()
                         continue
                     break
-            self._expect_punct(")")
+            self._expect(")")
         return RawNode(NodeKind.SENS_LIST, items, span=(start, self._end()))
 
     def _sens_item(self) -> RawNode:
         start = self._mark()
-        if self._at_kw("posedge"):
+        if self._at("posedge"):
             self._advance()
             expr = self._expr()
             return RawNode(NodeKind.EDGE_POSEDGE, [expr], span=(start, self._end()))
-        if self._at_kw("negedge"):
+        if self._at("negedge"):
             self._advance()
             expr = self._expr()
             return RawNode(NodeKind.EDGE_NEGEDGE, [expr], span=(start, self._end()))
@@ -610,17 +472,17 @@ class Parser:
         start = self._mark()
         modname = self._expect_ident().text
         params: list[RawNode] = []
-        if self._at_punct("#"):
+        if self._at("#"):
             self._advance()
-            self._expect_punct("(")
+            self._expect("(")
             params = self._conn_list(param=True)
-            self._expect_punct(")")
+            self._expect(")")
         nodes = []
         while True:
             inst = self._expect_ident().text
-            self._expect_punct("(")
+            self._expect("(")
             conns = self._conn_list(param=False)
-            self._expect_punct(")")
+            self._expect(")")
             kids = [clone_raw(p) for p in params] if nodes else params
             nodes.append(
                 RawNode(
@@ -631,26 +493,26 @@ class Parser:
                     span=(start, self._end()),
                 )
             )
-            if self._at_punct(","):
+            if self._at(","):
                 self._advance()
                 continue
             break
-        self._expect_punct(";")
+        self._expect(";")
         return nodes
 
     def _conn_list(self, param: bool) -> list[RawNode]:
         mods = ("param",) if param else ()
         conns: list[RawNode] = []
-        if self._at_punct(")"):
+        if self._at(")"):
             return conns
         while True:
             start = self._mark()
-            if self._at_punct("."):
+            if self._at("."):
                 self._advance()
                 pname = self._expect_ident().text
-                self._expect_punct("(")
-                kids = [] if self._at_punct(")") else [self._expr()]
-                self._expect_punct(")")
+                self._expect("(")
+                kids = [] if self._at(")") else [self._expr()]
+                self._expect(")")
                 conns.append(
                     RawNode(
                         NodeKind.PORT_CONN,
@@ -670,7 +532,7 @@ class Parser:
                         span=(start, self._end()),
                     )
                 )
-            if self._at_punct(","):
+            if self._at(","):
                 self._advance()
                 continue
             break
@@ -678,138 +540,120 @@ class Parser:
 
     def _func_decl(self) -> RawNode:
         start = self._mark()
-        self._expect_kw("function")
+        self._expect("function")
         mods: tuple[str, ...] = ()
-        if self._at_kw("automatic"):
+        if self._at("automatic"):
             self._advance()
             mods += ("automatic",)
-        if self._at_kw("signed"):
+        if self._at("signed"):
             self._advance()
             mods += ("signed",)
         kids: list[RawNode] = []
         for word in ("integer", "real", "time"):
-            if self._at_kw(word):
+            if self._at(word):
                 self._advance()
                 mods += (word,)
                 break
         else:
-            if self._at_punct("["):
+            if self._at("["):
                 kids.append(self._width())
         name = self._expect_ident().text
-        self._expect_punct(";")
+        self._expect(";")
         kids.extend(self._routine_decls())
         kids.append(self._statement())
-        end = self._expect_kw("endfunction").span[1]
+        end = self._expect("endfunction").span[1]
         return RawNode(NodeKind.FUNC_DECL, kids, name=name, mods=mods, span=(start, end))
 
     def _task_decl(self) -> RawNode:
         start = self._mark()
-        self._expect_kw("task")
+        self._expect("task")
         mods: tuple[str, ...] = ()
-        if self._at_kw("automatic"):
+        if self._at("automatic"):
             self._advance()
             mods += ("automatic",)
         name = self._expect_ident().text
-        self._expect_punct(";")
+        self._expect(";")
         kids = self._routine_decls()
-        if not self._at_kw("endtask"):
+        if not self._at("endtask"):
             kids.append(self._statement())
-        end = self._expect_kw("endtask").span[1]
+        end = self._expect("endtask").span[1]
         return RawNode(NodeKind.TASK_DECL, kids, name=name, mods=mods, span=(start, end))
 
     def _routine_decls(self) -> list[RawNode]:
         decls: list[RawNode] = []
         while True:
+            # `wire` is no declaration inside a function or task
             tok = self._peek()
-            if tok is None or tok.kind is not TokenKind.KEYWORD:
-                break
-            word = tok.text
-            if word in _DIRECTION_KIND:
-                decls.extend(self._port_decl())
-            elif word == "reg":
-                decls.extend(self._reg_decl())
-            elif word in _VAR_KIND:
-                decls.extend(self._var_decl())
-            elif word in ("parameter", "localparam"):
-                decls.extend(self._param_decl())
-            else:
-                break
-        return decls
+            if tok is None or tok.text == "wire" or tok.text not in _DECL_KIND:
+                return decls
+            decls.extend(self._decl())
 
     # ---- Statements ----
 
     def _statement(self) -> RawNode:
+        # A parse is abandoned at its first error, so the nesting count
+        # needs no restoring when one is raised.
         self._enter()
-        try:
-            return self._statement_inner()
-        finally:
-            self._exit()
-
-    def _statement_inner(self) -> RawNode:
         tok = self._peek()
         if tok is None:
             self._error("expected statement")
-        assert tok is not None
-        start = tok.span[0]
+        nxt = self._peek(1)
         if tok.kind is TokenKind.KEYWORD:
             if tok.text == "begin":
-                return self._block()
-            if tok.text == "if":
-                return self._if_stmt()
-            if tok.text in _CASE_KIND:
-                return self._case_stmt()
-            self._error("unsupported construct in statement position")
-        if self._at_punct(";"):
-            tok = self._advance()
-            return RawNode(NodeKind.NULL_STMT, span=tok.span)
-        if self._at_ident() or self._at_punct("{"):
-            if self._at_ident():
-                nxt = self._peek(1)
-                is_call = nxt is not None and (
-                    nxt.kind is TokenKind.PUNCTUATION and nxt.text in "(;"
-                )
-                if is_call:
-                    return self._task_call()
+                node = self._block()
+            elif tok.text == "if":
+                node = self._if_stmt()
+            elif tok.text in _CASE_KIND:
+                node = self._case_stmt()
+            else:
+                self._error("unsupported construct in statement position")
+        elif tok.text == ";":
+            node = RawNode(NodeKind.NULL_STMT, span=self._advance().span)
+        elif tok.kind is TokenKind.IDENTIFIER and nxt is not None and nxt.text in "(;":
+            node = self._task_call()
+        elif tok.kind is TokenKind.IDENTIFIER or tok.text == "{":
             lhs = self._lvalue()
-            if self._at_op("="):
+            if self._at("="):
                 kind = NodeKind.BLOCKING_ASSIGN
-            elif self._at_op("<="):
+            elif self._at("<="):
                 kind = NodeKind.NONBLOCKING_ASSIGN
             else:
                 self._error("expected '=' or '<='")
             self._advance()
             rhs = self._expr()
-            self._expect_punct(";")
-            return RawNode(kind, [lhs, rhs], span=(start, self._end()))
-        self._error("expected statement")
-        raise AssertionError  # unreachable
+            self._expect(";")
+            node = RawNode(kind, [lhs, rhs], span=(tok.span[0], self._end()))
+        else:
+            self._error("expected statement")
+        self._depth -= 1
+        return node
 
     def _task_call(self) -> RawNode:
         start = self._mark()
         name = self._expect_ident().text
         args: list[RawNode] = []
-        if self._at_punct("("):
+        if self._at("("):
             self._advance()
-            if not self._at_punct(")"):
+            if not self._at(")"):
                 while True:
                     args.append(self._expr())
-                    if self._at_punct(","):
+                    if self._at(","):
                         self._advance()
                         continue
                     break
-            self._expect_punct(")")
-        self._expect_punct(";")
+            self._expect(")")
+        self._expect(";")
         return RawNode(NodeKind.TASK_CALL, args, name=name, span=(start, self._end()))
 
     def _block(self) -> RawNode:
         start = self._mark()
-        self._expect_kw("begin")
+        self._expect("begin")
         name = None
-        if self._at_punct(":"):
+        if self._at(":"):
             self._advance()
             name = self._expect_ident().text
         stmts = []
-        while not self._at_kw("end"):
+        while not self._at("end"):
             if self._at_end():
                 self._error("expected 'end'")
             stmts.append(self._statement())
@@ -818,13 +662,13 @@ class Parser:
 
     def _if_stmt(self) -> RawNode:
         start = self._mark()
-        self._expect_kw("if")
-        self._expect_punct("(")
+        self._expect("if")
+        self._expect("(")
         cond = self._expr()
-        self._expect_punct(")")
+        self._expect(")")
         then = self._statement()
         kids = [cond, then]
-        if self._at_kw("else"):
+        if self._at("else"):
             self._advance()
             kids.append(self._statement())
         return RawNode(NodeKind.IF_STMT, kids, span=(start, self._end()))
@@ -832,11 +676,11 @@ class Parser:
     def _case_stmt(self) -> RawNode:
         start = self._mark()
         kind = _CASE_KIND[self._advance().text]
-        self._expect_punct("(")
+        self._expect("(")
         subject = self._expr()
-        self._expect_punct(")")
+        self._expect(")")
         items = [subject]
-        while not self._at_kw("endcase"):
+        while not self._at("endcase"):
             if self._at_end():
                 self._error("expected 'endcase'")
             items.append(self._case_item())
@@ -845,31 +689,31 @@ class Parser:
 
     def _case_item(self) -> RawNode:
         start = self._mark()
-        if self._at_kw("default"):
+        if self._at("default"):
             self._advance()
-            if self._at_punct(":"):
+            if self._at(":"):
                 self._advance()
             stmt = self._statement()
             return RawNode(NodeKind.CASE_ITEM, [stmt], span=(start, self._end()))
         labels = [self._expr()]
-        while self._at_punct(","):
+        while self._at(","):
             self._advance()
             labels.append(self._expr())
-        self._expect_punct(":")
+        self._expect(":")
         stmt = self._statement()
         return RawNode(NodeKind.CASE_ITEM, labels + [stmt], span=(start, self._end()))
 
     # ---- Expressions ----
 
     def _lvalue(self) -> RawNode:
-        if self._at_punct("{"):
+        if self._at("{"):
             start = self._mark()
             self._advance()
             parts = [self._lvalue()]
-            while self._at_punct(","):
+            while self._at(","):
                 self._advance()
                 parts.append(self._lvalue())
-            self._expect_punct("}")
+            self._expect("}")
             return RawNode(NodeKind.CONCAT, parts, span=(start, self._end()))
         tok = self._expect_ident()
         node = RawNode(NodeKind.ID, name=tok.text, span=tok.span)
@@ -877,27 +721,25 @@ class Parser:
 
     def _expr(self) -> RawNode:
         self._enter()
-        try:
-            cond = self._binary(1)
-            if self._at_op("?"):
-                self._advance()
-                then = self._expr()
-                self._expect_punct(":")
-                other = self._expr()
-                return RawNode(
-                    NodeKind.TERNARY,
-                    [cond, then, other],
-                    span=(cond.span[0], self._end()),
-                )
-            return cond
-        finally:
-            self._exit()
+        node = self._binary(1)
+        if self._at("?"):
+            self._advance()
+            then = self._expr()
+            self._expect(":")
+            other = self._expr()
+            node = RawNode(
+                NodeKind.TERNARY,
+                [node, then, other],
+                span=(node.span[0], self._end()),
+            )
+        self._depth -= 1
+        return node
 
     def _binary(self, min_prec: int) -> RawNode:
         left = self._unary()
         while True:
             tok = self._peek()
-            if tok is None or tok.kind is not TokenKind.OPERATOR:
+            if tok is None:
                 break
             prec = _BINARY_PREC.get(tok.text)
             if prec is None or prec < min_prec:
@@ -913,76 +755,68 @@ class Parser:
 
     def _unary(self) -> RawNode:
         tok = self._peek()
-        if tok is not None and tok.kind is TokenKind.OPERATOR and tok.text in _UNARY_KIND:
-            self._enter()
-            try:
-                self._advance()
-                operand = self._unary()
-                return RawNode(
-                    _UNARY_KIND[tok.text],
-                    [operand],
-                    span=(tok.span[0], operand.span[1]),
-                )
-            finally:
-                self._exit()
-        return self._primary()
+        if tok is None or tok.text not in _UNARY_KIND:
+            return self._primary()
+        self._enter()
+        self._advance()
+        operand = self._unary()
+        self._depth -= 1
+        return RawNode(_UNARY_KIND[tok.text], [operand], span=(tok.span[0], operand.span[1]))
 
     def _primary(self) -> RawNode:
         tok = self._peek()
         if tok is None:
             self._error("expected expression")
-        assert tok is not None
         if tok.kind is TokenKind.NUMBER or tok.kind is TokenKind.STRING:
             self._advance()
             return RawNode(NodeKind.CONST, value=tok.text, span=tok.span)
         if tok.kind is TokenKind.IDENTIFIER:
             nxt = self._peek(1)
-            if nxt is not None and nxt.kind is TokenKind.PUNCTUATION and nxt.text == "(":
+            if nxt is not None and nxt.text == "(":
                 return self._func_call()
             self._advance()
             node = RawNode(NodeKind.ID, name=tok.text, span=tok.span)
             return self._select_suffix(node)
-        if self._at_punct("("):
+        if self._at("("):
             self._advance()
             expr = self._expr()
-            self._expect_punct(")")
+            self._expect(")")
             return expr
-        if self._at_punct("{"):
+        if self._at("{"):
             return self._concat_or_repeat()
         self._error("expected expression")
-        raise AssertionError  # unreachable
 
     def _func_call(self) -> RawNode:
         start = self._mark()
         name = self._expect_ident().text
-        self._expect_punct("(")
+        self._expect("(")
         args: list[RawNode] = []
-        if not self._at_punct(")"):
+        if not self._at(")"):
             while True:
                 args.append(self._expr())
-                if self._at_punct(","):
+                if self._at(","):
                     self._advance()
                     continue
                 break
-        self._expect_punct(")")
+        self._expect(")")
         return RawNode(NodeKind.FUNC_CALL, args, name=name, span=(start, self._end()))
 
     def _select_suffix(self, target: RawNode) -> RawNode:
-        while self._at_punct("["):
+        while self._at("["):
             start = target.span[0]
             self._advance()
             first = self._expr()
-            if self._at_punct(":"):
+            if self._at(":"):
                 self._advance()
                 second = self._expr()
                 kind = NodeKind.PART_SELECT
                 kids = [target, first, second]
-            elif self._at_op("+:"):
+            elif self._at("+:"):
                 self._advance()
                 second = self._expr()
                 kind = NodeKind.PART_SELECT_PLUS
                 kids = [target, first, second]
-            elif self._at_op("-:"):
+            elif self._at("-:"):
                 self._advance()
                 second = self._expr()
                 kind = NodeKind.PART_SELECT_MINUS
@@ -990,39 +824,39 @@ class Parser:
             else:
                 kind = NodeKind.BIT_SELECT
                 kids = [target, first]
-            self._expect_punct("]")
+            self._expect("]")
             target = RawNode(kind, kids, span=(start, self._end()))
         return target
 
     def _concat_or_repeat(self) -> RawNode:
         start = self._mark()
-        self._expect_punct("{")
+        self._expect("{")
         first = self._expr()
-        if self._at_punct("{"):
+        if self._at("{"):
             self._advance()
             items = [self._expr()]
-            while self._at_punct(","):
+            while self._at(","):
                 self._advance()
                 items.append(self._expr())
-            self._expect_punct("}")
-            self._expect_punct("}")
+            self._expect("}")
+            self._expect("}")
             return RawNode(
                 NodeKind.REPEAT, [first] + items, span=(start, self._end())
             )
         items = [first]
-        while self._at_punct(","):
+        while self._at(","):
             self._advance()
             items.append(self._expr())
-        self._expect_punct("}")
+        self._expect("}")
         return RawNode(NodeKind.CONCAT, items, span=(start, self._end()))
 
     def _width(self) -> RawNode:
         start = self._mark()
-        self._expect_punct("[")
+        self._expect("[")
         msb = self._expr()
-        self._expect_punct(":")
+        self._expect(":")
         lsb = self._expr()
-        end = self._expect_punct("]").span[1]
+        end = self._expect("]").span[1]
         return RawNode(NodeKind.WIDTH, [msb, lsb], span=(start, end))
 
 
@@ -1050,15 +884,13 @@ def _looks_like_code(tokens: list[Token]) -> bool:
     a token or two instead of reading the whole stream, which at the body
     cap would take hundreds of ms without a deadline check.
     """
-    keyword = TokenKind.KEYWORD
     for first, tok in enumerate(tokens):
-        if tok.kind is keyword and tok.text == "module":
+        if tok.text == "module":
             break
     else:
         return False
     for i in range(len(tokens) - 1, first, -1):
-        tok = tokens[i]
-        if tok.kind is keyword and tok.text == "endmodule":
+        if tokens[i].text == "endmodule":
             return True
     return False
 

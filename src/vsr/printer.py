@@ -125,8 +125,12 @@ def _width(node: RawNode) -> str:
     return f"[{_expr(msb)}:{_expr(lsb)}]"
 
 
-def _decl_line(node: RawNode) -> str:
-    """Declaration text without the trailing newline."""
+def _decl(node: RawNode) -> str:
+    """Declaration text without the closing ';'.
+
+    A module item adds the ';'; a `#(...)` header or an ANSI port list
+    joins its declarations with ', '.
+    """
     kind = node.kind
     words = []
     if kind in _PORT_TEXT:
@@ -146,7 +150,7 @@ def _decl_line(node: RawNode) -> str:
         line += " " + _width(kids.pop(0))
     if kids:  # initializer
         line += " = " + _expr(kids.pop(0))
-    return line + ";"
+    return line
 
 
 def _sens(node: RawNode) -> str:
@@ -224,7 +228,7 @@ class _Emitter:
     def item(self, node: RawNode, indent: int) -> None:
         kind = node.kind
         if kind in _PORT_TEXT or kind in _DECL_TEXT:
-            self.line(indent, _decl_line(node))
+            self.line(indent, _decl(node) + ";")
         elif kind is NodeKind.CONTINUOUS_ASSIGN:
             lhs, rhs = node.children
             self.line(indent, f"assign {_expr(lhs)} = {_expr(rhs)};")
@@ -290,47 +294,23 @@ class _Emitter:
         params = [c for c in node.children if "header" in c.mods and c.kind is NodeKind.PARAM_DECL]
         if "ansi" in node.mods:
             ports = [c for c in node.children if c.kind in _PORT_TEXT]
-            header_ids = {id(c) for c in params + ports}
         else:
             ports = [c for c in node.children if c.kind is NodeKind.PORT_REF]
-            header_ids = {id(c) for c in params + ports}
+        header_ids = {id(c) for c in params + ports}
         body = [c for c in node.children if id(c) not in header_ids]
 
         head = f"module {_ident(node.name or '')}"
         if params:
-            head += " #("
-            head += ", ".join(self._header_param(p) for p in params)
-            head += ")"
+            head += " #(" + ", ".join(_decl(p) for p in params) + ")"
         if "ansi" in node.mods:
             # ANSI modules always print a port list, even an empty one
-            head += " (" + ", ".join(self._ansi_port(p) for p in ports) + ")"
+            head += " (" + ", ".join(_decl(p) for p in ports) + ")"
         elif ports:
             head += " (" + ", ".join(_ident(p.name or "") for p in ports) + ")"
         self.lines.append(head + ";")
         for item in body:
             self.item(item, 1)
         self.lines.append("endmodule")
-
-    def _header_param(self, node: RawNode) -> str:
-        words = ["parameter"]
-        if "signed" in node.mods:
-            words.append("signed")
-        kids = list(node.children)
-        if kids[0].kind is NodeKind.WIDTH:
-            words.append(_width(kids.pop(0)))
-        words.append(_ident(node.name or ""))
-        return " ".join(words) + " = " + _expr(kids[0])
-
-    def _ansi_port(self, node: RawNode) -> str:
-        words = [_PORT_TEXT[node.kind]]
-        if "reg" in node.mods:
-            words.append("reg")
-        if "signed" in node.mods:
-            words.append("signed")
-        if node.children:
-            words.append(_width(node.children[0]))
-        words.append(_ident(node.name or ""))
-        return " ".join(words)
 
 
 def pretty_print(node: RawNode) -> str:

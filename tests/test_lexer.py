@@ -230,3 +230,46 @@ def test_lex_is_total_over_ascii(text):
         assert text[start:end] == token.text
     for earlier, later in zip(tokens, tokens[1:]):
         assert earlier.span[1] <= later.span[0]
+
+
+# Every operator and punctuation text the lexer knows.  The parser tests a
+# token by its text alone, which is exact only while each of these texts,
+# and each keyword, always lexes as its one kind.
+OPERATOR_TEXTS = frozenset(
+    "<<< >>> === !== << >> <= >= == != && || ~& ~| ~^ ^~ ** +: -:"
+    " - + * / % & | ^ ~ ! < > = ?".split()
+)
+PUNCTUATION_TEXTS = frozenset("( ) [ ] { } ; , . : # @".split())
+
+_TOKEN_SOUP = st.lists(
+    st.one_of(
+        st.sampled_from(sorted(KEYWORDS)),
+        st.sampled_from(sorted(OPERATOR_TEXTS)),
+        st.sampled_from(sorted(PUNCTUATION_TEXTS)),
+        st.sampled_from(["\\", "$", '"', "`", "'", "/", "*", "x", "1", "'h", " ", "\n"]),
+    ),
+    max_size=20,
+).map("".join)
+
+
+@settings(max_examples=50)
+@given(
+    before=_TOKEN_SOUP,
+    after=_TOKEN_SOUP,
+    sep=st.sampled_from(["", " ", "\n"]),
+)
+def test_keyword_operator_and_punctuation_texts_have_one_kind(before, after, sep):
+    # Every such text, in a random context, lexes as its one kind or not
+    # as a token of its own at all.
+    for word in sorted(KEYWORDS | OPERATOR_TEXTS | PUNCTUATION_TEXTS):
+        try:
+            tokens = lex(before + sep + word + sep + after)
+        except LexError:
+            continue
+        for token in tokens:
+            if token.text in KEYWORDS:
+                assert token.kind is TokenKind.KEYWORD, token
+            if token.text in OPERATOR_TEXTS:
+                assert token.kind is TokenKind.OPERATOR, token
+            if token.text in PUNCTUATION_TEXTS:
+                assert token.kind is TokenKind.PUNCTUATION, token

@@ -227,3 +227,246 @@ class TestClassify:
             ValidityStatus.PARSE_FAIL,
             ValidityStatus.NOT_CODE,
         )
+
+
+# ---- Declaration grammar ----
+#
+# Every declaration keyword in every position that takes declarations: a
+# module item, a function or task body, a `#(...)` header and an ANSI port
+# list.  `{}` in a template marks where the declaration text goes, and
+# spans below are relative to it.  Each position picks the nodes the
+# declaration produced out of the parsed module.
+DECL_POSITIONS = {
+    "module": ("module m; {} endmodule", lambda mod: mod.children),
+    "function": (
+        "module m; function f; {} ; endfunction endmodule",
+        lambda mod: mod.children[0].children[:-1],
+    ),
+    "task": ("module m; task t; {} endtask endmodule", lambda mod: mod.children[0].children),
+    "header": ("module m #({}); endmodule", lambda mod: mod.children),
+    "ports": ("module m ({}); endmodule", lambda mod: mod.children),
+}
+
+DECL_KIND = {
+    "parameter": NodeKind.PARAM_DECL,
+    "localparam": NodeKind.LOCAL_PARAM_DECL,
+    "input": NodeKind.INPUT_PORT,
+    "output": NodeKind.OUTPUT_PORT,
+    "inout": NodeKind.INOUT_PORT,
+    "wire": NodeKind.WIRE_DECL,
+    "reg": NodeKind.REG_DECL,
+    "integer": NodeKind.INTEGER_DECL,
+    "real": NodeKind.REAL_DECL,
+    "time": NodeKind.TIME_DECL,
+}
+
+DIRECTIONS = ("input", "output", "inout")
+
+# Which keywords each position accepts, and the first diagnostic for the
+# others (the offending keyword is appended as ", found '<kw>'").
+DECL_ACCEPTS = {
+    "module": (set(DECL_KIND), None),
+    "function": (set(DECL_KIND) - {"wire"}, "unsupported construct in statement position"),
+    "task": (set(DECL_KIND) - {"wire"}, "unsupported construct in statement position"),
+    "header": ({"parameter"}, "expected 'parameter'"),
+    "ports": (set(DIRECTIONS), "expected port direction"),
+}
+
+
+def decl_classify(position, text):
+    template, _ = DECL_POSITIONS[position]
+    return classify(template.replace("{}", text)), template.index("{}")
+
+
+def decl_nodes(position, text):
+    """(kind name, name, mods, relative span, child kind names) per node."""
+    validity, offset = decl_classify(position, text)
+    assert validity.is_parsed, validity.diagnostics
+    _, pick = DECL_POSITIONS[position]
+    return [
+        (
+            node.kind.name,
+            node.name,
+            node.mods,
+            (node.span[0] - offset, node.span[1] - offset),
+            [child.kind.name for child in node.children],
+        )
+        for node in pick(validity.ast.children[0])
+    ]
+
+
+def decl_error(position, text):
+    """(message, relative span) of the first diagnostic."""
+    validity, offset = decl_classify(position, text)
+    assert validity.status is ValidityStatus.PARSE_FAIL
+    diag = validity.diagnostics[0]
+    return diag.message, (diag.span[0] - offset, diag.span[1] - offset)
+
+
+class TestDeclarationGrammar:
+    @pytest.mark.parametrize("position", list(DECL_POSITIONS))
+    @pytest.mark.parametrize("keyword", list(DECL_KIND))
+    def test_every_keyword_in_every_position(self, keyword, position):
+        text = f"{keyword} x = 1" if keyword in ("parameter", "localparam") else f"{keyword} x"
+        if position not in ("header", "ports"):
+            text += ";"
+        accepted, message = DECL_ACCEPTS[position]
+        if keyword in accepted:
+            mods = ("header",) if position in ("header", "ports") else ()
+            kids = ["CONST"] if " = " in text else []
+            span = (0, len(text.rstrip(";")))
+            assert decl_nodes(position, text) == [
+                (DECL_KIND[keyword].name, "x", mods, span, kids)
+            ]
+        else:
+            assert decl_error(position, text) == (
+                f"{message}, found '{keyword}'",
+                (0, len(keyword)),
+            )
+
+    @pytest.mark.parametrize(
+        "position, text, nodes",
+        [
+            (
+                "module",
+                "localparam signed [3:0] a = 1, b = 2;",
+                [
+                    ("LOCAL_PARAM_DECL", "a", ("signed",), (0, 29), ["WIDTH", "CONST"]),
+                    ("LOCAL_PARAM_DECL", "b", ("signed",), (0, 36), ["WIDTH", "CONST"]),
+                ],
+            ),
+            (
+                "module",
+                "input wire signed [7:0] a, b;",
+                [
+                    ("INPUT_PORT", "a", ("signed",), (0, 25), ["WIDTH"]),
+                    ("INPUT_PORT", "b", ("signed",), (0, 28), ["WIDTH"]),
+                ],
+            ),
+            ("module", "output reg [3:0] q;", [("OUTPUT_PORT", "q", ("reg",), (0, 18), ["WIDTH"])]),
+            (
+                "module",
+                "wire signed [3:0] w = 1, v;",
+                [
+                    ("WIRE_DECL", "w", ("signed",), (0, 23), ["WIDTH", "CONST"]),
+                    ("WIRE_DECL", "v", ("signed",), (0, 26), ["WIDTH"]),
+                ],
+            ),
+            (
+                "module",
+                "reg [7:0] m [0:3] = 0;",
+                [("REG_DECL", "m", (), (0, 21), ["WIDTH", "WIDTH", "CONST"])],
+            ),
+            (
+                "module",
+                "reg signed r, s = 1;",
+                [
+                    ("REG_DECL", "r", ("signed",), (0, 12), []),
+                    ("REG_DECL", "s", ("signed",), (0, 19), ["CONST"]),
+                ],
+            ),
+            (
+                "module",
+                "integer i = 0, j;",
+                [
+                    ("INTEGER_DECL", "i", (), (0, 13), ["CONST"]),
+                    ("INTEGER_DECL", "j", (), (0, 16), []),
+                ],
+            ),
+            (
+                "function",
+                "input [3:0] a, b;",
+                [
+                    ("INPUT_PORT", "a", (), (0, 13), ["WIDTH"]),
+                    ("INPUT_PORT", "b", (), (0, 16), ["WIDTH"]),
+                ],
+            ),
+            (
+                "function",
+                "reg [7:0] m [0:3] = 0;",
+                [("REG_DECL", "m", (), (0, 21), ["WIDTH", "WIDTH", "CONST"])],
+            ),
+            ("function", "real r = 1.5;", [("REAL_DECL", "r", (), (0, 12), ["CONST"])]),
+            (
+                "function",
+                "localparam L = 2;",
+                [("LOCAL_PARAM_DECL", "L", (), (0, 16), ["CONST"])],
+            ),
+            (
+                "task",
+                "output reg signed o;",
+                [("OUTPUT_PORT", "o", ("reg", "signed"), (0, 19), [])],
+            ),
+            (
+                "header",
+                "parameter P = 1, Q = 2, parameter signed [1:0] R = 0",
+                [
+                    ("PARAM_DECL", "P", ("header",), (0, 15), ["CONST"]),
+                    ("PARAM_DECL", "Q", ("header",), (0, 22), ["CONST"]),
+                    ("PARAM_DECL", "R", ("header", "signed"), (24, 52), ["WIDTH", "CONST"]),
+                ],
+            ),
+            (
+                "ports",
+                "input wire signed [7:0] a, b, output reg c, inout d",
+                [
+                    ("INPUT_PORT", "a", ("header", "signed"), (0, 25), ["WIDTH"]),
+                    ("INPUT_PORT", "b", ("header", "signed"), (0, 28), ["WIDTH"]),
+                    ("OUTPUT_PORT", "c", ("header", "reg"), (30, 42), []),
+                    ("INOUT_PORT", "d", ("header",), (44, 51), []),
+                ],
+            ),
+        ],
+    )
+    def test_accepted(self, position, text, nodes):
+        assert decl_nodes(position, text) == nodes
+
+    @pytest.mark.parametrize(
+        "position, text, message, span",
+        [
+            ("module", "integer signed x;", "expected identifier, found 'signed'", (8, 14)),
+            ("module", "real [3:0] x;", "expected identifier, found '['", (5, 6)),
+            ("module", "wire x [3:0];", "expected ';', found '['", (7, 8)),
+            ("module", "time t [1:0];", "expected ';', found '['", (7, 8)),
+            ("module", "parameter p;", "expected '=', found ';'", (11, 12)),
+            ("module", "localparam signed l;", "expected '=', found ';'", (19, 20)),
+            ("module", "input x = 1;", "expected ';', found '='", (8, 9)),
+            ("module", "output wire reg y;", "expected identifier, found 'reg'", (12, 15)),
+            ("module", "wire reg x;", "expected identifier, found 'reg'", (5, 8)),
+            ("module", "reg a, reg b;", "expected identifier, found 'reg'", (7, 10)),
+            (
+                "function",
+                "wire x;",
+                "unsupported construct in statement position, found 'wire'",
+                (0, 4),
+            ),
+            ("function", "input x = 1;", "expected ';', found '='", (8, 9)),
+            ("function", "integer signed x;", "expected identifier, found 'signed'", (8, 14)),
+            (
+                "task",
+                "wire x;",
+                "unsupported construct in statement position, found 'wire'",
+                (0, 4),
+            ),
+            ("header", "", "expected 'parameter', found ')'", (0, 1)),
+            ("header", "parameter P", "expected '=', found ')'", (11, 12)),
+            (
+                "header",
+                "parameter P = 1, localparam L = 2",
+                "expected identifier, found 'localparam'",
+                (17, 27),
+            ),
+            (
+                "header",
+                "parameter P = 1 parameter Q = 2",
+                "expected ')', found 'parameter'",
+                (16, 25),
+            ),
+            ("ports", "input a = 1", "expected ')', found '='", (8, 9)),
+            ("ports", "input a [3:0]", "expected ')', found '['", (8, 9)),
+            ("ports", "input integer a", "expected identifier, found 'integer'", (6, 13)),
+            ("ports", "input a, wire b", "expected identifier, found 'wire'", (9, 13)),
+        ],
+    )
+    def test_rejected(self, position, text, message, span):
+        assert decl_error(position, text) == (message, span)

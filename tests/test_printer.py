@@ -31,6 +31,26 @@ def test_small_module_exact_text():
     )
 
 
+def test_header_params_and_ansi_ports_exact_text():
+    # A regrouped, signed, ranged `#(...)` header and ANSI ports with
+    # wire/reg/signed/width: every header item prints as its own group.
+    src = (
+        "module m #(parameter W = 4, D = 2, parameter signed [3:0] S = -1)"
+        " (input wire clk, input signed [W-1:0] a, b, output reg [W:0] q,"
+        " output reg signed r, inout wire [1:0] io);"
+        " always @(posedge clk) q <= a + b; endmodule"
+    )
+    printed = pretty_print(parse_source(src))
+    assert printed == (
+        "module m #(parameter W = 4, parameter D = 2, parameter signed [3:0] S = (-1))"
+        " (input clk, input signed [(W - 1):0] a, input signed [(W - 1):0] b,"
+        " output reg [W:0] q, output reg signed r, inout [1:0] io);\n"
+        "    always @(posedge clk)\n"
+        "        q <= (a + b);\n"
+        "endmodule\n"
+    )
+
+
 def test_compound_expressions_fully_parenthesized():
     src = "module m(output y); assign y = 1 + 2 * 3 ? 4 : 5; endmodule"
     printed = pretty_print(parse_source(src))
