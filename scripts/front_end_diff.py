@@ -1,0 +1,245 @@
+#!/usr/bin/env python3
+"""Fingerprint the front end's outputs: one `name<TAB>sha1` line per input.
+
+    python3 scripts/front_end_diff.py --seed 1 > before.txt
+    # ... change the code ...
+    python3 scripts/front_end_diff.py --seed 1 > after.txt
+    diff before.txt after.txt
+
+The script checks the checkout it lives in (it puts that checkout's `src`
+first on the path), so to compare two versions run each copy's own script
+with the same arguments.  The inputs are a pure function of the seed and
+the files under `tests/golden` and `tests/fixtures`, built with the
+standard library alone, so both sides see the same texts:
+
+  golden/F, fixtures/F   every file as it is
+  tok/F/N, chr/F/N       copies with one token or one character damaged
+  expr/N, decl/N         generated expressions and declarations, valid and
+                         invalid, including nesting around the 128-level cap
+
+Each hash covers the `classify` status and diagnostics; every raw node's
+kind, name, value, mods, span and arity in preorder; `serialize(clean(ast))`;
+the `pretty_print` text; the `mutate` output for three kinds x three seeds;
+and the `reward` outcome in both modes against a reference (the file itself,
+the undamaged file, or the previous generated text).  Errors are hashed by
+type and message, so a changed diagnostic shows as a changed line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate  # noqa: E402
+from vsr.parser import classify  # noqa: E402
+from vsr.printer import PrintError, pretty_print  # noqa: E402
+from vsr.reward import reward  # noqa: E402
+from vsr.trees import clean, iter_tree, serialize  # noqa: E402
+
+MUTATION_SEEDS = (1, 2, 3)
+
+# A rough tokenizer for damaging texts: words, numbers and single characters.
+_ROUGH_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*|\d+|\S")
+_NOISE = "();,:[]{}=+-*&|^~!?<>'\"`#@.a1 \n"
+
+BINARY = (
+    "||", "&&", "|", "^", "^~", "~^", "&", "==", "!=", "===", "!==",
+    "<", "<=", ">", ">=", "<<", ">>", "<<<", ">>>", "+", "-", "*", "/", "%", "**",
+)
+UNARY = ("!", "~", "-", "+", "&", "|", "^", "~&", "~|", "~^", "^~")
+LEAVES = ("a", "b", "c", "\\esc ", "4", "8'hff", "3'b1x0", "2.5", '"s"', "v[i]",
+          "v[3:0]", "v[i +: 2]", "v[j -: 4]", "f(a, 1)", "g()")
+DECL_WORDS = ("parameter", "localparam", "input", "output", "inout", "wire", "reg",
+              "integer", "real", "time")
+
+
+def fingerprint(text: str, ref: str) -> str:
+    parts: list[str] = []
+    validity = classify(text)
+    parts.append(validity.status.value)
+    parts.extend(f"{d.severity}|{d.message}|{d.span}" for d in validity.diagnostics)
+    if validity.ast is not None:
+        for node in iter_tree(validity.ast):
+            parts.append(
+                f"{node.kind.value}|{node.name}|{node.value}|{node.mods}|{node.span}"
+                f"|{len(node.children)}"
+            )
+        parts.append(serialize(clean(validity.ast)))
+        parts.append(_attempt(pretty_print, validity.ast))
+    for kind in MutationKind:
+        for seed in MUTATION_SEEDS:
+            parts.append(_attempt(mutate, text, MutationSpec(kind, seed)))
+    for mode in ("ast", "seq"):
+        parts.append(_attempt(lambda: repr(reward(text, ref, mode=mode))))
+    return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def _attempt(fn, *args) -> str:
+    try:
+        return str(fn(*args))
+    except (MutationError, PrintError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def damage_token(text: str, rng: random.Random) -> str:
+    spans = [m.span() for m in _ROUGH_TOKEN.finditer(text)]
+    if not spans:
+        return text
+    i = rng.randrange(len(spans))
+    start, end = spans[i]
+    action = rng.randrange(4)
+    if action == 0:  # drop
+        return text[:start] + text[end:]
+    if action == 1:  # duplicate
+        return text[:end] + " " + text[start:end] + text[end:]
+    if action == 2 and i + 1 < len(spans):  # swap with the next token
+        s2, e2 = spans[i + 1]
+        return text[:start] + text[s2:e2] + text[end:s2] + text[start:end] + text[e2:]
+    o_start, o_end = spans[rng.randrange(len(spans))]  # replace with another
+    return text[:start] + text[o_start:o_end] + text[end:]
+
+
+def damage_char(text: str, rng: random.Random) -> str:
+    if not text:
+        return rng.choice(_NOISE)
+    i = rng.randrange(len(text))
+    action = rng.randrange(3)
+    if action == 0:
+        return text[:i] + text[i + 1:]
+    if action == 1:
+        return text[:i] + rng.choice(_NOISE) + text[i:]
+    return text[:i] + rng.choice(_NOISE) + text[i + 1:]
+
+
+def gen_expr(rng: random.Random, depth: int) -> str:
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice(LEAVES)
+    pick = rng.random()
+    if pick < 0.45:
+        text = f"{gen_expr(rng, depth - 1)} {rng.choice(BINARY)} {gen_expr(rng, depth - 1)}"
+    elif pick < 0.6:
+        text = f"{rng.choice(UNARY)} {gen_expr(rng, depth - 1)}"
+    elif pick < 0.72:
+        parts = [gen_expr(rng, depth - 1) for _ in range(3)]
+        text = f"{parts[0]} ? {parts[1]} : {parts[2]}"
+    elif pick < 0.82:
+        items = ", ".join(gen_expr(rng, depth - 1) for _ in range(rng.randrange(1, 4)))
+        text = "{" + items + "}" if rng.random() < 0.6 else "{2{" + items + "}}"
+    elif pick < 0.9:
+        text = f"v[{gen_expr(rng, depth - 1)}]"
+    else:
+        text = f"f({gen_expr(rng, depth - 1)}, {gen_expr(rng, depth - 1)})"
+    return f"({text})" if rng.random() < 0.3 else text
+
+
+def gen_expr_module(rng: random.Random, n: int) -> str:
+    if n % 10 == 9:  # nesting around the cap
+        k = 124 + rng.randrange(8)
+        shape = rng.randrange(3)
+        if shape == 0:
+            expr = "(" * k + "a" + ")" * k
+        elif shape == 1:
+            expr = "- " * k + "a"
+        else:
+            expr = "c ? b : " * k + "e"
+    else:
+        expr = gen_expr(rng, rng.randrange(1, 6))
+    if rng.random() < 0.1:  # an operand gone missing
+        tokens = _ROUGH_TOKEN.findall(expr)
+        del tokens[rng.randrange(len(tokens))]
+        expr = " ".join(tokens)
+    context = rng.randrange(4)
+    if context == 0:
+        body = f"assign y = {expr};"
+    elif context == 1:
+        body = f"always @* y = {expr};"
+    elif context == 2:
+        body = f"always @(posedge clk) if ({expr}) q <= {expr}; else q <= 0;"
+    else:
+        body = f"always @* case ({expr}) {expr}, 1: y = {expr}; default: ; endcase"
+    return f"module g(input clk, output y);\n  {body}\nendmodule\n"
+
+
+def gen_decl(rng: random.Random, header: bool) -> str:
+    word = rng.choice(("parameter",) if header and rng.random() < 0.5 else DECL_WORDS)
+    text = word
+    if word in ("input", "output", "inout") and rng.random() < 0.5:
+        text += rng.choice((" wire", " reg"))
+    if rng.random() < 0.3:
+        text += " signed"
+    if rng.random() < 0.6:
+        text += f" [{gen_expr(rng, 1)}:{gen_expr(rng, 1)}]"
+    names = []
+    for i in range(rng.randrange(1, 4)):
+        name = f"n{i}"
+        if word == "reg" and rng.random() < 0.3:
+            name += " [0:3]"
+        if word in ("parameter", "localparam") or rng.random() < 0.2:
+            name += f" = {gen_expr(rng, 2)}"
+        names.append(name)
+    return text + " " + ", ".join(names)
+
+
+def gen_decl_module(rng: random.Random) -> str:
+    position = rng.randrange(4)
+    decls = [gen_decl(rng, position >= 2) for _ in range(rng.randrange(1, 4))]
+    if position == 0:
+        return "module d;\n  " + ";\n  ".join(decls) + ";\nendmodule\n"
+    if position == 1:
+        body = "; ".join(decls)
+        return f"module d;\n  function f; {body}; f = 0; endfunction\nendmodule\n"
+    if position == 2:
+        return "module d #(" + ", ".join(decls) + ") ();\nendmodule\n"
+    body = "  wire w;\n" + ("  input late;\n" if rng.random() < 0.3 else "")
+    return "module d (" + ", ".join(decls) + ");\n" + body + "endmodule\n"
+
+
+def inputs(seed: int, copies: int, generated: int, limit: int | None):
+    """Yield (name, text, reference text) in a fixed order."""
+    rng = random.Random(seed)
+    files = []
+    for folder in ("golden", "fixtures"):
+        paths = sorted((ROOT / "tests" / folder).glob("*.v"))[:limit]
+        files += [(f"{folder}/{p.name}", p.read_text(encoding="utf-8")) for p in paths]
+    for name, text in files:
+        yield name, text, text
+    for name, text in files:
+        for n in range(copies):
+            yield f"tok/{name}/{n}", damage_token(text, rng), text
+            yield f"chr/{name}/{n}", damage_char(text, rng), text
+    ref = "module g(input clk, output y);\n  assign y = a;\nendmodule\n"
+    for n in range(generated):
+        text = gen_expr_module(rng, n)
+        yield f"expr/{n}", text, ref
+        ref = text
+    ref = "module d;\n  wire w;\nendmodule\n"
+    for n in range(generated):
+        text = gen_decl_module(rng)
+        yield f"decl/{n}", text, ref
+        ref = text
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--copies", type=int, default=4,
+                    help="token- and character-damaged copies per file (default 4)")
+    ap.add_argument("--generated", type=int, default=300,
+                    help="generated expression and declaration texts each (default 300)")
+    ap.add_argument("--limit", type=int, default=None,
+                    help="use only the first N files of each folder")
+    args = ap.parse_args(argv)
+    for name, text, ref in inputs(args.seed, args.copies, args.generated, args.limit):
+        print(f"{name}\t{fingerprint(text, ref)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

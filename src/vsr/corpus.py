@@ -31,7 +31,6 @@ from vsr.trees import (
     RawNode,
     TreeStats,
     clean,  # noqa: F401  importable here: the benchmark tracer rebinds vsr.corpus.clean
-    clone_raw,
     iter_tree,
     tree_stats,
 )
@@ -382,8 +381,9 @@ def mutate(code: str, spec: MutationSpec) -> str:
             validity.diagnostics[0].message if validity.diagnostics else "rejected"
         )
         raise MutationError(f"input is {validity.status.value}: {detail}")
-    assert validity.ast is not None
-    unit = clone_raw(validity.ast)
+    # The tree was built for this call alone, so it is edited in place.
+    unit = validity.ast
+    assert unit is not None
     rng = random.Random(spec.seed)
     if spec.kind is MutationKind.REORDER_TOP_ITEMS:
         _reorder_top_items(unit, rng)

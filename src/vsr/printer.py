@@ -293,7 +293,8 @@ class _Emitter:
     def module(self, node: RawNode) -> None:
         params = [c for c in node.children if "header" in c.mods and c.kind is NodeKind.PARAM_DECL]
         if "ansi" in node.mods:
-            ports = [c for c in node.children if c.kind in _PORT_TEXT]
+            # a port declared in the body of an ANSI module stays there
+            ports = [c for c in node.children if "header" in c.mods and c.kind in _PORT_TEXT]
         else:
             ports = [c for c in node.children if c.kind is NodeKind.PORT_REF]
         header_ids = {id(c) for c in params + ports}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum, unique
+from itertools import islice
 
 from vsr.deadline import CHECK_EVERY, check
 
@@ -139,7 +140,7 @@ DECL_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class RawNode:
     """One node of the raw parse tree.
 
@@ -149,6 +150,10 @@ class RawNode:
     that matter for re-printing but have no structural meaning ('header',
     'ansi', 'reg', 'signed', 'param', 'automatic', 'integer', 'real',
     'time').  Spans are (start, end) offsets into the source string.
+
+    The class is slotted, so a node carries no per-instance dict; the
+    parser builds nodes positionally, in field order.  A parsed tree holds
+    every node once: no node has two parents.
     """
 
     kind: NodeKind
@@ -291,38 +296,53 @@ def clean(
     keeps the ids in its keys valid; drop it with the pair.  Without a
     table, sharing stays within the one tree.
 
+    Two flat passes, with no recursion and no stack: a breadth-first pass
+    lists every node after its parent, so the children of each node sit
+    side by side later in the list; a backward pass then interns every
+    node after its children.  The parents that come later in the list own
+    the later runs of children, so going backwards one cursor, moved down
+    by each node's child count, gives the index of its first child.  Keys
+    are built from the ids of the interned children, kept in a list of
+    their own, so a key that is already in the table costs no child tuple.
+    Both passes check the deadline once per CHECK_EVERY nodes.
+
     Raises DeadlineExceeded once `deadline` has passed (see `vsr.deadline`).
     """
     if table is None:
         table = {}
-    out: list[CleanNode] = []  # finished subtrees, children in order
-    stack: list[tuple[RawNode, bool]] = [(root, False)]
-    countdown = CHECK_EVERY
-    while stack:
-        countdown -= 1
-        if not countdown:
-            countdown = CHECK_EVERY
-            check(deadline)
-        node, expanded = stack.pop()
-        children = node.children
-        if children and not expanded:
-            stack.append((node, True))
-            for child in reversed(children):
-                stack.append((child, False))
-            continue
-        # A leaf, or a node whose children are finished.  The kind enters
-        # the key by id: hashing an Enum member runs Python code.
-        if children:
-            first = len(out) - len(children)
-            kids = tuple(out[first:])
-            del out[first:]
-        else:
-            kids = ()
-        key = (id(node.kind), *map(id, kids))
-        shared = table.get(key)
-        if shared is None:
-            shared = table[key] = CleanNode(node.kind, kids)
-        out.append(shared)
+    order = [root]
+    pending = iter(order)  # a list iterator also yields what is appended later
+    done = 0
+    while done < len(order):
+        for node in islice(pending, CHECK_EVERY):
+            order += node.children
+        done += CHECK_EVERY
+        check(deadline)
+    count = len(order)
+    out: list[CleanNode] = [None] * count  # type: ignore[list-item]
+    ids = [0] * count  # id(out[i]), the key material
+    first = count  # index of the first child of the node at `at`
+    for stop in range(count, 0, -CHECK_EVERY):
+        check(deadline)
+        for at in reversed(range(max(stop - CHECK_EVERY, 0), stop)):
+            node = order[at]
+            children = node.children
+            # The kind enters the key by id: hashing an Enum member runs
+            # Python code.
+            if children:
+                end = first
+                first -= len(children)
+                key = (id(node.kind), *ids[first:end])
+                shared = table.get(key)
+                if shared is None:
+                    shared = table[key] = CleanNode(node.kind, tuple(out[first:end]))
+            else:
+                key = (id(node.kind),)
+                shared = table.get(key)
+                if shared is None:
+                    shared = table[key] = CleanNode(node.kind, ())
+            out[at] = shared
+            ids[at] = id(shared)
     return out[0]
 
 

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from helpers import wide_module
+from vsr import corpus
 from vsr.lexer import lex
 from vsr.corpus import (
     CorpusFormatError,
@@ -18,8 +20,9 @@ from vsr.corpus import (
     mutate,
 )
 from vsr.parser import classify
+from vsr.printer import PrintError, pretty_print
 from vsr.similarity import sim_ast
-from vsr.trees import NodeKind, clean, iter_tree
+from vsr.trees import NodeKind, clean, clone_raw, iter_tree
 
 GOOD = "module m(input a, output y);\n  wire t;\n  assign t = a;\n  assign y = t ^ 1'b1;\nendmodule"
 
@@ -164,7 +167,36 @@ class TestStats:
             corpus_stats([])
 
 
+MUTATORS = {
+    MutationKind.REORDER_TOP_ITEMS: corpus._reorder_top_items,
+    MutationKind.RENAME_IDENTIFIERS: corpus._rename_identifiers,
+    MutationKind.REWRITE_CONSTANTS: corpus._rewrite_constants,
+}
+
+
+def mutate_a_copy(code, spec):
+    """`mutate` as it was when it edited a copy of the parsed tree."""
+    unit = clone_raw(classify(code).ast)
+    try:
+        MUTATORS[spec.kind](unit, random.Random(spec.seed))
+        return pretty_print(unit)
+    except (MutationError, PrintError):
+        return None
+
+
 class TestMutations:
+    @pytest.mark.parametrize("kind", list(MutationKind))
+    def test_output_equals_mutating_a_copy(self, kind, golden_sources):
+        # `mutate` edits the tree `classify` built for it, in place
+        for src in golden_sources.values():
+            for seed in (0, 1, 31, 2024):
+                spec = MutationSpec(kind, seed)
+                try:
+                    got = mutate(src, spec)
+                except MutationError:
+                    got = None
+                assert got == mutate_a_copy(src, spec)
+
     def test_deterministic(self, golden_sources):
         src = golden_sources["fifo_sync.v"]
         for kind in MutationKind:

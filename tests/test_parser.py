@@ -470,3 +470,345 @@ class TestDeclarationGrammar:
     )
     def test_rejected(self, position, text, message, span):
         assert decl_error(position, text) == (message, span)
+
+
+# ---- Expression grammar ----
+#
+# Binary operators by precedence level, lowest first; every one is
+# left-associative, `**` included.
+BINARY_LEVELS = (
+    {"||": "LOGICAL_OR"},
+    {"&&": "LOGICAL_AND"},
+    {"|": "OR"},
+    {"^": "XOR", "^~": "XNOR", "~^": "XNOR"},
+    {"&": "AND"},
+    {"==": "EQ", "!=": "NEQ", "===": "CASE_EQ", "!==": "CASE_NEQ"},
+    {"<": "LT", "<=": "LTE", ">": "GT", ">=": "GTE"},
+    {"<<": "SHL", ">>": "SHR", "<<<": "ASHL", ">>>": "ASHR"},
+    {"+": "PLUS", "-": "MINUS"},
+    {"*": "MUL", "/": "DIV", "%": "MOD"},
+    {"**": "POW"},
+)
+BINARY = {op: (level, kind) for level, ops in enumerate(BINARY_LEVELS) for op, kind in ops.items()}
+
+UNARY = {
+    "!": "NOT",
+    "~": "BIT_NOT",
+    "-": "UNARY_MINUS",
+    "+": "UNARY_PLUS",
+    "&": "REDUCE_AND",
+    "|": "REDUCE_OR",
+    "^": "REDUCE_XOR",
+    "~&": "REDUCE_NAND",
+    "~|": "REDUCE_NOR",
+    "~^": "REDUCE_XNOR",
+    "^~": "REDUCE_XNOR",
+}
+
+ASSIGN_PREFIX = "module m; assign y = "
+
+
+def shape(node, offset=0):
+    """(kind name, name or value, span relative to `offset`, child shapes)."""
+    return (
+        node.kind.name,
+        node.name if node.value is None else node.value,
+        (node.span[0] - offset, node.span[1] - offset),
+        [shape(child, offset) for child in node.children],
+    )
+
+
+def expr_shape(text):
+    """The shape of `text` parsed as a continuous assign's right-hand side."""
+    mod = module_ast(f"{ASSIGN_PREFIX}{text}; endmodule")
+    return shape(mod.children[0].children[1], len(ASSIGN_PREFIX))
+
+
+def leaf(kind, payload, start):
+    return (kind, payload, (start, start + len(payload)), [])
+
+
+class TestExpressionGrammar:
+    def test_tables_cover_every_operator(self):
+        assert len(BINARY) == 25
+        assert len(UNARY) == 11
+
+    @pytest.mark.parametrize("op1", list(BINARY))
+    def test_every_operator_pair(self, op1):
+        for op2 in BINARY:
+            text = f"a {op1} b {op2} c"
+            b_at = 3 + len(op1)
+            c_at = b_at + 3 + len(op2)
+            a, b, c = leaf("ID", "a", 0), leaf("ID", "b", b_at), leaf("ID", "c", c_at)
+            (level1, kind1), (level2, kind2) = BINARY[op1], BINARY[op2]
+            if level1 >= level2:  # left-associative within a level
+                want = (kind2, None, (0, c_at + 1), [(kind1, None, (0, b_at + 1), [a, b]), c])
+            else:
+                inner = (kind2, None, (b_at, c_at + 1), [b, c])
+                want = (kind1, None, (0, c_at + 1), [a, inner])
+            assert expr_shape(text) == want, text
+
+    @pytest.mark.parametrize("op", list(UNARY))
+    def test_unary_before_an_identifier_and_a_parenthesis(self, op):
+        n = len(op)
+        assert expr_shape(f"{op}a") == (UNARY[op], None, (0, n + 1), [leaf("ID", "a", n)])
+        # the parentheses are not part of any span
+        plus = ("PLUS", None, (n + 1, n + 6), [leaf("ID", "a", n + 1), leaf("ID", "b", n + 5)])
+        assert expr_shape(f"{op}(a + b)") == (UNARY[op], None, (0, n + 6), [plus])
+
+    @pytest.mark.parametrize("op1", list(UNARY))
+    def test_unary_before_another_unary(self, op1):
+        for op2 in UNARY:
+            at = len(op1) + 1
+            inner = (UNARY[op2], None, (at, at + len(op2) + 1), [leaf("ID", "b", at + len(op2))])
+            want = (UNARY[op1], None, (0, at + len(op2) + 1), [inner])
+            assert expr_shape(f"{op1} {op2}b") == want
+
+    def test_unary_binds_tighter_than_every_binary_operator(self):
+        for op in BINARY:
+            at = 4 + len(op)
+            neg = ("UNARY_MINUS", None, (0, 2), [leaf("ID", "a", 1)])
+            want = (BINARY[op][1], None, (0, at + 1), [neg, leaf("ID", "b", at)])
+            assert expr_shape(f"-a {op} b") == want
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            (
+                "a ? b : c ? d : e",
+                ("TERNARY", None, (0, 17), [
+                    leaf("ID", "a", 0),
+                    leaf("ID", "b", 4),
+                    ("TERNARY", None, (8, 17), [
+                        leaf("ID", "c", 8), leaf("ID", "d", 12), leaf("ID", "e", 16),
+                    ]),
+                ]),
+            ),
+            (
+                "a ? b ? c : d : e",
+                ("TERNARY", None, (0, 17), [
+                    leaf("ID", "a", 0),
+                    ("TERNARY", None, (4, 13), [
+                        leaf("ID", "b", 4), leaf("ID", "c", 8), leaf("ID", "d", 12),
+                    ]),
+                    leaf("ID", "e", 16),
+                ]),
+            ),
+            (
+                "a || b ? c + d : e - f",
+                ("TERNARY", None, (0, 22), [
+                    ("LOGICAL_OR", None, (0, 6), [leaf("ID", "a", 0), leaf("ID", "b", 5)]),
+                    ("PLUS", None, (9, 14), [leaf("ID", "c", 9), leaf("ID", "d", 13)]),
+                    ("MINUS", None, (17, 22), [leaf("ID", "e", 17), leaf("ID", "f", 21)]),
+                ]),
+            ),
+            (
+                # a ternary's span starts at its condition's span, and a
+                # parenthesized condition's span leaves the '(' out
+                "(a ? b : c) ? d : e",
+                ("TERNARY", None, (1, 19), [
+                    ("TERNARY", None, (1, 10), [
+                        leaf("ID", "a", 1), leaf("ID", "b", 5), leaf("ID", "c", 9),
+                    ]),
+                    leaf("ID", "d", 14),
+                    leaf("ID", "e", 18),
+                ]),
+            ),
+            (
+                "a ? 1 : 2'b10 ? f(b) : {c, d}",
+                ("TERNARY", None, (0, 29), [
+                    leaf("ID", "a", 0),
+                    leaf("CONST", "1", 4),
+                    ("TERNARY", None, (8, 29), [
+                        leaf("CONST", "2'b10", 8),
+                        ("FUNC_CALL", "f", (16, 20), [leaf("ID", "b", 18)]),
+                        ("CONCAT", None, (23, 29), [leaf("ID", "c", 24), leaf("ID", "d", 27)]),
+                    ]),
+                ]),
+            ),
+        ],
+    )
+    def test_ternary_chains(self, text, want):
+        assert expr_shape(text) == want
+
+
+# A lone operand in every expression position.  `<>` marks the operand;
+# each row gives the parent node kind and child index the operand lands at,
+# and the first diagnostic with the operand left out, as the text of the
+# token it reports and that token's start relative to `<>` (None when the
+# text still parses).
+LONE_OPERAND_POSITIONS = [
+    ("module m; wire [<>:0] w; endmodule", "WIDTH", 0, (":", 0)),
+    ("module m; wire [7:<>] w; endmodule", "WIDTH", 1, ("]", 0)),
+    ("module m; reg r [<>:3]; endmodule", "WIDTH", 0, (":", 0)),
+    ("module m; assign y = v[<>]; endmodule", "BIT_SELECT", 1, ("]", 0)),
+    ("module m; assign y = v[<>:0]; endmodule", "PART_SELECT", 1, (":", 0)),
+    ("module m; assign y = v[7:<>]; endmodule", "PART_SELECT", 2, ("]", 0)),
+    ("module m; assign y = v[<> +: 2]; endmodule", "PART_SELECT_PLUS", 1, ("+:", 1)),
+    ("module m; assign y = v[i -: <>]; endmodule", "PART_SELECT_MINUS", 2, ("]", 0)),
+    ("module m; assign v[<>] = 1; endmodule", "BIT_SELECT", 1, ("]", 0)),
+    ("module m; always @* case (<>) 1: ; endcase endmodule", "CASE_STMT", 0, (")", 0)),
+    ("module m; always @* case (s) <>: ; endcase endmodule", "CASE_ITEM", 0, (":", 0)),
+    ("module m; always @* case (s) 1, <>: ; endcase endmodule", "CASE_ITEM", 1, (":", 0)),
+    ("module m; sub u0 (.p(<>)); endmodule", "PORT_CONN", 0, None),
+    ("module m; sub u0 (<>, b); endmodule", "PORT_CONN", 0, (",", 0)),
+    ("module m; sub u0 (a, <>); endmodule", "PORT_CONN", 0, (")", 0)),
+    ("module m; sub #(<>) u0 (); endmodule", "PORT_CONN", 0, None),
+    ("module m; sub #(.N(<>)) u0 (); endmodule", "PORT_CONN", 0, None),
+    ("module m; assign y = f(<>, 1); endmodule", "FUNC_CALL", 0, (",", 0)),
+    ("module m; assign y = f(1, <>); endmodule", "FUNC_CALL", 1, (")", 0)),
+    ("module m; initial t(<>); endmodule", "TASK_CALL", 0, None),
+    ("module m; assign y = {<>, b}; endmodule", "CONCAT", 0, (",", 0)),
+    ("module m; assign y = {a, <>}; endmodule", "CONCAT", 1, ("}", 0)),
+    ("module m; assign y = {<>{a}}; endmodule", "REPEAT", 0, None),
+    ("module m; assign y = {2{<>}}; endmodule", "REPEAT", 1, ("}", 0)),
+    ("module m; assign y = {2{a, <>}}; endmodule", "REPEAT", 2, ("}", 0)),
+    ("module m; parameter P = <>; endmodule", "PARAM_DECL", 0, (";", 0)),
+    ("module m; localparam L = <>, M = 1; endmodule", "LOCAL_PARAM_DECL", 0, (",", 0)),
+    ("module m #(parameter P = <>) (); endmodule", "PARAM_DECL", 0, (")", 0)),
+    ("module m; wire w = <>; endmodule", "WIRE_DECL", 0, (";", 0)),
+    ("module m; reg r = <>, s; endmodule", "REG_DECL", 0, (",", 0)),
+    ("module m; integer i = <>; endmodule", "INTEGER_DECL", 0, (";", 0)),
+    ("module m; assign y = <>; endmodule", "CONTINUOUS_ASSIGN", 1, (";", 0)),
+    ("module m; initial y = <>; endmodule", "BLOCKING_ASSIGN", 1, (";", 0)),
+    ("module m; always @(posedge c) q <= <>; endmodule", "NONBLOCKING_ASSIGN", 1, (";", 0)),
+    ("module m; initial if (<>) ; endmodule", "IF_STMT", 0, (")", 0)),
+    ("module m; always @(posedge <>) ; endmodule", "EDGE_POSEDGE", 0, (")", 0)),
+    ("module m; always @(<>, b) ; endmodule", "LEVEL_SENSE", 0, (",", 0)),
+    ("module m; always @(a or <>) ; endmodule", "LEVEL_SENSE", 0, (")", 0)),
+    ("module m; assign y = a ? <> : c; endmodule", "TERNARY", 1, (":", 1)),
+    ("module m; assign y = a ? b : <>; endmodule", "TERNARY", 2, (";", 0)),
+    ("module m; assign y = <> ? b : c; endmodule", "TERNARY", 0, ("?", 1)),
+    ("module m; assign y = (<>) + 1; endmodule", "PLUS", 0, (")", 0)),
+    ("module m; assign y = <> + b; endmodule", "PLUS", 0, None),  # `+ b` is unary
+    ("module m; assign y = a + <>; endmodule", "PLUS", 1, (";", 0)),
+]
+
+
+class TestLoneOperands:
+    @pytest.mark.parametrize("template, parent, index, _", LONE_OPERAND_POSITIONS)
+    @pytest.mark.parametrize(
+        "operand, kind", [("x", "ID"), ("8'hff", "CONST"), ('"s"', "CONST"), ("\\e ", "ID")]
+    )
+    def test_lands_as_a_leaf(self, template, parent, index, _, operand, kind):
+        at = template.index("<>")
+        validity = classify(template.replace("<>", operand))
+        assert validity.is_parsed, validity.diagnostics
+        span = (at, at + len(operand.rstrip()))
+        hits = [
+            (node.kind.name, i, child.kind.name, child.name, child.value)
+            for node in iter_tree(validity.ast)
+            for i, child in enumerate(node.children)
+            if child.span == span and not child.children
+        ]
+        name, value = (operand.rstrip(), None) if kind == "ID" else (None, operand)
+        assert hits == [(parent, index, kind, name, value)]
+
+    @pytest.mark.parametrize("template, _p, _i, diagnostic", LONE_OPERAND_POSITIONS)
+    def test_missing_operand_diagnostic(self, template, _p, _i, diagnostic):
+        at = template.index("<>")
+        validity = classify(template.replace("<>", ""))
+        if diagnostic is None:
+            assert validity.is_parsed
+            return
+        found, start = diagnostic
+        assert validity.status is ValidityStatus.PARSE_FAIL
+        diag = validity.diagnostics[0]
+        assert diag.message == f"expected expression, found {found!r}"
+        assert diag.span == (at + start, at + start + len(found))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("module m; assign y = x", "expected ';'"),
+            ("module m; assign y = (x", "expected ')'"),
+            ("module m; assign y = v[x", "expected ']'"),
+            ("module m; assign y = {x", "expected '}'"),
+            ("module m; assign y = f(x", "expected ')'"),
+            ("module m; assign y = a ? x", "expected ':'"),
+        ],
+    )
+    def test_lone_operand_at_end_of_input(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(lex(text))
+        assert str(err.value) == f"{message}, found end of input"
+        assert err.value.span == (len(text), len(text))
+
+
+# Nesting just under, at and over the cap: the right-hand side of an assign
+# is one level, and so is each parenthesis, unary operator and ternary
+# branch.  Errors give (offset of the reported token from the start of the
+# right-hand side, its text).
+def _parens(k):
+    return "(" * k + "a" + ")" * k
+
+
+def _unaries(k):
+    return "- " * k + "a"
+
+
+def _else_chain(k):
+    return "c ? b : " * k + "e"
+
+
+def _then_chain(k):
+    return "c ? " * k + "b" + " : e" * k
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize(
+        "build, k, error",
+        [
+            (_parens, 127, None),
+            (_parens, 128, (128, "a")),  # the lone operand is level 129
+            (_parens, 129, (128, "(")),
+            (_unaries, 127, None),
+            (_unaries, 128, (254, "-")),  # the 128th operator
+            (_unaries, 129, (254, "-")),
+            (_else_chain, 127, None),
+            (_else_chain, 128, (1020, "b")),  # the then-branch of the 128th
+            (_else_chain, 129, (1020, "b")),
+            (_then_chain, 127, None),
+            (_then_chain, 128, (512, "b")),
+            (_then_chain, 129, (512, "c")),
+        ],
+    )
+    def test_boundary(self, build, k, error):
+        validity = classify(f"{ASSIGN_PREFIX}{build(k)}; endmodule")
+        if error is None:
+            assert validity.is_parsed
+            return
+        offset, text = error
+        start = len(ASSIGN_PREFIX) + offset
+        assert validity.diagnostics == (
+            validity.diagnostics[0].__class__("error", "nesting too deep", (start, start + 1)),
+        )
+        source = f"{ASSIGN_PREFIX}{build(k)}; endmodule"
+        assert source[start:].startswith(text)
+
+
+def _ids_are_unique(root):
+    seen = [id(node) for node in iter_tree(root)]
+    return len(seen) == len(set(seen))
+
+
+class TestNoSharedRawNodes:
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "module m; wire [3:0] a, b, c; endmodule",
+            "module m; reg signed [7:0] r [0:3], s [0:1], t; endmodule",
+            "module m; localparam [1:0] A = 1, B = 2; endmodule",
+            "module m(input [3:0] a, b, output [1:0] c, d); endmodule",
+            "module m #(parameter [3:0] P = 1, Q = 2) (); endmodule",
+            "module m; function f; input [3:0] a, b; f = a; endfunction endmodule",
+            "module m; sub #(.W(8), 2) u0 (a), u1 (b), u2 (.p(c)); endmodule",
+        ],
+    )
+    def test_multi_name_declarations_and_instances(self, src):
+        validity = classify(src)
+        assert validity.is_parsed, validity.diagnostics
+        assert _ids_are_unique(validity.ast)
+
+    def test_golden(self, golden_source):
+        assert _ids_are_unique(classify(golden_source).ast)

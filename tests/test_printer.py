@@ -51,6 +51,15 @@ def test_header_params_and_ansi_ports_exact_text():
     )
 
 
+def test_body_port_of_an_ansi_module_stays_in_the_body():
+    # only the ports declared in the header print in the header
+    src = "module m(input a); wire w; input b; endmodule"
+    printed = pretty_print(parse_source(src))
+    assert printed == "module m (input a);\n    wire w;\n    input b;\nendmodule\n"
+    assert clean(parse_source(printed)) == clean(parse_source(src))
+    assert pretty_print(parse_source(printed)) == printed
+
+
 def test_compound_expressions_fully_parenthesized():
     src = "module m(output y); assign y = 1 + 2 * 3 ? 4 : 5; endmodule"
     printed = pretty_print(parse_source(src))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_KINDS, random_clean_tree
+import vsr.trees
+from helpers import ALL_KINDS, SMALL_POOL, random_clean_tree
+from vsr.deadline import CHECK_EVERY, DeadlineExceeded
 from vsr.parser import classify
 from vsr.trees import (
     CleanNode,
@@ -116,6 +118,124 @@ class TestHashConsing:
         assert serialize(ca) == serialize(a) and serialize(cb) == serialize(b)
         assert tree_stats(ca) == tree_stats(a) and tree_stats(cb) == tree_stats(b)
         assert (ca is cb) == (ca == cb)
+
+
+def naive_clean(raw):
+    """`clean` as a plain recursive transcription, without a table."""
+    return CleanNode(raw.kind, tuple(naive_clean(c) for c in raw.children))
+
+
+def assert_maximally_shared(*roots):
+    """Equal subtrees anywhere under `roots` are one object."""
+    first_seen = {}
+    for root in roots:
+        for sub in iter_tree(root):
+            assert first_seen.setdefault(serialize(sub), sub) is sub
+
+
+def assert_keys_match_nodes(table):
+    for key, shared in table.items():
+        assert key == (id(shared.kind), *map(id, shared.children))
+
+
+# Raw trees with payloads that `clean` must drop, over a small kind pool so
+# equal subtrees are common.
+raw_trees = st.recursive(
+    st.tuples(st.sampled_from(SMALL_POOL), st.sampled_from([None, "a", "b"])).map(
+        lambda kn: RawNode(kn[0], [], kn[1], None, (), (0, 1))
+    ),
+    lambda kids: st.tuples(
+        st.sampled_from(SMALL_POOL), st.lists(kids, max_size=4), st.integers(0, 9)
+    ).map(lambda kks: RawNode(kks[0], kks[1], None, str(kks[2]), ("m",), (kks[2], 9))),
+    max_leaves=40,
+)
+
+
+def raw_chain(length):
+    """A chain of `length` raw nodes; each level has a key of its own."""
+    tip = RawNode(NodeKind.CONST, [], None, "1")
+    for _ in range(length - 1):
+        tip = RawNode(NodeKind.BLOCK, [tip])
+    return tip
+
+
+class TestCleanLoops:
+    @settings(max_examples=200)
+    @given(raw_trees)
+    def test_equals_naive_transcription_without_table(self, raw):
+        tree = clean(raw)
+        assert tree == naive_clean(raw)
+        assert serialize(tree) == serialize(naive_clean(raw))
+        assert_maximally_shared(tree)
+
+    @settings(max_examples=200)
+    @given(raw_trees, raw_trees)
+    def test_equals_naive_transcription_with_shared_table(self, a, b):
+        table = {}
+        ta, tb = clean(a, table), clean(b, table)
+        assert ta == naive_clean(a) and tb == naive_clean(b)
+        assert_maximally_shared(ta, tb)
+        assert_keys_match_nodes(table)
+        # a second pass over either tree adds nothing and returns the same object
+        size = len(table)
+        assert clean(a, table) is ta and clean(b, table) is tb
+        assert len(table) == size
+
+    def test_deep_chain_is_stack_safe(self):
+        tree = clean(raw_chain(10_000))
+        assert tree.depth == 10_000
+        assert serialize(tree) == "(Block " * 9_999 + "(Const)" + ")" * 9_999
+
+
+class TestCleanDeadlineChecks:
+    """Each of `clean`'s two passes checks the deadline on its own.
+
+    `check` is replaced by a recorder that notes the table size at each
+    call: the breadth-first pass runs while the table is still empty, and
+    on a chain the backward pass adds one entry per node.
+    """
+
+    LENGTH = 3 * CHECK_EVERY + 5
+
+    def run(self, monkeypatch, stop=lambda calls, size: False):
+        table = {}
+        sizes = []
+
+        def recorder(deadline):
+            sizes.append(len(table))
+            if stop(len(sizes), len(table)):
+                raise DeadlineExceeded("deadline passed")
+
+        monkeypatch.setattr(vsr.trees, "check", recorder)
+        raised = False
+        try:
+            clean(raw_chain(self.LENGTH), table)
+        except DeadlineExceeded:
+            raised = True
+        return raised, sizes, table
+
+    def test_breadth_first_pass_checks_every_interval(self, monkeypatch):
+        _, sizes, table = self.run(monkeypatch)
+        assert len(table) == self.LENGTH
+        assert sizes.count(0) >= self.LENGTH // CHECK_EVERY + 1
+
+    def test_breadth_first_pass_stops(self, monkeypatch):
+        calls = self.LENGTH // CHECK_EVERY
+        raised, sizes, table = self.run(monkeypatch, lambda n, _: n == calls)
+        assert raised and len(sizes) == calls
+        assert len(table) == 0  # stopped before anything was interned
+
+    def test_backward_pass_checks_every_interval(self, monkeypatch):
+        _, sizes, table = self.run(monkeypatch)
+        interned = [s for s in sizes if s] + [len(table)]
+        assert len(interned) >= self.LENGTH // CHECK_EVERY + 1
+        gaps = [b - a for a, b in zip([0, *interned], interned)]
+        assert max(gaps) <= CHECK_EVERY
+
+    def test_backward_pass_stops(self, monkeypatch):
+        raised, _, table = self.run(monkeypatch, lambda _, size: size > 0)
+        assert raised
+        assert 0 < len(table) <= CHECK_EVERY
 
 
 class TestSerialize:
