@@ -20,9 +20,12 @@ standard library alone, so both sides see the same texts:
 Each hash covers the `classify` status and diagnostics; every raw node's
 kind, name, value, mods, span and arity in preorder; `serialize(clean(ast))`;
 the `pretty_print` text; the `mutate` output for three kinds x three seeds;
-and the `reward` outcome in both modes against a reference (the file itself,
-the undamaged file, or the previous generated text).  Errors are hashed by
-type and message, so a changed diagnostic shows as a changed line.
+the `reward` outcome in both modes against a reference (the file itself, the
+undamaged file, or the previous generated text); and, when both sides
+parse, the `sim_ast_with_trace` score and match steps of that pair cleaned
+through one intern table, so a changed match shows even when the score does
+not.  Errors are hashed by type and message, so a changed diagnostic shows
+as a changed line.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate  # noqa
 from vsr.parser import classify  # noqa: E402
 from vsr.printer import PrintError, pretty_print  # noqa: E402
 from vsr.reward import reward  # noqa: E402
+from vsr.similarity import DepthLimitError, sim_ast_with_trace  # noqa: E402
 from vsr.trees import clean, iter_tree, serialize  # noqa: E402
 
 MUTATION_SEEDS = (1, 2, 3)
@@ -78,13 +82,19 @@ def fingerprint(text: str, ref: str) -> str:
             parts.append(_attempt(mutate, text, MutationSpec(kind, seed)))
     for mode in ("ast", "seq"):
         parts.append(_attempt(lambda: repr(reward(text, ref, mode=mode))))
+    ref_ast = validity.ast if ref == text else classify(ref).ast
+    if validity.ast is not None and ref_ast is not None:
+        table: dict = {}
+        ref_tree = clean(ref_ast, table)
+        gen_tree = clean(validity.ast, table)
+        parts.append(_attempt(lambda: repr(sim_ast_with_trace(gen_tree, ref_tree))))
     return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
 
 
 def _attempt(fn, *args) -> str:
     try:
         return str(fn(*args))
-    except (MutationError, PrintError, ValueError) as exc:
+    except (DepthLimitError, MutationError, PrintError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

@@ -4,12 +4,15 @@ Exit codes: 0 success, 1 domain error (unparsable input, bad file, bad
 values) or standard output closed early by its reader, 2 usage error.
 Floats print with six decimals everywhere so output is stable to diff
 against.  VSR_DEPTH_LIMIT overrides the tree depth limit for the
-similarity commands.
+similarity commands.  `vsr serve` sets the process's garbage-collector
+policy before it serves (see `_cmd_serve`); no other command or library
+call touches the collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -280,6 +283,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_body_bytes=args.max_body_bytes,
         depth_limit=_depth_limit_from_env(),
     )
+    # Scoring allocates GC-tracked objects (tokens, tree nodes, memo keys)
+    # much faster than it frees them and keeps them until the request ends,
+    # so under the default threshold the collector runs often and each pass
+    # rescans what the request has built so far.  The service therefore
+    # collects rarely; acyclic garbage is still freed at once by reference
+    # counting.  The policy is process-wide, so only `vsr serve` sets it:
+    # library callers own their process.  Freezing keeps the modules loaded
+    # so far out of every collection.
+    gc.freeze()
+    gc.set_threshold(100_000, 10, 10)
     if args.stdio:
         serve_stdio(config=config)
         return 0

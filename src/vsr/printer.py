@@ -76,6 +76,46 @@ _DECL_TEXT = {
     NodeKind.LOCAL_PARAM_DECL: "localparam",
 }
 
+_CASE_TEXT = {
+    NodeKind.CASE_STMT: "case",
+    NodeKind.CASEZ_STMT: "casez",
+    NodeKind.CASEX_STMT: "casex",
+}
+
+# The node kinds the printer tests, bound to module names as in the parser:
+# reading a member off an Enum class, as in `NodeKind.ID`, takes over 100 ns
+# on Python 3.11, and reading a module global a few.
+_ALWAYS = NodeKind.ALWAYS
+_BIT_SELECT = NodeKind.BIT_SELECT
+_BLOCK = NodeKind.BLOCK
+_BLOCKING_ASSIGN = NodeKind.BLOCKING_ASSIGN
+_CONCAT = NodeKind.CONCAT
+_CONST = NodeKind.CONST
+_CONTINUOUS_ASSIGN = NodeKind.CONTINUOUS_ASSIGN
+_EDGE_NEGEDGE = NodeKind.EDGE_NEGEDGE
+_EDGE_POSEDGE = NodeKind.EDGE_POSEDGE
+_FUNC_CALL = NodeKind.FUNC_CALL
+_FUNC_DECL = NodeKind.FUNC_DECL
+_ID = NodeKind.ID
+_IF_STMT = NodeKind.IF_STMT
+_INITIAL = NodeKind.INITIAL
+_INSTANCE = NodeKind.INSTANCE
+_MODULE_DEF = NodeKind.MODULE_DEF
+_NONBLOCKING_ASSIGN = NodeKind.NONBLOCKING_ASSIGN
+_NULL_STMT = NodeKind.NULL_STMT
+_PARAM_DECL = NodeKind.PARAM_DECL
+_PART_SELECT = NodeKind.PART_SELECT
+_PART_SELECT_MINUS = NodeKind.PART_SELECT_MINUS
+_PART_SELECT_PLUS = NodeKind.PART_SELECT_PLUS
+_PORT_REF = NodeKind.PORT_REF
+_REPEAT = NodeKind.REPEAT
+_SOURCE_UNIT = NodeKind.SOURCE_UNIT
+_STAR_SENSE = NodeKind.STAR_SENSE
+_TASK_CALL = NodeKind.TASK_CALL
+_TASK_DECL = NodeKind.TASK_DECL
+_TERNARY = NodeKind.TERNARY
+_WIDTH = NodeKind.WIDTH
+
 
 def _ident(name: str) -> str:
     # escaped identifiers must keep their trailing whitespace
@@ -84,37 +124,39 @@ def _ident(name: str) -> str:
 
 def _expr(node: RawNode) -> str:
     kind = node.kind
-    if kind is NodeKind.ID:
+    if kind is _ID:
         return _ident(node.name or "")
-    if kind is NodeKind.CONST:
+    if kind is _CONST:
         return node.value or ""
-    if kind in _BINARY_TEXT:
+    op = _BINARY_TEXT.get(kind)
+    if op is not None:
         a, b = node.children
-        return f"({_expr(a)} {_BINARY_TEXT[kind]} {_expr(b)})"
-    if kind in _UNARY_TEXT:
-        return f"({_UNARY_TEXT[kind]}{_expr(node.children[0])})"
-    if kind is NodeKind.TERNARY:
+        return f"({_expr(a)} {op} {_expr(b)})"
+    op = _UNARY_TEXT.get(kind)
+    if op is not None:
+        return f"({op}{_expr(node.children[0])})"
+    if kind is _TERNARY:
         c, t, e = node.children
         return f"({_expr(c)} ? {_expr(t)} : {_expr(e)})"
-    if kind is NodeKind.CONCAT:
+    if kind is _CONCAT:
         return "{" + ", ".join(_expr(c) for c in node.children) + "}"
-    if kind is NodeKind.REPEAT:
+    if kind is _REPEAT:
         count = _expr(node.children[0])
         items = ", ".join(_expr(c) for c in node.children[1:])
         return "{" + count + "{" + items + "}}"
-    if kind is NodeKind.BIT_SELECT:
+    if kind is _BIT_SELECT:
         target, index = node.children
         return f"{_expr(target)}[{_expr(index)}]"
-    if kind is NodeKind.PART_SELECT:
+    if kind is _PART_SELECT:
         target, msb, lsb = node.children
         return f"{_expr(target)}[{_expr(msb)}:{_expr(lsb)}]"
-    if kind is NodeKind.PART_SELECT_PLUS:
+    if kind is _PART_SELECT_PLUS:
         target, base, width = node.children
         return f"{_expr(target)}[{_expr(base)} +: {_expr(width)}]"
-    if kind is NodeKind.PART_SELECT_MINUS:
+    if kind is _PART_SELECT_MINUS:
         target, base, width = node.children
         return f"{_expr(target)}[{_expr(base)} -: {_expr(width)}]"
-    if kind is NodeKind.FUNC_CALL:
+    if kind is _FUNC_CALL:
         args = ", ".join(_expr(c) for c in node.children)
         return f"{_ident(node.name or '')}({args})"
     raise PrintError(f"not an expression node: {kind.value}")
@@ -132,21 +174,21 @@ def _decl(node: RawNode) -> str:
     joins its declarations with ', '.
     """
     kind = node.kind
-    words = []
-    if kind in _PORT_TEXT:
-        words.append(_PORT_TEXT[kind])
+    direction = _PORT_TEXT.get(kind)
+    if direction is not None:
+        words = [direction]
         if "reg" in node.mods:
             words.append("reg")
     else:
-        words.append(_DECL_TEXT[kind])
+        words = [_DECL_TEXT[kind]]
     if "signed" in node.mods:
         words.append("signed")
     kids = list(node.children)
-    if kids and kids[0].kind is NodeKind.WIDTH:
+    if kids and kids[0].kind is _WIDTH:
         words.append(_width(kids.pop(0)))
     words.append(_ident(node.name or ""))
     line = " ".join(words)
-    if kids and kids[0].kind is NodeKind.WIDTH:  # memory address range
+    if kids and kids[0].kind is _WIDTH:  # memory address range
         line += " " + _width(kids.pop(0))
     if kids:  # initializer
         line += " = " + _expr(kids.pop(0))
@@ -156,11 +198,11 @@ def _decl(node: RawNode) -> str:
 def _sens(node: RawNode) -> str:
     parts = []
     for item in node.children:
-        if item.kind is NodeKind.STAR_SENSE:
+        if item.kind is _STAR_SENSE:
             parts.append("*")
-        elif item.kind is NodeKind.EDGE_POSEDGE:
+        elif item.kind is _EDGE_POSEDGE:
             parts.append("posedge " + _expr(item.children[0]))
-        elif item.kind is NodeKind.EDGE_NEGEDGE:
+        elif item.kind is _EDGE_NEGEDGE:
             parts.append("negedge " + _expr(item.children[0]))
         else:
             parts.append(_expr(item.children[0]))
@@ -178,31 +220,27 @@ class _Emitter:
 
     def stmt(self, node: RawNode, indent: int) -> None:
         kind = node.kind
-        if kind is NodeKind.BLOCK:
+        if kind is _BLOCK:
             head = "begin" if node.name is None else f"begin : {_ident(node.name)}"
             self.line(indent, head)
             for child in node.children:
                 self.stmt(child, indent + 1)
             self.line(indent, "end")
-        elif kind is NodeKind.BLOCKING_ASSIGN:
+        elif kind is _BLOCKING_ASSIGN:
             lhs, rhs = node.children
             self.line(indent, f"{_expr(lhs)} = {_expr(rhs)};")
-        elif kind is NodeKind.NONBLOCKING_ASSIGN:
+        elif kind is _NONBLOCKING_ASSIGN:
             lhs, rhs = node.children
             self.line(indent, f"{_expr(lhs)} <= {_expr(rhs)};")
-        elif kind is NodeKind.IF_STMT:
+        elif kind is _IF_STMT:
             cond = node.children[0]
             self.line(indent, f"if ({_expr(cond)})")
             self.stmt(node.children[1], indent + 1)
             if len(node.children) == 3:
                 self.line(indent, "else")
                 self.stmt(node.children[2], indent + 1)
-        elif kind in (NodeKind.CASE_STMT, NodeKind.CASEZ_STMT, NodeKind.CASEX_STMT):
-            word = {
-                NodeKind.CASE_STMT: "case",
-                NodeKind.CASEZ_STMT: "casez",
-                NodeKind.CASEX_STMT: "casex",
-            }[kind]
+        elif kind in _CASE_TEXT:
+            word = _CASE_TEXT[kind]
             self.line(indent, f"{word} ({_expr(node.children[0])})")
             for item in node.children[1:]:
                 labels = item.children[:-1]
@@ -212,9 +250,9 @@ class _Emitter:
                     self.line(indent + 1, "default:")
                 self.stmt(item.children[-1], indent + 2)
             self.line(indent, "endcase")
-        elif kind is NodeKind.NULL_STMT:
+        elif kind is _NULL_STMT:
             self.line(indent, ";")
-        elif kind is NodeKind.TASK_CALL:
+        elif kind is _TASK_CALL:
             if node.children:
                 args = ", ".join(_expr(c) for c in node.children)
                 self.line(indent, f"{_ident(node.name or '')}({args});")
@@ -229,17 +267,17 @@ class _Emitter:
         kind = node.kind
         if kind in _PORT_TEXT or kind in _DECL_TEXT:
             self.line(indent, _decl(node) + ";")
-        elif kind is NodeKind.CONTINUOUS_ASSIGN:
+        elif kind is _CONTINUOUS_ASSIGN:
             lhs, rhs = node.children
             self.line(indent, f"assign {_expr(lhs)} = {_expr(rhs)};")
-        elif kind is NodeKind.ALWAYS:
+        elif kind is _ALWAYS:
             sens, stmt = node.children
             self.line(indent, f"always {_sens(sens)}")
             self.stmt(stmt, indent + 1)
-        elif kind is NodeKind.INITIAL:
+        elif kind is _INITIAL:
             self.line(indent, "initial")
             self.stmt(node.children[0], indent + 1)
-        elif kind is NodeKind.INSTANCE:
+        elif kind is _INSTANCE:
             params = [c for c in node.children if "param" in c.mods]
             conns = [c for c in node.children if "param" not in c.mods]
             text = _ident(node.value or "")
@@ -248,7 +286,7 @@ class _Emitter:
             text += f" {_ident(node.name or '')} ("
             text += ", ".join(self._conn(c) for c in conns) + ");"
             self.line(indent, text)
-        elif kind is NodeKind.FUNC_DECL:
+        elif kind is _FUNC_DECL:
             head = "function"
             if "automatic" in node.mods:
                 head += " automatic"
@@ -258,14 +296,14 @@ class _Emitter:
                 if word in node.mods:
                     head += " " + word
             kids = list(node.children)
-            if kids and kids[0].kind is NodeKind.WIDTH:
+            if kids and kids[0].kind is _WIDTH:
                 head += " " + _width(kids.pop(0))
             self.line(indent, f"{head} {_ident(node.name or '')};")
             for decl in kids[:-1]:
                 self.item(decl, indent + 1)
             self.stmt(kids[-1], indent + 1)
             self.line(indent, "endfunction")
-        elif kind is NodeKind.TASK_DECL:
+        elif kind is _TASK_DECL:
             head = "task"
             if "automatic" in node.mods:
                 head += " automatic"
@@ -291,12 +329,12 @@ class _Emitter:
     # ---- Modules ----
 
     def module(self, node: RawNode) -> None:
-        params = [c for c in node.children if "header" in c.mods and c.kind is NodeKind.PARAM_DECL]
+        params = [c for c in node.children if "header" in c.mods and c.kind is _PARAM_DECL]
         if "ansi" in node.mods:
             # a port declared in the body of an ANSI module stays there
             ports = [c for c in node.children if "header" in c.mods and c.kind in _PORT_TEXT]
         else:
-            ports = [c for c in node.children if c.kind is NodeKind.PORT_REF]
+            ports = [c for c in node.children if c.kind is _PORT_REF]
         header_ids = {id(c) for c in params + ports}
         body = [c for c in node.children if id(c) not in header_ids]
 
@@ -319,12 +357,12 @@ def pretty_print(node: RawNode) -> str:
     if tree_stats(node).depth > _MAX_PRINT_DEPTH:
         raise PrintError("tree too deep to print")
     emitter = _Emitter()
-    if node.kind is NodeKind.SOURCE_UNIT:
+    if node.kind is _SOURCE_UNIT:
         for index, module in enumerate(node.children):
             if index:
                 emitter.lines.append("")
             emitter.module(module)
-    elif node.kind is NodeKind.MODULE_DEF:
+    elif node.kind is _MODULE_DEF:
         emitter.module(node)
     else:
         raise PrintError(f"expected SourceUnit or ModuleDef, got {node.kind.value}")

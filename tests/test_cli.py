@@ -1,11 +1,23 @@
+import gc
+import io
 import json
 import subprocess
 import sys
+import threading
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 from helpers import chain_module, wide_module
+from vsr import cli
+from vsr.service import (
+    ServiceConfig,
+    create_http_server,
+    evaluate,
+    handle_line,
+    serve_stdio,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -323,6 +335,56 @@ class TestServeCommand:
         proc = vsr("serve", "--http", "noport")
         assert proc.returncode == 1
         assert "HOST:PORT" in proc.stderr
+
+
+@pytest.fixture()
+def gc_state():
+    """The collector's threshold and freeze count, put back after the test."""
+    threshold, frozen = gc.get_threshold(), gc.get_freeze_count()
+    yield threshold, frozen
+    gc.set_threshold(*threshold)
+    if not frozen:
+        gc.unfreeze()
+
+
+class TestCollectorPolicy:
+    """Only `vsr serve` sets the process-wide collector policy; the library
+    and the service's in-process entry points leave it alone."""
+
+    def test_library_and_service_calls_leave_the_collector_alone(self, gc_state):
+        request = {"id": 1, "ref": SIMPLE, "gen": SIMPLE}
+        line = json.dumps(request)
+        assert evaluate(request)["reward"] == 10.0
+        assert len(handle_line(json.dumps({"batch": [request, request]}))) == 2
+        out = io.StringIO()
+        serve_stdio(io.StringIO(line + "\n"), out)
+        assert json.loads(out.getvalue())["reward"] == 10.0
+        server = create_http_server("127.0.0.1", 0, ServiceConfig())
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}/v1/reward"
+            post = urllib.request.Request(url, data=line.encode(), method="POST")
+            with urllib.request.urlopen(post, timeout=10) as resp:
+                assert json.loads(resp.read())["reward"] == 10.0
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert (gc.get_threshold(), gc.get_freeze_count()) == gc_state
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [(["serve", "--stdio"], "serve_stdio"), (["serve", "--http", "127.0.0.1:0"], "serve_http")],
+    )
+    def test_serve_sets_the_policy_before_serving(self, gc_state, monkeypatch, argv, target):
+        seen = []
+        monkeypatch.setattr(
+            cli, target, lambda *a, **k: seen.append((gc.get_threshold(), gc.get_freeze_count()))
+        )
+        assert cli.main(argv) == 0
+        [(threshold, frozen)] = seen
+        assert threshold == (100_000, 10, 10) != gc_state[0]
+        assert frozen > 0
 
 
 class TestClosedOutput:

@@ -338,11 +338,65 @@ class TestLeafPathBound:
             _, steps = sim_ast_with_trace(x, y)
             assert [(s.left, s.right, s.score) for s in steps] == naive_greedy_trace(x, y)
 
-    def test_wide_pair_scores_under_a_third_of_the_candidates(self, wide_pair):
+    def test_wide_pair_scores_under_an_eighth_of_the_candidates(self, wide_pair):
         g, r = wide_pair
         rows, cols = len(g.children[0].children), len(r.children[0].children)
         assert rows >= 150 and cols >= 150
-        assert len(_greedy_scores(g, r)) < rows * cols / 3
+        assert len(_greedy_scores(g, r)) < rows * cols / 8
+
+
+def tie_row_pair(seed):
+    """Two rows of 1-25 same-kind items that tie often.
+
+    Items come from a few variants (a base item, or the base with one local
+    edit).  Each draw is the variant object itself (a shared duplicate), a
+    recursively reordered copy of it (equal up to order, so it scores like
+    the variant without being the same object), or a fresh random item.
+    """
+    rng = random.Random(seed)
+
+    def item():
+        return node(Q, *(random_clean_tree(rng, max_depth=3) for _ in range(rng.randint(1, 3))))
+
+    bases = [item() for _ in range(rng.randint(1, 3))]
+    variants = bases + [perturb_somewhere(rng.choice(bases), rng) for _ in range(3)]
+
+    def row():
+        kids = []
+        for _ in range(rng.randint(1, 25)):
+            pick = rng.random()
+            if pick < 0.4:
+                kids.append(rng.choice(variants))
+            elif pick < 0.8:
+                kids.append(permute_tree(rng.choice(variants), rng))
+            else:
+                kids.append(item())
+        return node(P, *kids)
+
+    return row(), row(), rng
+
+
+class TestBestBoundFirstRows:
+    """A row scores its deferred candidates highest bound first, but must
+    still choose the first column with the highest score, on shared,
+    interned and unshared trees alike."""
+
+    def check(self, a, b):
+        want = naive_sim_ast(a, b)
+        assert sim_ast(a, b) == want
+        score, steps = sim_ast_with_trace(a, b)
+        assert score == want
+        assert [(s.left, s.right, s.score) for s in steps] == naive_greedy_trace(a, b)
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_tied_rows_match_the_naive_greedy_choice(self, block):
+        for seed in range(block * 50, block * 50 + 50):
+            a, b, rng = tie_row_pair(seed)
+            table = {}
+            interned = clean(as_raw(a, rng), table), clean(as_raw(b, rng), table)
+            for x, y in ((a, b), interned, (unshared(a), unshared(b))):
+                self.check(x, y)
+                self.check(y, x)
 
 
 class TestDepthLimit:
