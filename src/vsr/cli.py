@@ -6,7 +6,8 @@ Floats print with six decimals everywhere so output is stable to diff
 against.  VSR_DEPTH_LIMIT overrides the tree depth limit for the
 similarity commands.  `vsr serve` sets the process's garbage-collector
 policy before it serves (see `_cmd_serve`); no other command or library
-call touches the collector.
+call touches the collector.  The corpus and metrics commands import their
+modules when they run, so starting any other command never loads them.
 """
 
 from __future__ import annotations
@@ -18,19 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from vsr.corpus import (
-    CorpusFormatError,
-    FilterConfig,
-    MutationError,
-    MutationKind,
-    MutationSpec,
-    corpus_stats,
-    curate,
-    ingest,
-    mutate,
-)
 from vsr.lexer import LexError, lex
-from vsr.metrics import aggregate_pass_at_k, hit_at_k, pass_at_k, read_outcomes
 from vsr.parser import ParseError, ValidityStatus, classify
 from vsr.reward import ReferenceParseError, ReferenceTooDeepError, reward
 from vsr.service import ServiceConfig, serve_http, serve_stdio
@@ -177,6 +166,8 @@ def _cmd_reward(args: argparse.Namespace) -> int:
 
 
 def _cmd_passk(args: argparse.Namespace) -> int:
+    from vsr.metrics import pass_at_k
+
     try:
         value = pass_at_k(args.n, args.c, args.k)
     except ValueError as exc:
@@ -196,6 +187,8 @@ def _parse_k_list(raw: str) -> list[int]:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from vsr.metrics import aggregate_pass_at_k, hit_at_k, read_outcomes
+
     try:
         outcomes = read_outcomes(args.file)
     except (OSError, ValueError) as exc:
@@ -220,11 +213,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.corpus_cmd == "mutate":
         return _cmd_corpus_mutate(args)
+    from vsr.corpus import CorpusFormatError, FilterConfig, corpus_stats, curate, ingest
+
+    try:
+        cfg = FilterConfig(max_tokens=args.max_tokens, tokenizer=args.tokenizer)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
     try:
         records = ingest(args.file)
     except (OSError, CorpusFormatError) as exc:
         raise _CliError(f"{args.file}: {exc}") from exc
-    cfg = FilterConfig(max_tokens=args.max_tokens, tokenizer=args.tokenizer)
     kept, dropped = curate(records, cfg)
     if args.corpus_cmd == "filter":
         if args.out:
@@ -256,16 +254,19 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
+# flag -> `MutationKind` member name, looked up when the command runs
 _MUTATION_BY_FLAG = {
-    "reorder": MutationKind.REORDER_TOP_ITEMS,
-    "rename": MutationKind.RENAME_IDENTIFIERS,
-    "constants": MutationKind.REWRITE_CONSTANTS,
+    "reorder": "REORDER_TOP_ITEMS",
+    "rename": "RENAME_IDENTIFIERS",
+    "constants": "REWRITE_CONSTANTS",
 }
 
 
 def _cmd_corpus_mutate(args: argparse.Namespace) -> int:
+    from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate
+
     text = _read_text(args.file)
-    spec = MutationSpec(kind=_MUTATION_BY_FLAG[args.kind], seed=args.seed)
+    spec = MutationSpec(kind=MutationKind[_MUTATION_BY_FLAG[args.kind]], seed=args.seed)
     try:
         mutated = mutate(text, spec)
     except MutationError as exc:
@@ -283,6 +284,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_body_bytes=args.max_body_bytes,
         depth_limit=_depth_limit_from_env(),
     )
+    if args.http:
+        host, _, port_text = args.http.rpartition(":")
+        if not host:
+            raise _CliError(f"--http expects HOST:PORT, got {args.http!r}")
+        try:
+            port = int(port_text)
+        except ValueError:
+            raise _CliError(f"--http expects a numeric port, got {port_text!r}")
+        if not 0 <= port <= 65535:
+            raise _CliError(f"--http expects a port in 0-65535, got {port}")
+        import http.server  # noqa: F401  (loaded now, so the freeze below keeps it)
     # Scoring allocates GC-tracked objects (tokens, tree nodes, memo keys)
     # much faster than it frees them and keeps them until the request ends,
     # so under the default threshold the collector runs often and each pass
@@ -290,19 +302,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # collects rarely; acyclic garbage is still freed at once by reference
     # counting.  The policy is process-wide, so only `vsr serve` sets it:
     # library callers own their process.  Freezing keeps the modules loaded
-    # so far out of every collection.
+    # so far out of every collection: the scoring path, which this module
+    # imports through `vsr.service`, and `http.server` for --http.
     gc.freeze()
     gc.set_threshold(100_000, 10, 10)
     if args.stdio:
         serve_stdio(config=config)
         return 0
-    host, _, port_text = args.http.rpartition(":")
-    if not host:
-        raise _CliError(f"--http expects HOST:PORT, got {args.http!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise _CliError(f"--http expects a numeric port, got {port_text!r}")
     try:
         serve_http(host, port, config)
     except OSError as exc:

@@ -35,12 +35,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 from vsr.deadline import DeadlineExceeded
 from vsr.reward import ReferenceParseError, ReferenceTooDeepError, reward
 from vsr.similarity import DEFAULT_DEPTH_LIMIT
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 STATUS_REFERENCE_ERROR = "reference_error"
 
@@ -183,7 +185,10 @@ def serve_stdio(
         out.flush()
 
 
-class _RewardHandler(BaseHTTPRequestHandler):
+class _RewardHandler:
+    """The HTTP routes.  `create_http_server` mixes this into
+    `http.server.BaseHTTPRequestHandler`, so only the HTTP path imports it."""
+
     protocol_version = "HTTP/1.1"
 
     def log_message(self, fmt: str, *args) -> None:
@@ -238,7 +243,12 @@ def create_http_server(
     host: str, port: int, config: ServiceConfig = ServiceConfig()
 ) -> ThreadingHTTPServer:
     """Bound but not yet serving; callers drive serve_forever themselves."""
-    server = ThreadingHTTPServer((host, port), _RewardHandler)
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class Handler(_RewardHandler, BaseHTTPRequestHandler):
+        pass
+
+    server = ThreadingHTTPServer((host, port), Handler)
     server.daemon_threads = True
     server.config = config  # type: ignore[attr-defined]
     return server

@@ -276,6 +276,16 @@ class TestCorpusCommand:
             for cell in cells:
                 assert len(cell.split(".")[1]) == 6
 
+    @pytest.mark.parametrize("command", ["filter", "stats"])
+    @pytest.mark.parametrize("max_tokens", ["0", "-3"])
+    def test_bad_max_tokens_is_a_message_not_a_traceback(
+        self, corpus_file, command, max_tokens
+    ):
+        proc = vsr("corpus", command, corpus_file, "--max-tokens", max_tokens)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"vsr: max_tokens must be >= 1, got {max_tokens}\n"
+
     def test_mutate_roundtrip(self, tmp_path):
         src = tmp_path / "m.v"
         src.write_text(SIMPLE)
@@ -331,10 +341,20 @@ class TestServeCommand:
         proc = vsr("serve")
         assert proc.returncode == 2
 
-    def test_bad_http_spec(self):
-        proc = vsr("serve", "--http", "noport")
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            pytest.param("noport", "HOST:PORT", id="noport"),
+            pytest.param("127.0.0.1:70000", "0-65535", id="port_too_big"),
+            pytest.param("127.0.0.1:-1", "0-65535", id="port_negative"),
+        ],
+    )
+    def test_bad_http_spec(self, spec, message):
+        proc = vsr("serve", "--http", spec)
         assert proc.returncode == 1
-        assert "HOST:PORT" in proc.stderr
+        assert proc.stderr.startswith("vsr: --http ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture()
