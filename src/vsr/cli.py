@@ -294,7 +294,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise _CliError(f"--http expects a numeric port, got {port_text!r}")
         if not 0 <= port <= 65535:
             raise _CliError(f"--http expects a port in 0-65535, got {port}")
-        import http.server  # noqa: F401  (loaded now, so the freeze below keeps it)
+        import socketserver  # noqa: F401  (loaded now, so the freeze below keeps it)
     # Scoring allocates GC-tracked objects (tokens, tree nodes, memo keys)
     # much faster than it frees them and keeps them until the request ends,
     # so under the default threshold the collector runs often and each pass
@@ -303,7 +303,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # counting.  The policy is process-wide, so only `vsr serve` sets it:
     # library callers own their process.  Freezing keeps the modules loaded
     # so far out of every collection: the scoring path, which this module
-    # imports through `vsr.service`, and `http.server` for --http.
+    # imports through `vsr.service`, and `socketserver` for --http.
     gc.freeze()
     gc.set_threshold(100_000, 10, 10)
     if args.stdio:

@@ -27,6 +27,31 @@ cooperative: the scoring loops check the deadline as they go (see
 A batch (a stdio {"batch": [...]} line or a /v1/reward/batch body) gets a
 fresh reference memo (see `vsr.reward`), so each distinct reference in it is
 prepared once; an entry is dropped after the batch's last item using it.
+
+HTTP framing.  The server is a `socketserver.ThreadingTCPServer`, one thread
+per connection, and the handler runs the HTTP/1.1 keep-alive loop itself;
+nothing from `http.server`, `http.client` or `email` is loaded.  Per request:
+
+  - a request line `METHOD TARGET HTTP/1.1` (or `HTTP/1.0`) and at most 100
+    header lines, each at most 64 KiB; CR LF lines before a request line
+    are skipped;
+  - a body framed by exactly one all-digit Content-Length, at most
+    `max_body_bytes`; Transfer-Encoding is refused;
+  - `Expect: 100-continue` is answered with `HTTP/1.1 100 Continue` just
+    before the body is read;
+  - every response is `HTTP/1.1 <status>` with Date, Content-Type
+    (application/json) and Content-Length headers and a JSON body; an error
+    body is {"error": message}.
+
+The connection stays open after each answer unless the client is HTTP/1.0,
+sent `Connection: close`, or the request was refused before its body was
+read (a bad request line, version or header, a missing or bad
+Content-Length, Transfer-Encoding, an unknown POST path, a method other than
+GET and POST, or a body over the cap; a GET with a body is answered, then
+closed).  Those responses carry `Connection: close`, and the server closes
+the connection after them.  Statuses: 200, 400 (bad framing, malformed JSON,
+a batch body that is not an array), 404, 411, 413, 414 and 431 (line or
+header count over the caps), 501 (method) and 505 (version).
 """
 
 from __future__ import annotations
@@ -42,7 +67,7 @@ from vsr.reward import ReferenceParseError, ReferenceTooDeepError, reward
 from vsr.similarity import DEFAULT_DEPTH_LIMIT
 
 if TYPE_CHECKING:
-    from http.server import ThreadingHTTPServer
+    from socketserver import ThreadingTCPServer
 
 STATUS_REFERENCE_ERROR = "reference_error"
 
@@ -157,7 +182,7 @@ def handle_line(line: str, config: ServiceConfig = ServiceConfig()) -> list[dict
     """Responses for one stdio input line, in request order."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         return [_error_response(None, f"invalid JSON: {exc}")]
     if isinstance(obj, dict) and "batch" in obj:
         batch = obj["batch"]
@@ -185,71 +210,174 @@ def serve_stdio(
         out.flush()
 
 
+# Caps on one request or header line and on the header count, as in http.server.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    411: "Length Required",
+    413: "Content Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
+    501: "Not Implemented",
+    505: "HTTP Version Not Supported",
+}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "", "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+_BLANK = (b"\r\n", b"\n")
+
+
+def _http_date() -> str:
+    """The current time as an RFC 9110 IMF-fixdate, locale-independent."""
+    t = time.gmtime()
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon]} {t.tm_year} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+
+
 class _RewardHandler:
-    """The HTTP routes.  `create_http_server` mixes this into
-    `http.server.BaseHTTPRequestHandler`, so only the HTTP path imports it."""
+    """The HTTP/1.1 keep-alive loop and its routes.  `create_http_server`
+    mixes this into `socketserver.StreamRequestHandler`, so only the HTTP
+    path imports socketserver; `rfile` is buffered and each `wfile.write`
+    is one unbuffered send."""
 
-    protocol_version = "HTTP/1.1"
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except OSError:
+            pass  # the client went away; there is no one to answer
 
-    def log_message(self, fmt: str, *args) -> None:
-        pass  # keep stderr clean under test and batch use
-
-    def _send_json(self, status_code: int, payload) -> None:
+    def _send(self, status: int, payload, close: bool) -> bool:
+        """Answer with a JSON body; whether the connection stays open."""
         body = _encode(payload).encode("utf-8")
-        self.send_response(status_code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
+        head = (
+            f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+            f"Date: {_http_date()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + ("Connection: close\r\n\r\n" if close else "\r\n")
+        )
+        # Two sends with Nagle's algorithm on, so the body waits for the
+        # client's ACK of the head.  One send would end that wait; it is
+        # parked (ROADMAP: "HTTP responses wait about 40 ms each").
+        self.wfile.write(head.encode("ascii"))
         self.wfile.write(body)
+        return not close
 
-    def do_GET(self) -> None:
-        if self.path == "/healthz":
-            from vsr import __version__
+    def _refuse(self, status: int, message: str) -> bool:
+        # Sent before the request's body is read, so the rest of the stream
+        # cannot be framed: answer, then close.
+        return self._send(status, {"error": message}, close=True)
 
-            self._send_json(200, {"status": "ok", "version": __version__})
+    def _serve_one(self) -> bool:
+        """Read and answer one request; whether the connection stays open."""
+        rfile = self.rfile
+        line = rfile.readline(_MAX_LINE + 1)
+        while line in _BLANK:  # RFC 9112 2.2: ignore CRLF before a request
+            line = rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False
+        if len(line) > _MAX_LINE:
+            return self._refuse(414, f"request line exceeds {_MAX_LINE} bytes")
+        words = line.split()
+        if len(words) != 3:
+            return self._refuse(400, "malformed request line")
+        method, target, version = words
+        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+            if not version.startswith(b"HTTP/"):
+                return self._refuse(400, "malformed request line")
+            return self._refuse(505, f"unsupported version {version.decode('latin-1')}")
+
+        lengths = []
+        keep_alive = version == b"HTTP/1.1"
+        expect_continue = transfer_encoding = False
+        for _ in range(_MAX_HEADERS + 1):
+            line = rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                return self._refuse(431, f"header line exceeds {_MAX_LINE} bytes")
+            if line in _BLANK:
+                break
+            if not line:
+                return False
+            name, colon, value = line.partition(b":")
+            if not colon:
+                return self._refuse(400, "malformed header line")
+            name = name.strip().lower()
+            if name == b"content-length":
+                lengths.append(value.strip())
+            elif name == b"connection":
+                if b"close" in (t.strip() for t in value.lower().split(b",")):
+                    keep_alive = False
+            elif name == b"expect":
+                expect_continue = value.strip().lower() == b"100-continue"
+            elif name == b"transfer-encoding":
+                transfer_encoding = True
         else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
+            return self._refuse(431, f"more than {_MAX_HEADERS} headers")
 
-    def do_POST(self) -> None:
+        if transfer_encoding:
+            return self._refuse(411, "Transfer-Encoding is not supported; send Content-Length")
+        length = None
+        if lengths:
+            # Exactly one, all digits; 19 digits would already be an exabyte.
+            if len(lengths) > 1 or not lengths[0].isdigit() or len(lengths[0]) > 18:
+                return self._refuse(400, "missing or invalid Content-Length")
+            length = int(lengths[0])
+        path = target.decode("latin-1")
+        if method == b"GET":
+            close = not keep_alive or bool(length)  # a GET's body is not read
+            if path == "/healthz":
+                from vsr import __version__
+
+                return self._send(200, {"status": "ok", "version": __version__}, close)
+            return self._send(404, {"error": f"unknown path {path}"}, close)
+        if method != b"POST":
+            return self._refuse(501, f"unsupported method {method.decode('latin-1')}")
+        if path not in ("/v1/reward", "/v1/reward/batch"):
+            return self._refuse(404, f"unknown path {path}")
+        if length is None:
+            return self._refuse(400, "missing or invalid Content-Length")
         config: ServiceConfig = self.server.config  # type: ignore[attr-defined]
-        if self.path not in ("/v1/reward", "/v1/reward/batch"):
-            self._send_json(404, {"error": f"unknown path {self.path}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self._send_json(400, {"error": "missing or invalid Content-Length"})
-            return
         if length > config.max_body_bytes:
-            self._send_json(
-                413, {"error": f"body exceeds {config.max_body_bytes} bytes"}
-            )
-            return
+            return self._refuse(413, f"body exceeds {config.max_body_bytes} bytes")
+        if expect_continue and version == b"HTTP/1.1":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        data = rfile.read(length)
+        if len(data) < length:
+            return False  # the client closed mid-body
+        close = not keep_alive
         try:
-            obj = json.loads(self.rfile.read(length))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._send_json(400, {"error": f"invalid JSON: {exc}"})
-            return
-        if self.path == "/v1/reward":
-            self._send_json(200, _evaluate_with_timeout(obj, config))
-        else:
-            if not isinstance(obj, list):
-                self._send_json(400, {"error": "batch body must be a JSON array"})
-                return
-            self._send_json(200, _evaluate_batch(obj, config))
+            obj = json.loads(data)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            return self._send(400, {"error": f"invalid JSON: {exc}"}, close)
+        if path == "/v1/reward":
+            return self._send(200, _evaluate_with_timeout(obj, config), close)
+        if not isinstance(obj, list):
+            return self._send(400, {"error": "batch body must be a JSON array"}, close)
+        return self._send(200, _evaluate_batch(obj, config), close)
 
 
 def create_http_server(
     host: str, port: int, config: ServiceConfig = ServiceConfig()
-) -> ThreadingHTTPServer:
+) -> ThreadingTCPServer:
     """Bound but not yet serving; callers drive serve_forever themselves."""
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+    from socketserver import StreamRequestHandler, ThreadingTCPServer
 
-    class Handler(_RewardHandler, BaseHTTPRequestHandler):
+    class Handler(_RewardHandler, StreamRequestHandler):
         pass
 
-    server = ThreadingHTTPServer((host, port), Handler)
-    server.daemon_threads = True
+    class Server(ThreadingTCPServer):
+        allow_reuse_address = True
+        daemon_threads = True
+
+    server = Server((host, port), Handler)
     server.config = config  # type: ignore[attr-defined]
     return server
 

@@ -1,6 +1,9 @@
+import contextlib
 import importlib
 import io
 import json
+import re
+import socket
 import threading
 import time
 import urllib.error
@@ -204,13 +207,17 @@ class TestStdio:
         assert held == [[], [REF], [REF, REF2], [REF2], [REF2], [REF2]]
 
     def test_malformed_line_yields_error_response(self):
-        out = self.run_lines("{nope", json.dumps({"id": 1, "ref": REF, "gen": GEN}))
-        first = json.loads(out[0])
-        assert first["id"] is None
-        assert first["status"] == "reference_error"
-        assert "invalid JSON" in first["error"]
+        # Nesting past the decoder's recursion limit is malformed too.
+        out = self.run_lines(
+            "{nope", "[" * 100_000, json.dumps({"id": 1, "ref": REF, "gen": GEN})
+        )
+        for line in out[:2]:
+            first = json.loads(line)
+            assert first["id"] is None
+            assert first["status"] == "reference_error"
+            assert "invalid JSON" in first["error"]
         # the loop survived and served the next request
-        assert json.loads(out[1])["status"] == "parsed"
+        assert json.loads(out[2])["status"] == "parsed"
 
     def test_bad_batch_field(self):
         out = self.run_lines(json.dumps({"batch": "nope"}))
@@ -235,14 +242,25 @@ class TestStdio:
         assert [json.dumps(r) for r in direct] == looped
 
 
+@contextlib.contextmanager
+def serving(config=ServiceConfig()):
+    """A running HTTP server on a free port; yields the port."""
+    server = create_http_server("127.0.0.1", 0, config)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture()
 def http_server():
-    server = create_http_server("127.0.0.1", 0, ServiceConfig())
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    with serving() as port:
+        yield f"http://127.0.0.1:{port}"
 
 
 def http_post(base, path, body: bytes):
@@ -325,20 +343,11 @@ class TestHttp:
         assert err.value.code == 404
 
     def test_oversized_body_is_413(self):
-        server = create_http_server(
-            "127.0.0.1", 0, ServiceConfig(max_body_bytes=100)
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base = f"http://127.0.0.1:{server.server_address[1]}"
+        with serving(ServiceConfig(max_body_bytes=100)) as port:
             body = json.dumps({"ref": "x" * 500, "gen": "y"}).encode()
-            status, payload = http_post(base, "/v1/reward", body)
-            assert status == 413
-            assert "exceeds" in json.loads(payload)["error"]
-        finally:
-            server.shutdown()
-            server.server_close()
+            status, payload = http_post(f"http://127.0.0.1:{port}", "/v1/reward", body)
+        assert status == 413
+        assert "exceeds" in json.loads(payload)["error"]
 
     def test_response_bytes_match_stdio(self, http_server):
         requests = [
@@ -355,6 +364,211 @@ class TestHttp:
                 http_server, "/v1/reward", line.encode("utf-8")
             )
             assert stdio_out.getvalue().strip().encode("utf-8") == http_body
+
+
+def exchange(port: int, data: bytes, end_input: bool = False) -> bytes:
+    """Send raw bytes on a fresh connection, then end our side of it if
+    `end_input`, and read until the server closes it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        if end_input:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def split_responses(raw: bytes) -> list[tuple[int, dict, bytes]]:
+    """(status, lower-cased headers, body) for each response in a byte stream."""
+    out = []
+    while raw:
+        head, sep, raw = raw.partition(b"\r\n\r\n")
+        assert sep, f"truncated response head {head!r}"
+        status_line, *lines = head.decode("ascii").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        assert len(raw) >= length, "truncated response body"
+        out.append((int(status_line.split()[1]), headers, raw[:length]))
+        raw = raw[length:]
+    return out
+
+
+def post_bytes(body: bytes, path="/v1/reward", headers="") -> bytes:
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: x\r\n{headers}"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+ONE_REQUEST = json.dumps({"id": 1, "ref": REF, "gen": GEN}).encode()
+DATE = re.compile(r"[A-Z][a-z]{2}, \d\d [A-Z][a-z]{2} \d{4} \d\d:\d\d:\d\d GMT")
+
+
+class TestHttpFraming:
+    """The keep-alive loop's framing, driven over raw sockets."""
+
+    def refused(self, data: bytes, capfd, config=ServiceConfig()) -> tuple[int, str]:
+        """The one response to `data`, which must close the connection and
+        leave stderr empty; returns its status and error message."""
+        with serving(config) as port:
+            raw = exchange(port, data)
+        [(status, headers, body)] = split_responses(raw)
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+        assert capfd.readouterr().err == ""
+        return status, json.loads(body)["error"]
+
+    def test_response_head(self):
+        with serving() as port:
+            raw = exchange(port, post_bytes(ONE_REQUEST, headers="Connection: close\r\n"))
+        assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
+        [(status, headers, body)] = split_responses(raw)
+        assert set(headers) == {"date", "content-type", "content-length", "connection"}
+        assert DATE.fullmatch(headers["date"])
+        assert json.loads(body)["reward"] == 10.0
+
+    def test_keep_alive_serves_many_requests_on_one_socket(self):
+        # A blank line before a request line is skipped (RFC 9112 section 2.2).
+        requests = [post_bytes(ONE_REQUEST), b"\r\n" + HEALTHZ] * 25
+        with serving() as port:
+            raw = exchange(port, b"".join(requests) + b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n")
+        answers = split_responses(raw)
+        assert [a[0] for a in answers] == [200] * 50 + [404]
+        assert all("connection" not in a[1] for a in answers[:-1])
+        assert answers[-1][1]["connection"] == "close"
+        assert [json.loads(a[2]).get("reward") for a in answers[:4]] == [10.0, None] * 2
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n" + HEALTHZ,
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n" + HEALTHZ,
+            b"GET /healthz HTTP/1.1\r\nConnection: Upgrade, Close\r\n\r\n" + HEALTHZ,
+            post_bytes(ONE_REQUEST, headers="Connection: close\r\n") + HEALTHZ,
+        ],
+        ids=["http_1_0", "close", "close_token", "post_close"],
+    )
+    def test_closing_clients_get_their_answer_then_eof(self, request_bytes):
+        with serving() as port:
+            [(status, headers, _)] = split_responses(exchange(port, request_bytes))
+        assert status == 200
+        assert headers["connection"] == "close"
+
+    def test_expect_100_continue_is_answered_before_the_body(self):
+        with serving() as port, socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            head, body = post_bytes(ONE_REQUEST, headers="Expect: 100-continue\r\n").split(b"\r\n\r\n")
+            sock.sendall(head + b"\r\n\r\n")
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            sock.shutdown(socket.SHUT_WR)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        [(status, _, payload)] = split_responses(raw)
+        assert status == 200
+        assert json.loads(payload)["reward"] == 10.0
+
+    def test_413_then_pipelined_request_gets_one_response_then_eof(self, capfd):
+        body = json.dumps({"ref": "x" * 500, "gen": "y"}).encode()
+        status, error = self.refused(
+            post_bytes(body) + HEALTHZ, capfd, ServiceConfig(max_body_bytes=100)
+        )
+        assert (status, error) == (413, "body exceeds 100 bytes")
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [["-5"], ["abc"], ["5", "5"], ["5", "7"], [""], ["1" * 5000], []],
+        ids=["negative", "non_numeric", "duplicate", "conflicting", "empty", "huge", "missing"],
+    )
+    def test_bad_content_length_is_400_and_close(self, lengths, capfd):
+        head = "POST /v1/reward HTTP/1.1\r\n" + "".join(
+            f"Content-Length: {v}\r\n" for v in lengths
+        )
+        status, error = self.refused(head.encode() + b"\r\n{}" + HEALTHZ, capfd)
+        assert (status, error) == (400, "missing or invalid Content-Length")
+
+    def test_chunked_body_is_411_and_close(self, capfd):
+        data = (
+            b"POST /v1/reward HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n" + HEALTHZ
+        )
+        status, error = self.refused(data, capfd)
+        assert status == 411
+        assert "Transfer-Encoding" in error
+
+    @pytest.mark.parametrize(
+        "data, status, message",
+        [
+            (b"GARBAGE\r\n\r\n", 400, "malformed request line"),
+            (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400, "malformed request line"),
+            (b"GET /healthz FOO/1.1\r\n\r\n", 400, "malformed request line"),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 505, "unsupported version HTTP/2.0"),
+            (b"PUT /v1/reward HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501, "unsupported method PUT"),
+            (b"HEAD /healthz HTTP/1.1\r\n\r\n", 501, "unsupported method HEAD"),
+            (b"POST /v1/nope HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 404, "unknown path /v1/nope"),
+            (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400, "malformed header line"),
+            (b"GET /" + b"a" * 65540, 414, "request line exceeds 65536 bytes"),
+            (
+                b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 65540,
+                431,
+                "header line exceeds 65536 bytes",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\n" + b"X-N: 1\r\n" * 101 + b"\r\n",
+                431,
+                "more than 100 headers",
+            ),
+        ],
+        ids=[
+            "one_word", "four_words", "not_http", "http_2", "put", "head",
+            "post_unknown_path", "header_without_colon", "long_request_line",
+            "long_header_line", "too_many_headers",
+        ],
+    )
+    def test_bad_requests_get_json_errors_and_close(self, data, status, message, capfd):
+        assert self.refused(data + HEALTHZ, capfd) == (status, message)
+
+    def test_one_hundred_headers_are_allowed(self):
+        with serving() as port:
+            raw = exchange(
+                port,
+                b"GET /healthz HTTP/1.1\r\n" + b"X-N: 1\r\n" * 99 + b"Connection: close\r\n\r\n",
+            )
+        assert split_responses(raw)[0][0] == 200
+
+    def test_get_with_a_body_is_answered_then_closed(self):
+        with serving() as port:
+            raw = exchange(port, b"GET /healthz HTTP/1.1\r\nContent-Length: 14\r\n\r\n" + HEALTHZ)
+        [(status, headers, _)] = split_responses(raw)
+        assert (status, headers["connection"]) == (200, "close")
+
+    def test_bad_json_keeps_the_connection(self):
+        nested = b"[" * 100_000
+        with serving() as port:
+            raw = exchange(
+                port,
+                post_bytes(b"{oops") + post_bytes(nested) + post_bytes(b"{}", "/v1/reward/batch")
+                + post_bytes(ONE_REQUEST, headers="Connection: close\r\n"),
+            )
+        answers = split_responses(raw)
+        assert [a[0] for a in answers] == [400, 400, 400, 200]
+        errors = [json.loads(a[2])["error"] for a in answers[:3]]
+        assert errors[0].startswith("invalid JSON: ")
+        assert errors[1].startswith("invalid JSON: maximum recursion depth exceeded")
+        assert errors[2] == "batch body must be a JSON array"
+
+    def test_client_closing_mid_body_leaves_stderr_empty(self, capfd):
+        with serving() as port:
+            assert exchange(port, post_bytes(ONE_REQUEST)[:-5], end_input=True) == b""
+        assert capfd.readouterr().err == ""
 
 
 class TestTimeout:
@@ -416,11 +630,9 @@ class TestTimeout:
         # FAT takes hundreds of ms untimed and a trivial request well under
         # one, so only FAT can reach this deadline even on a loaded host.
         config = ServiceConfig(timeout_ms=50)
+        stack = contextlib.ExitStack()
         if transport == "http":
-            server = create_http_server("127.0.0.1", 0, config)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            base = f"http://127.0.0.1:{server.server_address[1]}"
+            base = f"http://127.0.0.1:{stack.enter_context(serving(config))}"
 
             def call(request):
                 return json.loads(
@@ -438,14 +650,10 @@ class TestTimeout:
             return time.perf_counter() - start, resp
 
         trivial = {"id": 1, "ref": REF, "gen": GEN}
-        try:
+        with stack:
             normal = min(timed(trivial)[0] for _ in range(5))
             _, slow = timed({"id": "slow", "ref": FAT, "gen": FAT})
             after, resp = timed(trivial)
-        finally:
-            if transport == "http":
-                server.shutdown()
-                server.server_close()
         assert slow["error"] == "evaluation exceeded 50 ms"
         assert resp["status"] == "parsed"
         assert after < normal + 0.1

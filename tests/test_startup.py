@@ -24,7 +24,9 @@ SCORING_PATH = {
     "vsr.similarity",
     "vsr.trees",
 }
-NOT_FOR_SCORING = {"http.server", "vsr.corpus", "vsr.metrics", "vsr.printer"}
+NOT_FOR_SCORING = {"socketserver", "vsr.corpus", "vsr.metrics", "vsr.printer"}
+# The HTTP service frames requests itself over socketserver.
+NOT_FOR_HTTP = {"email", "http.client", "http.server", "ssl"}
 
 SUBMODULES = sorted(
     p.stem for p in (Path(__file__).parent.parent / "src" / "vsr").glob("*.py")
@@ -109,14 +111,14 @@ def test_corpus_import_loads_no_service():
     )
     loaded = set(json.loads(proc.stdout))
     assert "vsr.corpus" in loaded
-    assert not {"vsr.service", "http.server"} & loaded
+    assert not {"vsr.service", "socketserver"} & loaded
 
 
 @pytest.mark.parametrize(
     "argv, needs",
     [
         (["serve", "--stdio"], SCORING_PATH),
-        (["serve", "--http", "127.0.0.1:0"], SCORING_PATH | {"http.server"}),
+        (["serve", "--http", "127.0.0.1:0"], SCORING_PATH | {"socketserver"}),
     ],
 )
 def test_serve_freezes_what_it_serves_with(argv, needs):
@@ -133,8 +135,39 @@ def test_serve_freezes_what_it_serves_with(argv, needs):
     )
     [frozen] = json.loads(proc.stdout)
     assert needs <= set(frozen)
+    assert not NOT_FOR_HTTP & set(frozen)
     if "--stdio" in argv:
-        assert "http.server" not in frozen
+        assert "socketserver" not in frozen
+
+
+def test_serve_http_loads_no_http_server_email_or_ssl():
+    # Serves one request over a raw socket (an HTTP client would load what
+    # the test pins out), then reports what was loaded at the freeze and
+    # after answering.
+    proc = probe(
+        "import gc, json, socket, sys, threading\n"
+        "from vsr import cli, service\n"
+        "frozen = []\n"
+        "real_freeze = gc.freeze\n"
+        "gc.freeze = lambda: (frozen.extend(sys.modules), real_freeze())\n"
+        "def serve_http(host, port, config):\n"
+        "    server = service.create_http_server(host, port, config)\n"
+        "    threading.Thread(target=server.serve_forever, daemon=True).start()\n"
+        "    with socket.create_connection(server.server_address) as sock:\n"
+        "        sock.sendall(b'GET /healthz HTTP/1.1\\r\\nConnection: close\\r\\n\\r\\n')\n"
+        "        reply = b''\n"
+        "        while chunk := sock.recv(65536):\n"
+        "            reply += chunk\n"
+        "    server.shutdown()\n"
+        "    server.server_close()\n"
+        "    print(json.dumps({'reply': reply.decode(), 'frozen': frozen, 'end': list(sys.modules)}))\n"
+        "cli.serve_http = serve_http\n"
+        "assert cli.main(['serve', '--http', '127.0.0.1:0']) == 0",
+    )
+    report = json.loads(proc.stdout)
+    assert report["reply"].startswith("HTTP/1.1 200 OK\r\n")
+    assert "socketserver" in report["frozen"]
+    assert not NOT_FOR_HTTP & set(report["end"])
 
 
 def test_every_name_and_submodule_resolves():
