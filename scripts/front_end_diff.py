@@ -16,6 +16,10 @@ standard library alone, so both sides see the same texts:
   tok/F/N, chr/F/N       copies with one token or one character damaged
   expr/N, decl/N         generated expressions and declarations, valid and
                          invalid, including nesting around the 128-level cap
+  wide/N                 a generated module of 16-200 items (assigns, clocked
+                         if/else blocks, case blocks) against the module
+                         itself, reordered, with one operator swapped in
+                         each item, so wide greedy rows show in the trace
 
 Each hash covers the `classify` status and diagnostics; every raw node's
 kind, name, value, mods, span and arity in preorder; `serialize(clean(ast))`;
@@ -31,6 +35,7 @@ as a changed line.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import random
 import re
@@ -62,6 +67,9 @@ LEAVES = ("a", "b", "c", "\\esc ", "4", "8'hff", "3'b1x0", "2.5", '"s"', "v[i]",
           "v[3:0]", "v[i +: 2]", "v[j -: 4]", "f(a, 1)", "g()")
 DECL_WORDS = ("parameter", "localparam", "input", "output", "inout", "wire", "reg",
               "integer", "real", "time")
+WIDE_ITEMS = (16, 200)
+WIDE_SWAP = {"+": "-", "-": "+", "&": "|", "|": "&", "^": "~^", "~^": "^", "<<": ">>", ">>": "<<"}
+WIDE_SIGNALS = ("a", "b", "c", "s0", "s1", "s2")
 
 
 def fingerprint(text: str, ref: str) -> str:
@@ -211,7 +219,58 @@ def gen_decl_module(rng: random.Random) -> str:
     return "module d (" + ", ".join(decls) + ");\n" + body + "endmodule\n"
 
 
-def inputs(seed: int, copies: int, generated: int, limit: int | None):
+def wide_expr(rng: random.Random, depth: int):
+    """A signal, a constant, or [operator, left, right]."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(WIDE_SIGNALS) if rng.random() < 0.8 else f"8'd{rng.randrange(256)}"
+    return [rng.choice(tuple(WIDE_SWAP)), wide_expr(rng, depth - 1), wide_expr(rng, depth - 1)]
+
+
+def render_wide(e) -> str:
+    return e if isinstance(e, str) else f"({render_wide(e[1])} {e[0]} {render_wide(e[2])})"
+
+
+def wide_module(items) -> str:
+    lines = ["module w(input clk, input rst, input [7:0] a, input [7:0] b, input [7:0] c);"]
+    lines += [f"  reg [7:0] {s};" for s in WIDE_SIGNALS[3:]]
+    for shape, target, exprs in items:
+        e = [render_wide(x) for x in exprs]
+        if shape == "assign":
+            lines.append(f"  assign {target} = {e[0]};")
+        elif shape == "ff":
+            lines.append(f"  always @(posedge clk) if (rst) {target} <= {e[0]}; "
+                         f"else {target} <= {e[1]};")
+        else:
+            arms = " ".join(f"{i}: {target} = {x};" for i, x in enumerate(e[:-1]))
+            lines.append(f"  always @* case (a) {arms} default: {target} = {e[-1]}; endcase")
+    return "\n".join(lines + ["endmodule"]) + "\n"
+
+
+def gen_wide_pair(rng: random.Random) -> tuple[str, str]:
+    """(module, reordered copy with one operator swapped in each item)."""
+    items = []
+    for _ in range(rng.randint(*WIDE_ITEMS)):
+        shape = rng.choice(("assign", "ff", "ff", "ff", "case"))
+        count = {"assign": 1, "ff": 2, "case": rng.randint(2, 4)}[shape]
+        exprs = [wide_expr(rng, rng.randint(1, 3)) for _ in range(count)]
+        items.append((shape, rng.choice(WIDE_SIGNALS[3:]), exprs))
+    swapped = copy.deepcopy(items)
+    for _, _, exprs in swapped:
+        ops = []
+        work = list(exprs)
+        while work:
+            e = work.pop()
+            if not isinstance(e, str):
+                ops.append(e)
+                work += e[1:]
+        if ops:
+            op = rng.choice(ops)
+            op[0] = WIDE_SWAP[op[0]]
+    rng.shuffle(swapped)
+    return wide_module(items), wide_module(swapped)
+
+
+def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int):
     """Yield (name, text, reference text) in a fixed order."""
     rng = random.Random(seed)
     files = []
@@ -234,6 +293,9 @@ def inputs(seed: int, copies: int, generated: int, limit: int | None):
         text = gen_decl_module(rng)
         yield f"decl/{n}", text, ref
         ref = text
+    for n in range(wide):
+        ref, text = gen_wide_pair(rng)
+        yield f"wide/{n}", text, ref
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -245,8 +307,10 @@ def main(argv: list[str] | None = None) -> int:
                     help="generated expression and declaration texts each (default 300)")
     ap.add_argument("--limit", type=int, default=None,
                     help="use only the first N files of each folder")
+    ap.add_argument("--wide", type=int, default=20,
+                    help="generated wide module pairs (default 20)")
     args = ap.parse_args(argv)
-    for name, text, ref in inputs(args.seed, args.copies, args.generated, args.limit):
+    for name, text, ref in inputs(args.seed, args.copies, args.generated, args.limit, args.wide):
         print(f"{name}\t{fingerprint(text, ref)}")
     return 0
 

@@ -49,7 +49,10 @@ read (a bad request line, version or header, a missing or bad
 Content-Length, Transfer-Encoding, an unknown POST path, a method other than
 GET and POST, or a body over the cap; a GET with a body is answered, then
 closed).  Those responses carry `Connection: close`, and the server closes
-the connection after them.  Statuses: 200, 400 (bad framing, malformed JSON,
+the connection after them.  After a refusal it first ends its side and
+reads and discards what the client still sends, for at most 2 s and
+32 MiB, so a client still sending a refused body reads the answer instead
+of a reset.  Statuses: 200, 400 (bad framing, malformed JSON,
 a batch body that is not an array), 404, 411, 413, 414 and 431 (line or
 header count over the caps), 501 (method) and 505 (version).
 """
@@ -230,6 +233,10 @@ _MONTHS = (
     "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
 )
 _BLANK = (b"\r\n", b"\n")
+# A refused request's unread bytes are drained for at most this long and
+# this many bytes before the connection closes (see `_RewardHandler._refuse`).
+_LINGER_SECONDS = 2.0
+_LINGER_BYTES = 32 * 1024 * 1024
 
 
 def _http_date() -> str:
@@ -273,8 +280,27 @@ class _RewardHandler:
 
     def _refuse(self, status: int, message: str) -> bool:
         # Sent before the request's body is read, so the rest of the stream
-        # cannot be framed: answer, then close.
-        return self._send(status, {"error": message}, close=True)
+        # cannot be framed: answer, then close.  Closing with bytes unread
+        # resets the connection, and the reset can discard the answer before
+        # a client that is still sending its body reads it.  So end our
+        # side first and drain the client's, within bounds, before closing.
+        from socket import SHUT_WR
+
+        self._send(status, {"error": message}, close=True)
+        sock = self.connection
+        sock.shutdown(SHUT_WR)
+        end = time.monotonic() + _LINGER_SECONDS
+        left = _LINGER_BYTES
+        while left > 0:
+            wait = end - time.monotonic()
+            if wait <= 0:
+                break
+            sock.settimeout(wait)
+            chunk = sock.recv(min(left, 65536))
+            if not chunk:
+                break
+            left -= len(chunk)
+        return False
 
     def _serve_one(self) -> bool:
         """Read and answer one request; whether the connection stays open."""

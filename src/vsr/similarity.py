@@ -64,13 +64,35 @@ in column order takes the scores already known and defers each unscored
 candidate with its bound; a second pass scores the deferred candidates,
 highest bound first, until the next bound falls below the best.  Scoring
 the likeliest winner first lifts the best early, so fewer candidates clear
-the bound.  On a 158-item module against a reordered copy with one
-operator swapped in each item, the matcher scores 2,530 node pairs in all,
-against 5,704 when it scored candidates in column order; the 158 item
-rows alone hold 24,964 candidate pairs.  Candidates are then no longer compared
-in column order, so ties are settled by column: a score equal to the best
-takes the row only at a lower column.  The choices, the scores and the
-trace are those of the plain greedy scan; only the pair memo shrinks.
+the bound.  Candidates are then no longer compared in column order, so ties
+are settled by column: a score equal to the best takes the row only at a
+lower column.  The choices, the scores and the trace are those of the plain
+greedy scan; only the pair memo shrinks.
+
+A wide row does not bound every column either (prefix filtering, as in
+Bayardo, Ma and Srikant, "Scaling Up All Pairs Similarity Search", 2007).
+Since min(P_a[p], P_b[p]) <= P_a[p],
+
+    B(a, b) <= sum of P_a[p] over the paths p that both profiles hold.
+
+So if the row first scores one probe column, and D is a set of its paths
+whose total P_a mass is below the probe's score minus the margin, a column
+that holds no path of the row outside D has a bound, hence a score, below
+the probe's, and the row need not look at it.  A wide row therefore drops
+its most common paths into D and bounds only the columns on the paths that
+are left, found through an index from path to columns.  The margin covers
+rounding as above: the mass of D is a float sum of at most node count
+profile weights, so it is within the same distance of its exact value as
+a score or a bound.
+
+On a 158-item module against a reordered copy with one operator swapped in
+each item (the 158 item rows hold 24,964 candidate pairs), the matcher
+scores 2,411 node pairs and computes 5,096 bounds.  Scanning every column
+and scoring in column order it scored 5,704 pairs; scoring best bound first
+but bounding every column, 2,530 pairs and 8,538 bounds.  Over the six
+seed-1 templates of the `wide_items` benchmark (150 to 200 items) it scores
+17,168 pairs and computes 32,007 bounds, against 17,391 and 72,715 when
+every row bounded every column.
 """
 
 from __future__ import annotations
@@ -86,6 +108,14 @@ DEFAULT_DEPTH_LIMIT = 512
 # A pair is skipped only when its bound is below the row's best by more
 # than this; see the module docstring for why it covers rounding.
 _BOUND_MARGIN = 1e-9
+
+# A row whose parent has at least this many right children takes its
+# candidates from a path index over those children (see `_greedy_scores`);
+# narrower rows scan their columns.  Chosen by measurement: on generated
+# modules of 16 to 70 items against reordered, operator-swapped copies, the
+# index's per-row work (sorting the row's paths, the probe, the union) cost
+# more than the bounds it saved below about 32 columns, and less above.
+_INDEX_WIDTH = 32
 
 
 class DepthLimitError(RuntimeError):
@@ -111,31 +141,42 @@ def _check_depth(t1: CleanNode, t2: CleanNode, limit: int) -> None:
 
 
 def _profile(
-    x: CleanNode, profiles: dict[int, dict[int, float]], trie: list[dict[int, int]]
-) -> dict[int, float]:
-    """The leaf-path profile of `x` (module docstring), cached by id in
-    `profiles`.  A path is an int: 0 for `x` itself and, for a child of the
-    node at path p, trie[p][id(child kind)], added on first use.  Profiles
-    compared by `_bound` must come from one trie."""
-    prof = profiles.get(id(x))
-    if prof is None:
-        prof = profiles[id(x)] = {}
-        work = [(x, 0, 1.0)]
-        while work:
-            node, path, weight = work.pop()
-            kids = node.children
-            if not kids:
-                prof[path] = prof.get(path, 0.0) + weight
-                continue
-            weight /= len(kids)
-            branch = trie[path]
-            for kid in kids:
-                kid_path = branch.get(id(kid.kind))
-                if kid_path is None:
-                    kid_path = branch[id(kid.kind)] = len(trie)
-                    trie.append({})
-                work.append((kid, kid_path, weight))
-    return prof
+    x: CleanNode,
+    profiles: dict[int, dict[int, float]],
+    trie: list[dict[int, int]],
+    countdown: int,
+    deadline: float | None,
+) -> int:
+    """Walk `x` and cache its leaf-path profile (module docstring) in
+    `profiles[id(x)]`.  A path is an int: 0 for `x` itself and, for a child
+    of the node at path p, trie[p][id(child kind)], added on first use.
+    Profiles compared by `_bound` must come from one trie.  The walk charges
+    one step per node to `countdown` (a node's children when it expands
+    them), checks `deadline` whenever that runs out, and returns what is
+    left of it."""
+    prof = profiles[id(x)] = {}
+    work = [(x, 0, 1.0)]
+    countdown -= 1
+    while work:
+        node, path, weight = work.pop()
+        kids = node.children
+        if not kids:
+            prof[path] = prof.get(path, 0.0) + weight
+            continue
+        n = len(kids)
+        countdown -= n
+        if countdown <= 0:
+            countdown = CHECK_EVERY
+            check(deadline)
+        weight /= n
+        branch = trie[path]
+        for kid in kids:
+            kid_path = branch.get(id(kid.kind))
+            if kid_path is None:
+                kid_path = branch[id(kid.kind)] = len(trie)
+                trie.append({})
+            work.append((kid, kid_path, weight))
+    return countdown
 
 
 def _bound(left: dict[int, float], right: dict[int, float]) -> float:
@@ -146,6 +187,45 @@ def _bound(left: dict[int, float], right: dict[int, float]) -> float:
         if other is not None:
             total += weight if weight < other else other
     return total
+
+
+def _column_index(
+    columns: tuple[CleanNode, ...],
+    profiles: dict[int, dict[int, float]],
+    trie: list[dict[int, int]],
+    countdown: int,
+    deadline: float | None,
+) -> tuple[dict[int, dict[int, list[int]]], int]:
+    """For each kind id, each leaf path's columns: the ascending positions
+    in `columns` of the nodes of that kind whose profile holds the path.
+    Profiles are walked as in `_profile`; returns the index and what is left
+    of `countdown`."""
+    index: dict[int, dict[int, list[int]]] = {}
+    for col, cb in enumerate(columns):
+        prof = profiles.get(id(cb))
+        if prof is None:
+            countdown = _profile(cb, profiles, trie, countdown, deadline)
+            prof = profiles[id(cb)]
+        by_path = index.get(id(cb.kind))
+        if by_path is None:
+            by_path = index[id(cb.kind)] = {}
+        for path in prof:
+            cols = by_path.get(path)
+            if cols is None:
+                by_path[path] = [col]
+            else:
+                cols.append(col)
+    return index, countdown
+
+
+def _first_untaken(ranked: list[tuple[int, int, list[int]]], taken: list[bool]) -> int:
+    """The lowest untaken column on the first path of `ranked` that has one,
+    or -1 when every column on every path is taken."""
+    for _, _, cols in ranked:
+        for col in cols:
+            if not taken[col]:
+                return col
+    return -1
 
 
 def _greedy_scores(
@@ -166,12 +246,24 @@ def _greedy_scores(
     its kind; accumulation order is fixed so results are bit-identical
     across runs.  A row makes two passes over its candidates:
 
-    1. In column order.  Shared nodes and memo hits count at once.  While
-       the row's best is still 0, the first unscored candidate is scored on
-       the spot.  After that, an unscored candidate whose leaf-path bound is
-       at least the best minus the margin is deferred with its bound, and
-       one below it is skipped.  A score of 1.0 ends the pass: no later
-       column can beat it.
+    1. In column order, when the parent has fewer than `_INDEX_WIDTH` right
+       children.  Shared nodes and memo hits count at once.  While the
+       row's best is still 0, the first unscored candidate is scored on the
+       spot.  After that, an unscored candidate whose leaf-path bound is at
+       least the best minus the margin is deferred with its bound, and one
+       below it is skipped.  A score of 1.0 ends the pass: no later column
+       can beat it.
+       A wider parent gets a path index on its first row: for each kind and
+       leaf path, the columns whose profile holds that path.  The row first
+       scores a probe, the lowest untaken column on its rarest path (the
+       next rarest when all of a path's columns are taken).  It then drops
+       its most common paths while their mass on the left stays below the
+       probe's score minus the margin, and looks only at the untaken
+       columns on the paths that are left.  Those count or are deferred
+       as above, except that a known score equal to the best also takes the
+       row at a lower column.  A column on dropped paths alone has a bound
+       of at most the dropped mass (the prefix lemma), so its score is
+       below the probe's.
     2. Over the deferred candidates, highest bound first and lower column
        first among equal bounds.  Each is scored, and a score above the
        best, or equal to it at a lower column, takes the row.  The pass
@@ -197,18 +289,24 @@ def _greedy_scores(
     # One frame per suspended pair: (a, b, key, row i, column j, best score
     # and column so far in row i, sum of finished rows, taken columns,
     # chosen column per finished row, row i's left profile or None, its
-    # deferred (-bound, column) list or None, and the position in that
-    # list, -1 until pass 1 ends).  Only pairs of the same kind that are not
-    # one node and not yet scored are ever pushed.
+    # deferred (-bound, column) list or None, the position in that list, -1
+    # until pass 1 ends, the path index of a wide pair or None, and row i's
+    # ranked paths while it waits for its probe, else None).  Only pairs of
+    # the same kind that are not one node and not yet scored are ever
+    # pushed.
     stack = [
-        (t1, t2, root, 0, 0, 0.0, -1, 0.0, [False] * len(t2.children), [], None, None, -1)
+        (t1, t2, root, 0, 0, 0.0, -1, 0.0, [False] * len(t2.children), [], None, None, -1, None,
+         None)
     ]
     # A row's scan costs at most its width, and each pushed frame is
     # followed by its parent row resuming, so charging every row entry one
-    # plus its width bounds the work between checks.
+    # plus its width, and every profile walk one per node, bounds the work
+    # between checks.
     countdown = CHECK_EVERY
+    index_width = _INDEX_WIDTH
     while stack:
-        a, b, key, i, j, best_s, best_j, total, taken, chosen, left, deferred, pos = stack[-1]
+        (a, b, key, i, j, best_s, best_j, total, taken, chosen, left, deferred, pos, index,
+         ranked) = stack[-1]
         c1s, c2s = a.children, b.children
         n1, n2 = len(c1s), len(c2s)
         missing = None
@@ -218,7 +316,7 @@ def _greedy_scores(
                 countdown = CHECK_EVERY
                 check(deadline)
             ca = c1s[i]
-            if pos < 0:
+            if pos < 0 and n2 < index_width:
                 kind = ca.kind
                 while j < n2:
                     cb = c2s[j]
@@ -237,10 +335,12 @@ def _greedy_scores(
                             if left is None:
                                 left = profiles.get(id(ca))
                                 if left is None:
-                                    left = _profile(ca, profiles, trie)
+                                    countdown = _profile(ca, profiles, trie, countdown, deadline)
+                                    left = profiles[id(ca)]
                             right = profiles.get(id(cb))
                             if right is None:
-                                right = _profile(cb, profiles, trie)
+                                countdown = _profile(cb, profiles, trie, countdown, deadline)
+                                right = profiles[id(cb)]
                             bound = _bound(left, right)
                             if bound >= best_s - _BOUND_MARGIN:
                                 if deferred is None:
@@ -259,6 +359,69 @@ def _greedy_scores(
                 pos = 0
                 if deferred is not None:
                     deferred.sort()
+            elif pos < 0:
+                if index is None:
+                    index, countdown = _column_index(c2s, profiles, trie, countdown, deadline)
+                by_path = index.get(id(ca.kind))
+                if by_path is not None:
+                    if left is None:
+                        left = profiles.get(id(ca))
+                        if left is None:
+                            countdown = _profile(ca, profiles, trie, countdown, deadline)
+                            left = profiles[id(ca)]
+                    if ranked is None:
+                        # The row's paths that some column holds, rarest first.
+                        ranked = sorted(
+                            [(len(cols), p, cols) for p in left if (cols := by_path.get(p))]
+                        )
+                    # No column is taken while the row waits for its probe,
+                    # so on resuming it finds the same probe, now scored.
+                    probe = _first_untaken(ranked, taken)
+                    if probe >= 0:
+                        cb = c2s[probe]
+                        if ca is cb:
+                            s = 1.0
+                        else:
+                            pair = (id(ca), id(cb))
+                            s = scores.get(pair)
+                            if s is None:
+                                missing = (ca, cb, pair)
+                                break
+                        # As in the scan, only a score above 0 takes the row.
+                        if s > 0.0:
+                            best_s = s
+                            best_j = probe
+                        # Drop the most common paths while their mass stays
+                        # below the best minus the margin; a column holding
+                        # only dropped paths scores below the probe.
+                        keep = len(ranked)
+                        dropped = 0.0
+                        while keep:
+                            weight = left[ranked[keep - 1][1]]
+                            if dropped + weight >= best_s - _BOUND_MARGIN:
+                                break
+                            dropped += weight
+                            keep -= 1
+                        cands = {col for _, _, cols in ranked[:keep] for col in cols}
+                        deferred = []
+                        for col in cands:
+                            if taken[col]:
+                                continue
+                            cb = c2s[col]
+                            if ca is cb:
+                                s = 1.0
+                            else:
+                                s = scores.get((id(ca), id(cb)))
+                                if s is None:
+                                    bound = _bound(left, profiles[id(cb)])
+                                    if bound >= best_s - _BOUND_MARGIN:
+                                        deferred.append((-bound, col))
+                                    continue
+                            if s > best_s or (s == best_s and col < best_j):
+                                best_s = s
+                                best_j = col
+                        deferred.sort()
+                pos = 0
             if deferred is not None:
                 while pos < len(deferred):
                     neg_bound, col = deferred[pos]
@@ -287,11 +450,16 @@ def _greedy_scores(
             left = None
             deferred = None
             pos = -1
+            ranked = None
         if missing is not None:
-            stack[-1] = (a, b, key, i, j, best_s, best_j, total, taken, chosen, left, deferred, pos)
+            stack[-1] = (
+                a, b, key, i, j, best_s, best_j, total, taken, chosen, left, deferred, pos, index,
+                ranked,
+            )
             ca, cb, pair = missing
             stack.append(
-                (ca, cb, pair, 0, 0, 0.0, -1, 0.0, [False] * len(cb.children), [], None, None, -1)
+                (ca, cb, pair, 0, 0, 0.0, -1, 0.0, [False] * len(cb.children), [], None, None, -1,
+                 None, None)
             )
             continue
         m = max(n1, n2)

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "front_end_diff.py"
-SMALL = ["--seed", "3", "--copies", "1", "--generated", "10", "--limit", "2"]
+SMALL = ["--seed", "3", "--copies", "1", "--generated", "10", "--limit", "2", "--wide", "2"]
 
 
 def load_script():
@@ -25,11 +25,12 @@ def test_small_seed_runs_and_repeats(capsys):
     first = run(script, capsys, SMALL)
     assert run(script, capsys, SMALL) == first
     # 2 golden files and 2 fixtures, a token- and a character-damaged copy
-    # of each, and 10 generated texts of each family
-    assert len(first) == 4 + 4 * 2 + 10 + 10
+    # of each, 10 generated texts of each family and 2 wide module pairs
+    assert len(first) == 4 + 4 * 2 + 10 + 10 + 2
     assert all(re.fullmatch(r"[^\t]+\t[0-9a-f]{40}", line) for line in first)
     names = [line.split("\t")[0] for line in first]
     assert names[:2] == ["golden/abs_val.v", "golden/adder4.v"]
+    assert names[-2:] == ["wide/0", "wide/1"]
     assert len(set(names)) == len(names)
 
 

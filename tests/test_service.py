@@ -1,4 +1,5 @@
 import contextlib
+import http.client
 import importlib
 import io
 import json
@@ -348,6 +349,21 @@ class TestHttp:
             status, payload = http_post(f"http://127.0.0.1:{port}", "/v1/reward", body)
         assert status == 413
         assert "exceeds" in json.loads(payload)["error"]
+
+    def test_oversized_body_beyond_the_socket_buffers_reads_its_413(self):
+        # The body is far more than the sockets buffer: the client is still
+        # sending when the refusal comes, and must still read it.
+        body = b"x" * (8 * 1024 * 1024)
+        with serving(ServiceConfig(max_body_bytes=64 * 1024)) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                conn.request("POST", "/v1/reward", body=body)
+                resp = conn.getresponse()
+                payload = resp.read()
+            finally:
+                conn.close()
+        assert resp.status == 413
+        assert json.loads(payload) == {"error": "body exceeds 65536 bytes"}
 
     def test_response_bytes_match_stdio(self, http_server):
         requests = [

@@ -20,8 +20,11 @@ from naive_reference import (
 )
 from vsr.corpus import MutationKind, MutationSpec, mutate
 from vsr.parser import classify
+from vsr import similarity
+from vsr.deadline import CHECK_EVERY
 from vsr.similarity import (
     _BOUND_MARGIN,
+    _INDEX_WIDTH,
     DepthLimitError,
     _bound,
     _greedy_scores,
@@ -291,7 +294,31 @@ class TestSharedStructure:
 
 def leaf_path_bound(a, b):
     profiles, trie = {}, [{}]
-    return _bound(_profile(a, profiles, trie), _profile(b, profiles, trie))
+    _profile(a, profiles, trie, CHECK_EVERY, None)
+    _profile(b, profiles, trie, CHECK_EVERY, None)
+    return _bound(profiles[id(a)], profiles[id(b)])
+
+
+def assert_naive_choices_near(t, seed):
+    """The trace of `t` against a permuted, perturbed copy, both ways round,
+    lists the naive greedy choices."""
+    rng = random.Random(seed)
+    near = perturb_somewhere(permute_tree(t, rng), rng)
+    for x, y in ((t, near), (near, t)):
+        _, steps = sim_ast_with_trace(x, y)
+        assert [(s.left, s.right, s.score) for s in steps] == naive_greedy_trace(x, y)
+
+
+def count_bounds(monkeypatch):
+    """Count `_bound` calls from here on; returns the one-element counter."""
+    calls = [0]
+
+    def counting(left, right):
+        calls[0] += 1
+        return _bound(left, right)
+
+    monkeypatch.setattr(similarity, "_bound", counting)
+    return calls
 
 
 class TestLeafPathBound:
@@ -332,11 +359,7 @@ class TestLeafPathBound:
     @settings(max_examples=150)
     @given(small_trees, st.integers(0, 2**32 - 1))
     def test_trace_matches_the_naive_choices(self, t, seed):
-        rng = random.Random(seed)
-        near = perturb_somewhere(permute_tree(t, rng), rng)
-        for x, y in ((t, near), (near, t)):
-            _, steps = sim_ast_with_trace(x, y)
-            assert [(s.left, s.right, s.score) for s in steps] == naive_greedy_trace(x, y)
+        assert_naive_choices_near(t, seed)
 
     def test_wide_pair_scores_under_an_eighth_of_the_candidates(self, wide_pair):
         g, r = wide_pair
@@ -344,9 +367,18 @@ class TestLeafPathBound:
         assert rows >= 150 and cols >= 150
         assert len(_greedy_scores(g, r)) < rows * cols / 8
 
+    def test_wide_pair_bounds_few_of_the_candidates(self, wide_pair, monkeypatch):
+        # The 158 item rows hold 24,964 candidate pairs.  Bounding every
+        # unscored same-kind candidate of a row took 8,538 bounds; the path
+        # index bounds only the columns that share a rare path with the row.
+        g, r = wide_pair
+        calls = count_bounds(monkeypatch)
+        _greedy_scores(g, r)
+        assert calls[0] < 6_000
 
-def tie_row_pair(seed):
-    """Two rows of 1-25 same-kind items that tie often.
+
+def tie_row_pair(seed, width=(1, 25)):
+    """Two rows of `width` (inclusive bounds) same-kind items that tie often.
 
     Items come from a few variants (a base item, or the base with one local
     edit).  Each draw is the variant object itself (a shared duplicate), a
@@ -363,7 +395,7 @@ def tie_row_pair(seed):
 
     def row():
         kids = []
-        for _ in range(rng.randint(1, 25)):
+        for _ in range(rng.randint(*width)):
             pick = rng.random()
             if pick < 0.4:
                 kids.append(rng.choice(variants))
@@ -397,6 +429,115 @@ class TestBestBoundFirstRows:
             for x, y in ((a, b), interned, (unshared(a), unshared(b))):
                 self.check(x, y)
                 self.check(y, x)
+
+
+@pytest.fixture(scope="class")
+def index_every_row():
+    """Lower the path-index cut-off so that every row with two or more
+    columns takes its candidates from the index."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(similarity, "_INDEX_WIDTH", 2)
+        yield
+
+
+@pytest.mark.usefixtures("index_every_row")
+class TestLeafPathBoundIndexed(TestLeafPathBound):
+    """The bound tests again, with every row on the path index.  Hypothesis
+    runs a property test under one class only, so the one that runs the
+    matcher is declared again; the bound itself does not depend on rows."""
+
+    test_bound_is_at_least_the_score = None
+
+    @settings(max_examples=150)
+    @given(small_trees, st.integers(0, 2**32 - 1))
+    def test_trace_matches_the_naive_choices(self, t, seed):
+        assert_naive_choices_near(t, seed)
+
+
+@pytest.mark.usefixtures("index_every_row")
+class TestBestBoundFirstRowsIndexed(TestBestBoundFirstRows):
+    """The tie tests again, with every row on the path index."""
+
+
+class TestIndexedRows:
+    """Rows at least `_INDEX_WIDTH` columns wide bound only the columns that
+    share a kept path with the row; the choices must still be the plain
+    scan's."""
+
+    check = TestBestBoundFirstRows.check
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_wide_tied_rows_match_the_naive_greedy_choice(self, block):
+        # Shared duplicates, reordered copies and fresh items past the cut-off.
+        for seed in range(block * 10, block * 10 + 10):
+            a, b, rng = tie_row_pair(seed, (_INDEX_WIDTH, 2 * _INDEX_WIDTH + 8))
+            assert len(b.children) >= _INDEX_WIDTH
+            table = {}
+            interned = clean(as_raw(a, rng), table), clean(as_raw(b, rng), table)
+            for x, y in ((a, b), interned, (unshared(a), unshared(b))):
+                self.check(x, y)
+                self.check(y, x)
+
+    def test_leaf_against_inner_rows_score_zero(self):
+        # A leaf and an inner node of one kind share no leaf path, so the
+        # leaf rows find no candidate and take nothing.
+        inner = [node(Q, leaf(R), node(S, leaf(R))) for _ in range(_INDEX_WIDTH)]
+        a = node(P, *(leaf(Q) for _ in range(_INDEX_WIDTH)))
+        b = node(P, *inner)
+        assert sim_ast(a, b) == sim_ast(b, a) == 0.0
+        assert sim_ast_with_trace(a, b) == (0.0, ())
+        mixed = node(P, *inner[:-2], leaf(Q), inner[-1])
+        lone = node(P, leaf(Q), *(leaf(Q) for _ in range(_INDEX_WIDTH)))
+        for x, y in ((lone, mixed), (mixed, lone), (a, mixed), (mixed, b)):
+            self.check(x, y)
+
+    def test_row_whose_rarest_path_is_taken_still_finds_a_column(self):
+        # Only column 0 holds the path Q.S.R.  Row 0 takes it, so row 1's
+        # rarest path has no untaken column; its probe must come from the
+        # next rarest path, and its best column (1) shares only common ones.
+        rare = node(Q, node(S, leaf(R)), leaf(R))
+        a = node(P, rare, node(Q, node(S, leaf(R)), leaf(R), leaf(R)))
+        filler = [node(Q, leaf(R), leaf(S)) for _ in range(_INDEX_WIDTH)]
+        b = node(P, rare, node(Q, leaf(R), leaf(R)), *filler)
+        self.check(a, b)
+        _, steps = sim_ast_with_trace(a, b)
+        assert [(s.left, s.right) for s in steps][:2] == [((0,), (0,)), ((1,), (1,))]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_that_outnumber_their_variant_match_the_naive_greedy_choice(self, seed):
+        # The left row repeats variants that the right row holds fewer times,
+        # so later rows find every column on their rarest paths taken.
+        rng = random.Random(seed)
+        variants = [random_clean_tree(rng, max_depth=3) for _ in range(4)]
+        variants = [node(Q, v, leaf(R)) for v in variants]
+        left = [rng.choice(variants[:2]) for _ in range(_INDEX_WIDTH)]
+        right = variants + [perturb_somewhere(rng.choice(variants), rng)
+                            for _ in range(_INDEX_WIDTH)]
+        rng.shuffle(right)
+        a, b = node(P, *left), node(P, *right)
+        for x, y in ((a, b), (unshared(a), unshared(b))):
+            self.check(x, y)
+            self.check(y, x)
+
+    def test_profile_and_index_walks_check_the_deadline(self, monkeypatch):
+        # One leaf row against a few thousand distinct items: the row is
+        # charged its width once, and the rest is the walk that builds the
+        # path index, which must check the deadline as it goes.
+        calls = [0]
+
+        def counting_check(deadline):
+            calls[0] += 1
+
+        monkeypatch.setattr(similarity, "check", counting_check)
+        items = 3000
+
+        def item():
+            return node(Q, node(S, leaf(R), leaf(R)), node(S, leaf(R), node(P, leaf(R))))
+
+        b = node(P, *(item() for _ in range(items)))
+        walked = items * 8
+        sim_ast(node(P, leaf(Q)), b)
+        assert calls[0] >= walked // CHECK_EVERY >= 5
 
 
 class TestDepthLimit:
