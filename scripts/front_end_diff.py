@@ -14,6 +14,11 @@ standard library alone, so both sides see the same texts:
 
   golden/F, fixtures/F   every file as it is
   tok/F/N, chr/F/N       copies with one token or one character damaged
+  blank/F/N              copies whose every blank run between two tokens is
+                         redrawn from spaces, tabs, CR LF, form and line
+                         feeds and `// note` line comments, a newline where
+                         the file had one; some end in a comment with no
+                         newline after it
   expr/N, decl/N         generated expressions and declarations, valid and
                          invalid, including nesting around the 128-level cap
   wide/N                 a generated module of 16-200 items (assigns, clocked
@@ -57,6 +62,10 @@ MUTATION_SEEDS = (1, 2, 3)
 # A rough tokenizer for damaging texts: words, numbers and single characters.
 _ROUGH_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*|\d+|\S")
 _NOISE = "();,:[]{}=+-*&|^~!?<>'\"`#@.a1 \n"
+# Blank runs for the blank/F/N family: a run that stands for a newline
+# holds at least one line end, and a run that does not holds none.
+_BLANKS = (" ", "\t", "  ", "\f", "\v")
+_LINE_ENDS = ("\n", "\r\n", "// note\n")
 
 BINARY = (
     "||", "&&", "|", "^", "^~", "~^", "&", "==", "!=", "===", "!==",
@@ -134,6 +143,34 @@ def damage_char(text: str, rng: random.Random) -> str:
     if action == 1:
         return text[:i] + rng.choice(_NOISE) + text[i:]
     return text[:i] + rng.choice(_NOISE) + text[i + 1:]
+
+
+def redraw_blanks(text: str, rng: random.Random) -> str:
+    """`text` with each blank run between two tokens drawn anew.
+
+    Tokens that touch stay touching, and a run gets a line end exactly when
+    the file's run had one, so comments, directives and strings keep their
+    extent.  A line end may come as a `// note` comment.
+    """
+    def run(line_end: bool) -> str:
+        parts = [rng.choice(_BLANKS) for _ in range(rng.randrange(not line_end, 3))]
+        for _ in range(rng.randint(1, 2) if line_end else 0):
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(_LINE_ENDS))
+        return "".join(parts)
+
+    out = []
+    at = 0
+    for m in _ROUGH_TOKEN.finditer(text):
+        gap = text[at:m.start()]
+        out.append(run("\n" in gap) if gap else "")
+        out.append(m.group())
+        at = m.end()
+    tail = rng.randrange(3)
+    if tail == 1:
+        out.append(run(True))
+    elif tail == 2:  # a comment with no newline after it ends the text
+        out.append(run(False) + " // note")
+    return "".join(out)
 
 
 def gen_expr(rng: random.Random, depth: int) -> str:
@@ -283,6 +320,11 @@ def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int)
         for n in range(copies):
             yield f"tok/{name}/{n}", damage_token(text, rng), text
             yield f"chr/{name}/{n}", damage_char(text, rng), text
+    # Its own generator, so the other families draw what they always drew.
+    blank_rng = random.Random(f"blank/{seed}")
+    for name, text in files:
+        for n in range(copies):
+            yield f"blank/{name}/{n}", redraw_blanks(text, blank_rng), text
     ref = "module g(input clk, output y);\n  assign y = a;\nendmodule\n"
     for n in range(generated):
         text = gen_expr_module(rng, n)

@@ -86,20 +86,31 @@ _OPERATORS = (
 _OPERATOR_RE = "|".join(map(re.escape, _OPERATORS)) + r"|[-+*%&|^~!<>=?]|/(?![/*])"
 
 # One master pattern for the common lexemes (the tokenizer recipe from the
-# `re` module docs); its group number is the lexeme class.  A number must
-# start with an ASCII digit or a quote, as `\d` alone would admit other
-# scripts' digits.  The last group takes any other character, which starts a
-# lexeme `_lex_rare` handles: block comment, directive, string, escaped or
-# system identifier, or an error.  Every alternative consumes at least one
-# character, so scanning never stalls.
-_SKIP, _WORD, _NUMBER, _OPERATOR, _PUNCT, _RARE = range(1, 7)
+# `re` module docs); its group number is the lexeme class.  Each match takes
+# the blank run before its lexeme too, so the scan makes one match per token
+# rather than one more per blank run; token text and span are read from the
+# lexeme's group.  A number must start with an ASCII digit or a quote, as
+# `\d` alone would admit other scripts' digits.  The last group takes any
+# other character, which starts a lexeme `_lex_rare` handles: block comment,
+# directive, string, escaped or system identifier, or an error.  A line
+# comment, and the end of the text after trailing blanks, match no group.
+#
+# Line comments stay matches of their own rather than part of the blank
+# prefix: a match then covers at most one blank run and one lexeme or
+# comment, and the deadline is checked once per CHECK_EVERY matches.  A
+# prefix that also took comments would read a file of comment lines as one
+# match that no deadline check can interrupt.  Every match but the one at
+# the end consumes at least one character, so scanning never stalls.
+_WORD, _NUMBER, _OPERATOR, _PUNCT, _RARE = range(1, 6)
 _MASTER_RE = re.compile(
-    r"([ \t\r\f\v\n]+|//[^\n]*)"
+    r"[ \t\r\f\v\n]*(?:"
+    r"//[^\n]*"
     rf"|({_ID_RE.pattern})"
     rf"|(?=[0-9'])({_NUMBER_RE.pattern})"
     rf"|({_OPERATOR_RE})"
     r"|([()\[\]{};,.:#@])"
-    r"|(.)",
+    r"|(.)"
+    r"|\Z)",
     re.DOTALL,
 )
 _KIND_OF_GROUP = {
@@ -107,6 +118,11 @@ _KIND_OF_GROUP = {
     _OPERATOR: TokenKind.OPERATOR,
     _PUNCT: TokenKind.PUNCTUATION,
 }
+# A string literal's run up to its next quote, backslash or newline, and an
+# escaped identifier's run up to the next whitespace (`\s` matches exactly
+# the characters for which `str.isspace()` is true).
+_STRING_RUN_RE = re.compile(r'[^"\\\n]*')
+_ESCAPED_RUN_RE = re.compile(r"\S*")
 
 
 def lex(source: str, *, deadline: float | None = None) -> list[Token]:
@@ -131,19 +147,21 @@ def lex(source: str, *, deadline: float | None = None) -> list[Token]:
     matches = scan(source)
     while pos < end:
         # Lexemes are taken in slices, so the deadline is checked between
-        # slices at no cost per lexeme.
+        # slices at no cost per lexeme.  A rare lexeme ends its slice early
+        # and is checked after, so text dense with them is checked too.
         for m in islice(matches, CHECK_EVERY):
             group = m.lastindex
-            if group == _SKIP:
-                continue
             if group == _WORD:
-                text = m.group()
+                text = m[group]
                 kind = keyword if text in keywords else identifier
-                append(new(Token, (kind, text, m.span())))
+                append(new(Token, (kind, text, m.span(group))))
+            elif group is None:  # a line comment, or the end of the text
+                continue
             elif group != _RARE:
-                append(new(Token, (kind_of_group[group], m.group(), m.span())))
+                append(new(Token, (kind_of_group[group], m[group], m.span(group))))
             else:
-                pos = _lex_rare(source, m.start(), append)
+                pos = _lex_rare(source, m, append, deadline)
+                check(deadline)
                 matches = scan(source, pos)
                 break
         else:
@@ -154,13 +172,17 @@ def lex(source: str, *, deadline: float | None = None) -> list[Token]:
     return tokens
 
 
-def _lex_rare(source: str, i: int, append) -> int:
-    """Lex the one lexeme at `i` the master pattern leaves alone.
+def _lex_rare(source: str, m: re.Match, append, deadline: float | None) -> int:
+    """Lex the lexeme that starts at the rare group of master match `m`.
 
     Appends its token, if it makes one, and returns the offset just past it;
-    raises LexError when the text at `i` is malformed.
+    raises LexError when the text there is malformed.  Long strings and
+    escaped identifiers are scanned by `re` in runs, and a string checks
+    `deadline` once per CHECK_EVERY escapes, so no lexeme is a long Python
+    loop without a deadline check.
     """
     n = len(source)
+    i = m.start(_RARE)
     ch = source[i]
     if source.startswith("/*", i):
         close = source.find("*/", i + 2)
@@ -168,40 +190,47 @@ def _lex_rare(source: str, i: int, append) -> int:
             raise LexError("unterminated block comment", (i, i + 2))
         return close + 2
     if ch == "`":
-        # Only blanks since the last newline: a whole-line directive.  A
-        # newline inside a comment or string leaves that comment's or
-        # string's closing characters in between, so it never counts.
-        line_start = source.rfind("\n", 0, i) + 1
-        if source[line_start:i].strip() == "":
+        # Only blanks since the last newline: a whole-line directive.  The
+        # match's blank prefix reaches back to the end of the previous
+        # lexeme or comment, and none of those ends just after a newline (a
+        # newline inside a comment or string is followed by its closing
+        # characters).  So the line holds only blanks before the backtick
+        # exactly when the prefix starts the text or holds a newline.  This
+        # reads each blank run once, where looking back to the line start
+        # would reread a long line at each backtick on it.
+        blanks = m.start()
+        if blanks == 0 or source.find("\n", blanks, i) >= 0:
             # whole-line directive such as `define or `timescale
             nl = source.find("\n", i)
             end = n if nl < 0 else nl
         else:
-            m = _ID_RE.match(source, i + 1)
-            if m is None:
+            name = _ID_RE.match(source, i + 1)
+            if name is None:
                 raise LexError("stray backtick", (i, i + 1))
-            end = m.end()
+            end = name.end()
         append(Token(TokenKind.DIRECTIVE, source[i:end], (i, end)))
         return end
     if ch == '"':
-        j = i + 1
+        run = _STRING_RUN_RE.match
+        steps = CHECK_EVERY
+        j = run(source, i + 1).end()
         while j < n:
             c = source[j]
-            if c == "\\":
-                j += 2
-                continue
-            if c == "\n":
-                raise LexError("unterminated string", (i, i + 1))
             if c == '"':
                 append(Token(TokenKind.STRING, source[i : j + 1], (i, j + 1)))
                 return j + 1
-            j += 1
+            if c == "\n":
+                raise LexError("unterminated string", (i, i + 1))
+            # a backslash: it escapes the next character, whatever it is
+            steps -= 1
+            if not steps:
+                check(deadline)
+                steps = CHECK_EVERY
+            j = run(source, j + 2).end()
         raise LexError("unterminated string", (i, n))
     if ch == "\\":
         # escaped identifier: backslash through the next whitespace
-        j = i + 1
-        while j < n and not source[j].isspace():
-            j += 1
+        j = _ESCAPED_RUN_RE.match(source, i + 1).end()
         if j == i + 1:
             raise LexError("empty escaped identifier", (i, i + 1))
         append(Token(TokenKind.IDENTIFIER, source[i:j], (i, j)))
@@ -209,9 +238,9 @@ def _lex_rare(source: str, i: int, append) -> int:
     if ch == "'":  # a quote the number pattern rejected
         raise LexError("malformed number literal", (i, i + 1))
     if ch == "$":
-        m = _SYS_ID_RE.match(source, i)
-        if m is None:
+        name = _SYS_ID_RE.match(source, i)
+        if name is None:
             raise LexError("stray '$'", (i, i + 1))
-        append(Token(TokenKind.IDENTIFIER, m.group(), (i, m.end())))
-        return m.end()
+        append(Token(TokenKind.IDENTIFIER, name.group(), (i, name.end())))
+        return name.end()
     raise LexError(f"illegal character {ch!r}", (i, i + 1))

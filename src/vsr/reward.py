@@ -20,18 +20,31 @@ every `reward` call of the batch, and each reference text is classified
 and cleaned on its first use only.  The memo belongs to the caller and
 lives as long as the caller keeps it; nothing is cached globally.
 
+A sample whose text equals its reference text is a copy.  Once the
+reference's checks have passed, a copy returns status `parsed`, sim 1.0 and
+reward 10.0 in either mode without being classified, cleaned or scored.
+This is the full path's answer, exactly:
+
+- `classify` is a pure function of the text, so the copy classifies as the
+  reference did: parsed, with an equal raw tree.
+- Cleaning an equal raw tree into a copy of the reference's intern table
+  returns the reference's own root, so the copy is not too deep either.
+- Both `sim_ast` and `sim_ast_seq` score a pair `a is b` as exactly 1.0.
+
 A `deadline` (see `vsr.deadline`) reaches every long loop of the pipeline:
 lex, parse, clean and similarity.  Once it has passed, the loop running
 at the time raises DeadlineExceeded and `reward` stops.  The memo only
 ever receives a finished PreparedReference, so a reference whose
 preparation was stopped leaves no entry and is prepared anew on its next
-use.
+use.  A copy runs no loop, but it checks the deadline once, as lexing it
+would have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from vsr.deadline import check
 from vsr.parser import Diagnostic, ValidityStatus, classify
 from vsr.similarity import DEFAULT_DEPTH_LIMIT, sim_ast, sim_ast_seq
 from vsr.trees import CleanNode, clean
@@ -109,6 +122,8 @@ def reward(
     identical with and without it.  Raises ReferenceParseError when the
     reference itself is not parsable and ReferenceTooDeepError when it is
     deeper than `depth_limit`; a too-deep generation scores as parse_fail.
+    A generation equal to the reference gets sim 1.0 without being
+    classified, cleaned or compared (see the module doc).
 
     `deadline` is a `time.monotonic()` value, or None for none; once it has
     passed, the work stops with DeadlineExceeded (see the module doc).
@@ -133,6 +148,10 @@ def reward(
         raise ReferenceTooDeepError(
             f"tree depth {ref_tree.depth} exceeds limit {depth_limit}"
         )
+    if gen == ref:
+        # A copy: the full path's answer, see the module doc.
+        check(deadline)
+        return RewardOutcome(ValidityStatus.PARSED, 1.0, REWARD_SCALE)
     gen_v = classify(gen, deadline=deadline)
     if gen_v.status is ValidityStatus.NOT_CODE:
         return RewardOutcome(gen_v.status, None, REWARD_NOT_CODE)

@@ -7,8 +7,9 @@ import time
 import pytest
 
 from helpers import wide_module
-from vsr.deadline import DeadlineExceeded
-from vsr.lexer import TokenKind, lex
+import vsr.lexer
+from vsr.deadline import CHECK_EVERY, DeadlineExceeded
+from vsr.lexer import LexError, TokenKind, lex
 from vsr.parser import classify, parse
 from vsr.reward import reward
 from vsr.similarity import sim_ast, sim_ast_seq
@@ -134,3 +135,57 @@ def test_stopped_reference_leaves_no_memo_entry():
     assert reward(FAT_SWAPPED, FAT, memo=memo) == reward(FAT_SWAPPED, FAT)
     assert list(memo) == [FAT]
 
+
+
+@pytest.mark.parametrize(
+    "line,tokens",
+    [
+        # Each line comment is a match of its own, so a body of comments is
+        # checked as often as a body of code.
+        ("// c\n", 0),
+        # Each of these lexemes ends its slice early.
+        ("x $y\n", 2),
+        ("/* c */ x\n", 1),
+        ('x = "s";\n', 4),
+    ],
+)
+def test_lines_are_checked_at_least_once_per_interval(monkeypatch, line, tokens):
+    calls = []
+    real = vsr.lexer.check
+    monkeypatch.setattr(vsr.lexer, "check", lambda d: calls.append(d) or real(d))
+    lines = 100_000
+    assert len(lex(line * lines)) == tokens * lines
+    assert len(calls) >= lines // CHECK_EVERY
+
+
+BIG = 8 * 1024 * 1024
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param('"' + "x" * BIG + '"', id="string"),
+        pytest.param('"' + "x" * BIG, id="unterminated-string"),
+        pytest.param("\\" + "x" * BIG + " ", id="escaped-identifier"),
+        pytest.param('"' + "\\q" * (BIG // 2) + '"', id="escape-dense-string"),
+    ],
+)
+def test_a_long_lexeme_answers_soon_after_its_deadline(source):
+    start = time.monotonic()
+    try:
+        lex(source, deadline=start + 0.05)
+    except (DeadlineExceeded, LexError):
+        pass
+    assert time.monotonic() - start < 0.5
+
+
+def test_a_string_of_escapes_stops_at_a_passed_deadline():
+    with pytest.raises(DeadlineExceeded):
+        lex('"' + "\\q" * (3 * CHECK_EVERY) + '"', deadline=passed())
+
+
+def test_a_copy_checks_the_deadline():
+    memo: dict = {}
+    reward(SMALL, SMALL, memo=memo)
+    with pytest.raises(DeadlineExceeded):
+        reward(SMALL, SMALL, memo=memo, deadline=passed())

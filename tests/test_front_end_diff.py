@@ -25,12 +25,14 @@ def test_small_seed_runs_and_repeats(capsys):
     first = run(script, capsys, SMALL)
     assert run(script, capsys, SMALL) == first
     # 2 golden files and 2 fixtures, a token- and a character-damaged copy
-    # of each, 10 generated texts of each family and 2 wide module pairs
-    assert len(first) == 4 + 4 * 2 + 10 + 10 + 2
+    # of each, a copy of each with its blank runs redrawn, 10 generated texts
+    # of each family and 2 wide module pairs
+    assert len(first) == 4 + 4 * 2 + 4 + 10 + 10 + 2
     assert all(re.fullmatch(r"[^\t]+\t[0-9a-f]{40}", line) for line in first)
     names = [line.split("\t")[0] for line in first]
     assert names[:2] == ["golden/abs_val.v", "golden/adder4.v"]
     assert names[-2:] == ["wide/0", "wide/1"]
+    assert names[12:16] == [f"blank/{name}/0" for name in names[:4]]
     assert len(set(names)) == len(names)
 
 

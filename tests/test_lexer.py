@@ -192,6 +192,13 @@ def test_slash_comment_boundaries(source, expected):
         ('a "s\\\n" `M', ["a", '"s\\\n"', "`M"]),
         # only blanks before it: the whole line is one directive
         ("  `define W 8\nx", ["`define W 8", "x"]),
+        ("`define A 1\n`define B 2", ["`define A 1", "`define B 2"]),
+        ("x // c\n  `M y", ["x", "`M y"]),
+        ("\\esc\n`M y", ["\\esc", "`M y"]),
+        # after any lexeme on its line, a macro use
+        ("\\esc `M y", ["\\esc", "`M", "y"]),
+        ('"s" `M y', ['"s"', "`M", "y"]),
+        ("$t`M y", ["$t", "`M", "y"]),
     ],
 )
 def test_backtick_after_code_is_a_macro_token(source, expected):
@@ -273,3 +280,79 @@ def test_keyword_operator_and_punctuation_texts_have_one_kind(before, after, sep
                 assert token.kind is TokenKind.OPERATOR, token
             if token.text in PUNCTUATION_TEXTS:
                 assert token.kind is TokenKind.PUNCTUATION, token
+
+
+# Each match of the master pattern takes the blank run before its lexeme;
+# these pin what that must not change.
+BLANKS = " \t\r\n\f\v"
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        ("", []),
+        (BLANKS, []),
+        ("\n\n  \r\n", []),
+        ("a" + BLANKS, [("a", (0, 1))]),
+        ("a b \t\n", [("a", (0, 1)), ("b", (2, 3))]),
+        ("  a", [("a", (2, 3))]),
+        ("a // c", [("a", (0, 1))]),
+        ("a\n// c", [("a", (0, 1))]),
+        ("// only", []),
+        ("a //", [("a", (0, 1))]),
+        ("a // c\n \t", [("a", (0, 1))]),
+        ("a // c\r\n// d\n b", [("a", (0, 1)), ("b", (14, 15))]),
+        (" \f\v( \n8'hF )", [("(", (3, 4)), ("8'hF", (6, 10)), (")", (11, 12))]),
+    ],
+)
+def test_blank_runs_and_line_comments(source, expected):
+    assert [(t.text, t.span) for t in lex(source)] == expected
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", " \t ", "\n", "\r\n  ", "\f\v"])
+def test_blanks_before_rare_lexemes_keep_their_spans(blank):
+    b = len(blank)
+    source = f"x{blank}/* c */{blank}\"s\"{blank}\\esc{blank}$time{blank}y"
+    tokens = lex(source)
+    texts = ("x", '"s"', "\\esc", "$time", "y")
+    starts = [source.index(text) for text in texts]
+    assert [(t.text, t.span[0]) for t in tokens] == list(zip(texts, starts))
+    assert all(source[t.span[0] : t.span[1]] == t.text for t in tokens)
+    # a backtick after blanks only, at the start of the text or of a line,
+    # is a whole-line directive; after code on its line it is a macro use
+    for lead in ("", "x;\n"):
+        tokens = lex(f"{lead}{blank}`define W 8\ny")
+        assert [t.text for t in tokens][-2:] == ["`define W 8", "y"]
+        assert tokens[-2].span[0] == len(lead) + b
+    tokens = lex(f"x{blank}`M y")
+    if "\n" in blank:
+        assert [t.text for t in tokens] == ["x", "`M y"]
+    else:
+        assert [t.text for t in tokens] == ["x", "`M", "y"]
+
+
+@pytest.mark.parametrize(
+    "source,message,span",
+    [
+        ("x \t\"abc", "unterminated string", (3, 7)),
+        ("x\n \"ab\ncd\"", "unterminated string", (3, 4)),
+        ("x \f\\", "empty escaped identifier", (3, 4)),
+        ("a \t ` b", "stray backtick", (4, 5)),
+        ("a \v$ b", "stray '$'", (3, 4)),
+        ("x \r\n/* never ends", "unterminated block comment", (4, 6)),
+    ],
+)
+def test_errors_after_blanks_keep_their_spans(source, message, span):
+    with pytest.raises(LexError) as err:
+        lex(source)
+    assert str(err.value) == message
+    assert err.value.span == span
+
+
+def test_string_of_many_escapes_is_one_token():
+    # more escapes than one deadline check interval, one of them a newline
+    body = '\\"x' * 5000 + "\\\n" + "\\\\" * 5000
+    source = f'a "{body}" b'
+    tokens = lex(source)
+    assert [t.text for t in tokens] == ["a", f'"{body}"', "b"]
+    assert tokens[1].span == (2, 4 + len(body))

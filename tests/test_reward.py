@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURE_DIR, golden_paths
 from helpers import chain_module
 from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate
 from vsr.parser import ValidityStatus, classify
@@ -19,7 +20,7 @@ from vsr.reward import (
     RewardOutcome,
     reward,
 )
-from vsr.similarity import sim_ast
+from vsr.similarity import sim_ast, sim_ast_seq
 from vsr.trees import RawNode, clean
 
 REF = """
@@ -233,9 +234,98 @@ class TestReferenceMemo:
             lambda text, **kw: seen.append(text) or real(text, **kw),
         )
         memo: dict = {}
-        for gen in (REF, BROKEN, PROSE, REF):
+        # differs from REF in whitespace only, so it is no copy of REF
+        spaced = " " + REF
+        for gen in (spaced, BROKEN, PROSE, spaced):
             reward(gen, REF, memo=memo)
-        assert seen == [REF, REF, BROKEN, PROSE, REF]
+        assert seen == [REF, spaced, BROKEN, PROSE, spaced]
+
+
+def _full_path(gen: str, ref: str, mode: str) -> RewardOutcome:
+    """What scoring a parsed generation does: classify, clean both sides
+    into one intern table, then the similarity."""
+    gen_v, ref_v = classify(gen), classify(ref)
+    table: dict = {}
+    ref_tree = clean(ref_v.ast, table)
+    gen_tree = clean(gen_v.ast, table)
+    fn = sim_ast if mode == "ast" else sim_ast_seq
+    sim = fn(gen_tree, ref_tree)
+    return RewardOutcome(gen_v.status, sim, REWARD_SCALE * sim)
+
+
+def _error(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+class TestCopies:
+    """A generation equal to its reference returns without being scored."""
+
+    SOURCES = [p.read_text(encoding="utf-8") for p in golden_paths()] + [
+        p.read_text(encoding="utf-8") for p in sorted(FIXTURE_DIR.glob("*.v"))
+    ]
+
+    @pytest.mark.parametrize("mode", ["ast", "seq"])
+    def test_copy_gives_the_full_path_outcome(self, mode):
+        memo: dict = {}
+        for text in self.SOURCES:
+            expected = _full_path(text, text, mode)
+            assert expected == RewardOutcome(ValidityStatus.PARSED, 1.0, 10.0)
+            for got in (reward(text, text, mode=mode),
+                        reward(text, text, mode=mode, memo=memo),
+                        reward(text, text, mode=mode, memo=memo)):
+                assert got == expected
+                assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("mode", ["ast", "seq"])
+    def test_a_reference_error_still_raises(self, mode):
+        for ref in (BROKEN, PROSE, "", DEEP):
+            other = _error(lambda: reward(REF, ref, mode=mode))
+            assert issubclass(other[0], (ReferenceParseError, ReferenceTooDeepError))
+            memo: dict = {}
+            for _ in range(2):
+                assert _error(lambda: reward(ref, ref, mode=mode)) == other
+                assert _error(lambda: reward(ref, ref, mode=mode, memo=memo)) == other
+
+    def test_bad_mode_or_limit_still_comes_first(self):
+        for text in (REF, BROKEN, PROSE, DEEP):
+            kind, message = _error(lambda: reward(text, text, mode="zip"))
+            assert kind is ValueError and message.startswith("mode must be")
+            kind, message = _error(lambda: reward(text, text, depth_limit=0))
+            assert kind is ValueError and message.startswith("depth limit must be")
+
+    def test_copy_never_reaches_the_pipeline(self, monkeypatch):
+        reward_module = importlib.import_module("vsr.reward")
+        memo: dict = {}
+        reward(" " + REF, REF, memo=memo)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a copy reached the pipeline")
+
+        for name in ("classify", "clean", "sim_ast", "sim_ast_seq"):
+            monkeypatch.setattr(reward_module, name, refuse)
+        for mode in ("ast", "seq"):
+            assert reward(REF, REF, mode=mode, memo=memo) == RewardOutcome(
+                ValidityStatus.PARSED, 1.0, 10.0
+            )
+
+    def test_copy_classifies_the_reference_only(self, monkeypatch):
+        reward_module = importlib.import_module("vsr.reward")
+        seen = []
+        real = reward_module.classify
+        monkeypatch.setattr(
+            reward_module,
+            "classify",
+            lambda text, **kw: seen.append(text) or real(text, **kw),
+        )
+        memo: dict = {}
+        for _ in range(3):
+            reward(REF, REF, memo=memo)
+            reward(REF, REF)
+        assert seen == [REF] * 4
 
 
 @settings(max_examples=120, deadline=None)
