@@ -25,9 +25,19 @@ standard library alone, so both sides see the same texts:
                          if/else blocks, case blocks) against the module
                          itself, reordered, with one operator swapped in
                          each item, so wide greedy rows show in the trace
+  long/N                 long texts for the lexer's bulk scan, which reads
+                         runs of about 16 KiB cut at a line end, in four
+                         shapes taken in turn: golden and fixture files
+                         joined past three run lengths; files joined onto
+                         one line longer than a run; joined files with
+                         comments and whole-line directives put at the line
+                         starts near each run length; and the same with
+                         strings, system and escaped identifiers, macro
+                         uses and stray characters among them
 
-Each hash covers the `classify` status and diagnostics; every raw node's
-kind, name, value, mods, span and arity in preorder; `serialize(clean(ast))`;
+Each hash covers the `lex` tokens, or its error and span; the `classify`
+status and diagnostics; every raw node's kind, name, value, mods, span and
+arity in preorder; `serialize(clean(ast))`;
 the `pretty_print` text; the `mutate` output for three kinds x three seeds;
 the `reward` outcome in both modes against a reference (the file itself, the
 undamaged file, or the previous generated text); and, when both sides
@@ -51,6 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate  # noqa: E402
+from vsr.lexer import LexError, lex  # noqa: E402
 from vsr.parser import classify  # noqa: E402
 from vsr.printer import PrintError, pretty_print  # noqa: E402
 from vsr.reward import reward  # noqa: E402
@@ -79,10 +90,29 @@ DECL_WORDS = ("parameter", "localparam", "input", "output", "inout", "wire", "re
 WIDE_ITEMS = (16, 200)
 WIDE_SWAP = {"+": "-", "-": "+", "&": "|", "|": "&", "^": "~^", "~^": "^", "<<": ">>", ">>": "<<"}
 WIDE_SIGNALS = ("a", "b", "c", "s0", "s1", "s2")
+# The length of one bulk run of the lexer (`vsr.lexer`), and the pieces the
+# long/N family puts near the ends of runs: lexemes that the bulk scan hands
+# to the per-match path or reads next to them.  The first four leave a
+# parse unchanged when put at a line start.
+RUN = 16384
+LONG_RARE = (
+    "/* c */ ",
+    "/* a\n b */",
+    "// c\n",
+    "`timescale 1ns/1ps\n",
+    "`W ",
+    '$display("s\\"q", \\esc , x$y);\n',
+    '"s" ',
+    "$y ",
+    "\\esc ",
+    '"a\\\nb" ',
+    "'",
+    "\u00e9",
+)
 
 
 def fingerprint(text: str, ref: str) -> str:
-    parts: list[str] = []
+    parts: list[str] = [_tokens(text)]
     validity = classify(text)
     parts.append(validity.status.value)
     parts.extend(f"{d.severity}|{d.message}|{d.span}" for d in validity.diagnostics)
@@ -106,6 +136,13 @@ def fingerprint(text: str, ref: str) -> str:
         gen_tree = clean(validity.ast, table)
         parts.append(_attempt(lambda: repr(sim_ast_with_trace(gen_tree, ref_tree))))
     return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def _tokens(text: str) -> str:
+    try:
+        return "|".join(map(repr, lex(text)))
+    except LexError as exc:
+        return f"LexError: {exc} {exc.span}"
 
 
 def _attempt(fn, *args) -> str:
@@ -307,7 +344,44 @@ def gen_wide_pair(rng: random.Random) -> tuple[str, str]:
     return wide_module(items), wide_module(swapped)
 
 
-def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int):
+def joined(files, rng: random.Random, length: int) -> tuple[str, str]:
+    """(files drawn at random and joined past `length` characters, the first)."""
+    parts = []
+    while sum(map(len, parts)) <= length:
+        parts.append(rng.choice(files)[1])
+    return "\n".join(parts), parts[0]
+
+
+def one_line(text: str) -> str:
+    """`text` on one line: line comments and whole-line directives dropped."""
+    lines = [re.sub(r"//.*", "", line) for line in text.splitlines()]
+    return " ".join(line for line in lines if not line.lstrip().startswith("`"))
+
+
+def rare_at_run_ends(text: str, rng: random.Random, pieces) -> str:
+    """`text` with some of `pieces` put at line starts near each multiple of RUN."""
+    out = text
+    for k in range(len(text) // RUN, 0, -1):
+        for _ in range(3):
+            at = out.find("\n", max(k * RUN + rng.randrange(-48, 48), 0)) + 1
+            if at:
+                out = out[:at] + rng.choice(pieces) + out[at:]
+    return out
+
+
+def gen_long(files, rng: random.Random, n: int) -> tuple[str, str]:
+    """(long text, a reference): the shape cycles with `n`, see the module doc."""
+    shape = n % 4
+    text, first = joined(files, rng, RUN if shape == 1 else 3 * RUN)
+    if shape == 1:
+        return one_line(text), first
+    if shape >= 2:
+        return rare_at_run_ends(text, rng, LONG_RARE[:4] if shape == 2 else LONG_RARE), first
+    return text, first
+
+
+def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int,
+           long: int = 0):
     """Yield (name, text, reference text) in a fixed order."""
     rng = random.Random(seed)
     files = []
@@ -338,6 +412,10 @@ def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int)
     for n in range(wide):
         ref, text = gen_wide_pair(rng)
         yield f"wide/{n}", text, ref
+    long_rng = random.Random(f"long/{seed}")
+    for n in range(long):
+        text, ref = gen_long(files, long_rng, n)
+        yield f"long/{n}", text, ref
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -351,8 +429,11 @@ def main(argv: list[str] | None = None) -> int:
                     help="use only the first N files of each folder")
     ap.add_argument("--wide", type=int, default=20,
                     help="generated wide module pairs (default 20)")
+    ap.add_argument("--long", type=int, default=4,
+                    help="long texts, the four shapes in turn (default 4)")
     args = ap.parse_args(argv)
-    for name, text, ref in inputs(args.seed, args.copies, args.generated, args.limit, args.wide):
+    for name, text, ref in inputs(args.seed, args.copies, args.generated, args.limit,
+                                  args.wide, args.long):
         print(f"{name}\t{fingerprint(text, ref)}")
     return 0
 
