@@ -108,11 +108,21 @@ class MutationSpec:
 
 
 def ingest(path: str | Path) -> list[CorpusRecord]:
-    """Read a JSONL corpus in file order, validating shape and id uniqueness."""
+    """Read a JSONL corpus in file order, validating shape and id uniqueness.
+
+    Raises CorpusFormatError, with the line number, on a line that is not
+    UTF-8, not JSON or not a well-formed record.
+    """
     records: list[CorpusRecord] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    # Undecodable bytes come through as lone surrogates, which UTF-8 cannot
+    # encode, so each line is checked on its own and the error names it.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusFormatError(f"line {lineno}: not UTF-8 text") from None
             line = line.strip()
             if not line:
                 continue

@@ -286,6 +286,16 @@ class TestCorpusCommand:
         assert proc.stdout == ""
         assert proc.stderr == f"vsr: max_tokens must be >= 1, got {max_tokens}\n"
 
+    @pytest.mark.parametrize("command", ["filter", "stats"])
+    def test_non_utf8_line_is_a_message_not_a_traceback(self, tmp_path, command):
+        path = tmp_path / "corpus.jsonl"
+        good = json.dumps({"id": "a", "spec": "s", "code": SIMPLE}).encode()
+        path.write_bytes(good + b"\n" + b'{"id": "\xff\xfe"}\n')
+        proc = vsr("corpus", command, str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"vsr: {path}: line 2: not UTF-8 text\n"
+
     def test_mutate_roundtrip(self, tmp_path):
         src = tmp_path / "m.v"
         src.write_text(SIMPLE)
