@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import islice
+from functools import partial
+from itertools import accumulate
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from vsr.deadline import CHECK_EVERY, check
@@ -66,25 +68,75 @@ KEYWORDS = frozenset(
 )
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_SYS_ID_RE = re.compile(r"\$[A-Za-z0-9_$]+")
+_SYS_ID = r"\$[A-Za-z0-9_$]+"
 # Ordered alternation: based literal, real, plain decimal.  Digit classes are
 # per base so e.g. 8'hqq fails here instead of parsing later.
-_NUMBER_RE = re.compile(
+_NUMBER = (
     r"(?:\d[\d_]*)?'[sS]?(?:[bB][01xXzZ?_]+|[oO][0-7xXzZ?_]+"
     r"|[dD][0-9xXzZ?_]+|[hH][0-9a-fA-FxXzZ?_]+)"
     r"|\d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?"
     r"|\d[\d_]*[eE][+-]?\d[\d_]*"
     r"|\d[\d_]*"
 )
-# Operators longest first, so `<<<` is never read as `<<` then `<`.  A `/`
-# that opens a comment is left to the comment branches.
-_OPERATORS = (
-    "<<<", ">>>", "===", "!==",
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "~&", "~|", "~^", "^~", "**", "+:", "-:",
+# Operators as a trie on their first character, each branch longest first,
+# so `<<<` is never read as `<<` then `<`; one failed first character costs
+# one test where a list of every operator would cost twenty.  A `/` that
+# opens a comment is left to the comment branches.
+_OPERATOR_RE = (
+    r"<(?:<<?|=)?|>(?:>>?|=)?|=(?:==?)?|!(?:==?)?|&&?|\|\|?|~[&|^]?|\^~?|\*\*?"
+    r"|\+:?|-:?|[%?]|/(?![/*])"
 )
-_OPERATOR_RE = "|".join(map(re.escape, _OPERATORS)) + r"|[-+*%&|^~!<>=?]|/(?![/*])"
+_PUNCT_RE = r"[()\[\]{};,.:#@]"
 
+# ---- The bulk scan ----
+#
+# Most text is lexed by `re.findall` over runs of whole lines, so a common
+# lexeme costs no Python bytecode of its own.  Each match is a skip of
+# blanks and comments, then one lexeme; the skip is possessive, so it is
+# never given back.  The lexeme alternatives are the common lexemes plus
+# those rare ones that fit on one line and need no context: system and
+# escaped identifiers, strings whose escapes are not line ends, and (inside
+# the skip) block comments that close on their own line.  They give the
+# same tokens as the per-match path below, which handles them in
+# `_lex_rare`.  `\Z` takes the end of the run after trailing blanks in one
+# match; without it findall would retry a trailing blank run once per
+# character.  Anything else (a backtick, an unterminated string or block
+# comment, a stray or illegal character) is taken by the last alternative
+# together with the rest of the run, which ends in a newline, so it is the
+# only text that holds one: the run stops there and the per-match path
+# takes over at that character.
+#
+# A lexeme's kind follows from its first character, and for a word from
+# the keyword set: each lexeme class starts with characters of its own (see
+# `vsr.parser`).
+_SKIP = r"[ \t\r\f\v\n]*+(?:(?://[^\n]*|/\*[^\n]*?\*/)[ \t\r\f\v\n]*+)*+"
+_LEXEME = (
+    rf"{_ID_RE.pattern}|{_PUNCT_RE}|{_OPERATOR_RE}|(?=[0-9'])(?:{_NUMBER})|{_SYS_ID}"
+    r'|\\\S+|"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"|\Z|(?s:.+)'
+)
+_BULK_RE = re.compile(rf"{_SKIP}({_LEXEME})")
+# The same with the skip as a group of its own, for callers that need spans.
+_BULK_SPANS_RE = re.compile(rf"({_SKIP})({_LEXEME})")
+# A run ends at the first newline this many characters after its start.  A
+# run is then about CHECK_EVERY lexemes, and the deadline is checked after
+# each.  A line that would make a run longer than twice this is lexed by
+# the per-match path, which checks the deadline as it goes.
+_RUN = 16384
+_LINE_BLANKS = " \t\r\f\v\n"
+
+_FIRST_KIND = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$\\", TokenKind.IDENTIFIER),
+    **dict.fromkeys("0123456789'", TokenKind.NUMBER),
+    **dict.fromkeys("-+*%&|^~!<>=?/", TokenKind.OPERATOR),
+    **dict.fromkeys("()[]{};,.:#@", TokenKind.PUNCTUATION),
+    '"': TokenKind.STRING,
+}
+_KEYWORD_KIND = dict.fromkeys(KEYWORDS, TokenKind.KEYWORD)
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+# ---- The per-match path ----
+#
 # One master pattern for the common lexemes (the tokenizer recipe from the
 # `re` module docs); its group number is the lexeme class.  Each match takes
 # the blank run before its lexeme too, so the scan makes one match per token
@@ -94,27 +146,22 @@ _OPERATOR_RE = "|".join(map(re.escape, _OPERATORS)) + r"|[-+*%&|^~!<>=?]|/(?![/*
 # other character, which starts a lexeme `_lex_rare` handles: block comment,
 # directive, string, escaped or system identifier, or an error.  A line
 # comment, and the end of the text after trailing blanks, match no group.
-#
-# Line comments stay matches of their own rather than part of the blank
-# prefix: a match then covers at most one blank run and one lexeme or
-# comment, and the deadline is checked once per CHECK_EVERY matches.  A
-# prefix that also took comments would read a file of comment lines as one
-# match that no deadline check can interrupt.  Every match but the one at
-# the end consumes at least one character, so scanning never stalls.
-_WORD, _NUMBER, _OPERATOR, _PUNCT, _RARE = range(1, 6)
+# Every match but the one at the end consumes at least one character, so
+# scanning never stalls.
+_WORD, _NUMBER_GROUP, _OPERATOR, _PUNCT, _RARE = range(1, 6)
 _MASTER_RE = re.compile(
     r"[ \t\r\f\v\n]*(?:"
     r"//[^\n]*"
     rf"|({_ID_RE.pattern})"
-    rf"|(?=[0-9'])({_NUMBER_RE.pattern})"
+    rf"|(?=[0-9'])({_NUMBER})"
     rf"|({_OPERATOR_RE})"
-    r"|([()\[\]{};,.:#@])"
+    rf"|({_PUNCT_RE})"
     r"|(.)"
     r"|\Z)",
     re.DOTALL,
 )
 _KIND_OF_GROUP = {
-    _NUMBER: TokenKind.NUMBER,
+    _NUMBER_GROUP: TokenKind.NUMBER,
     _OPERATOR: TokenKind.OPERATOR,
     _PUNCT: TokenKind.PUNCTUATION,
 }
@@ -123,6 +170,8 @@ _KIND_OF_GROUP = {
 # the characters for which `str.isspace()` is true).
 _STRING_RUN_RE = re.compile(r'[^"\\\n]*')
 _ESCAPED_RUN_RE = re.compile(r"\S*")
+
+_new_token = partial(tuple.__new__, Token)  # a Token without NamedTuple's Python __new__
 
 
 def lex(source: str, *, deadline: float | None = None) -> list[Token]:
@@ -135,47 +184,126 @@ def lex(source: str, *, deadline: float | None = None) -> list[Token]:
     also a directive token.  Raises DeadlineExceeded once `deadline` (a
     `time.monotonic()` value) has passed; see `vsr.deadline`.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    scan = _MASTER_RE.finditer
-    new = tuple.__new__  # builds a Token without NamedTuple's Python __new__
+    texts, kinds, starts = scan(source, deadline, spans=True)
+    ends = map(add, starts, map(len, texts))
+    return list(map(_new_token, zip(kinds, texts, zip(starts, ends))))
+
+
+def scan(
+    source: str, deadline: float | None = None, *, spans: bool = False
+) -> tuple[list[str], list[TokenKind], list[int] | None]:
+    """Tokenize `source` into parallel lists: texts, kinds and start offsets.
+
+    The tokens are those of `lex`, and so are the errors.  The offsets are
+    computed only when `spans` is true and are None otherwise; a token ends
+    at its start plus the length of its text.  Runs of whole lines go to
+    the bulk scan and the rest to the per-match path (see the comments
+    above); the deadline is checked after each run and as the per-match
+    path goes.
+    """
+    texts: list[str] = []
+    kinds: list[TokenKind] = []
+    starts: list[int] | None = [] if spans else None
+    n = len(source)
+    pos = 0
+    while pos < n:
+        cut = source.find("\n", pos + _RUN)
+        end = n if cut < 0 else cut + 1
+        if end - pos > 2 * _RUN:
+            back = source.rfind("\n", pos, pos + _RUN)
+            if back < 0:
+                # The line at `pos` is longer than a run.
+                pos = _lex_slow(source, pos, end, texts, kinds, starts, deadline)
+                continue
+            end = back + 1  # the run stops before the long line
+        pos = _lex_bulk(source, pos, end, texts, kinds, starts, deadline)
+        check(deadline)
+    return texts, kinds, starts
+
+
+def _lex_bulk(source, pos, end, texts, kinds, starts, deadline) -> int:
+    """Lex `source[pos:end]` in one findall; return where lexing stands.
+
+    That is `end`, unless the run held a lexeme the bulk scan leaves to the
+    per-match path: then it is just past that lexeme.
+    """
+    if source[end - 1] == "\n":
+        text, base, lo, hi = source, 0, pos, end
+    else:  # the last run of a text that does not end in a newline
+        text, base, lo, hi = source[pos:end] + "\n", pos, 0, end - pos + 1
+    if starts is None:
+        found = _BULK_RE.findall(text, lo, hi)
+        while found and not found[-1]:
+            found.pop()  # the match at the end of the run
+        rest = found.pop() if found and found[-1][-1] == "\n" else ""
+        texts += found
+    else:
+        pairs = _BULK_SPANS_RE.findall(text, lo, hi)
+        while pairs and not pairs[-1][1]:
+            pairs.pop()
+        rest = pairs.pop()[1] if pairs and pairs[-1][1][-1] == "\n" else ""
+        found = list(map(_second, pairs))
+        texts += found
+        lengths = list(map(len, found))
+        ends = accumulate(map(add, map(len, map(_first, pairs)), lengths), initial=base + lo)
+        next(ends)
+        starts += map(sub, ends, lengths)
+    kinds += map(_KEYWORD_KIND.get, found, map(_FIRST_KIND.__getitem__, map(_first, found)))
+    if not rest:
+        return end
+    # The last match took the rest of the run from a lexeme the per-match
+    # path must read.  That path starts after the lexeme or comment before
+    # it, where the blanks before it begin, as the whole-line directive test
+    # reads them.
+    at = base + hi - len(rest)
+    first = pos + len(source[pos:at].rstrip(_LINE_BLANKS))
+    return _lex_slow(source, first, at + 1, texts, kinds, starts, deadline)
+
+
+def _lex_slow(source, pos, stop, texts, kinds, starts, deadline) -> int:
+    """Lex from `pos`, one master match at a time, until the scan passes `stop`.
+
+    Returns where the scan stands: the end of the last match, at or past
+    `stop`.  The deadline is checked once per CHECK_EVERY matches and after
+    each rare lexeme.
+    """
+    match = _MASTER_RE.match
     keywords = KEYWORDS
     kind_of_group = _KIND_OF_GROUP
     identifier, keyword = TokenKind.IDENTIFIER, TokenKind.KEYWORD
-    end = len(source)
-    pos = 0
-    matches = scan(source)
-    while pos < end:
-        # Lexemes are taken in slices, so the deadline is checked between
-        # slices at no cost per lexeme.  A rare lexeme ends its slice early
-        # and is checked after, so text dense with them is checked too.
-        for m in islice(matches, CHECK_EVERY):
-            group = m.lastindex
-            if group == _WORD:
-                text = m[group]
-                kind = keyword if text in keywords else identifier
-                append(new(Token, (kind, text, m.span(group))))
-            elif group is None:  # a line comment, or the end of the text
-                continue
-            elif group != _RARE:
-                append(new(Token, (kind_of_group[group], m[group], m.span(group))))
-            else:
-                pos = _lex_rare(source, m, append, deadline)
-                check(deadline)
-                matches = scan(source, pos)
-                break
-        else:
-            # The matches tile the source, so the last one ends where the
-            # scan stands.  While pos < end the slice was not empty.
-            pos = m.end()
+
+    def emit(kind, text, start):
+        texts.append(text)
+        kinds.append(kind)
+        if starts is not None:
+            starts.append(start)
+
+    steps = CHECK_EVERY
+    while pos < stop:
+        m = match(source, pos)
+        group = m.lastindex
+        if group == _RARE:
+            pos = _lex_rare(source, m, emit, deadline)
             check(deadline)
-    return tokens
+            steps = CHECK_EVERY
+            continue
+        pos = m.end()
+        if group == _WORD:
+            text = m[group]
+            emit(keyword if text in keywords else identifier, text, m.start(group))
+        elif group is not None:  # not a line comment, nor the end of the text
+            emit(kind_of_group[group], m[group], m.start(group))
+        steps -= 1
+        if not steps:
+            check(deadline)
+            steps = CHECK_EVERY
+    return pos
 
 
-def _lex_rare(source: str, m: re.Match, append, deadline: float | None) -> int:
+def _lex_rare(source: str, m: re.Match, emit, deadline: float | None) -> int:
     """Lex the lexeme that starts at the rare group of master match `m`.
 
-    Appends its token, if it makes one, and returns the offset just past it;
+    Emits its token, if it makes one, and returns the offset just past it;
     raises LexError when the text there is malformed.  Long strings and
     escaped identifiers are scanned by `re` in runs, and a string checks
     `deadline` once per CHECK_EVERY escapes, so no lexeme is a long Python
@@ -208,7 +336,7 @@ def _lex_rare(source: str, m: re.Match, append, deadline: float | None) -> int:
             if name is None:
                 raise LexError("stray backtick", (i, i + 1))
             end = name.end()
-        append(Token(TokenKind.DIRECTIVE, source[i:end], (i, end)))
+        emit(TokenKind.DIRECTIVE, source[i:end], i)
         return end
     if ch == '"':
         run = _STRING_RUN_RE.match
@@ -217,7 +345,7 @@ def _lex_rare(source: str, m: re.Match, append, deadline: float | None) -> int:
         while j < n:
             c = source[j]
             if c == '"':
-                append(Token(TokenKind.STRING, source[i : j + 1], (i, j + 1)))
+                emit(TokenKind.STRING, source[i : j + 1], i)
                 return j + 1
             if c == "\n":
                 raise LexError("unterminated string", (i, i + 1))
@@ -233,14 +361,16 @@ def _lex_rare(source: str, m: re.Match, append, deadline: float | None) -> int:
         j = _ESCAPED_RUN_RE.match(source, i + 1).end()
         if j == i + 1:
             raise LexError("empty escaped identifier", (i, i + 1))
-        append(Token(TokenKind.IDENTIFIER, source[i:j], (i, j)))
+        emit(TokenKind.IDENTIFIER, source[i:j], i)
         return j
     if ch == "'":  # a quote the number pattern rejected
         raise LexError("malformed number literal", (i, i + 1))
     if ch == "$":
-        name = _SYS_ID_RE.match(source, i)
+        # Compiled on first use, not at import: a system identifier comes
+        # this way only on a line longer than a run.
+        name = re.compile(_SYS_ID).match(source, i)
         if name is None:
             raise LexError("stray '$'", (i, i + 1))
-        append(Token(TokenKind.IDENTIFIER, name.group(), (i, name.end())))
+        emit(TokenKind.IDENTIFIER, name.group(), i)
         return name.end()
     raise LexError(f"illegal character {ch!r}", (i, i + 1))

@@ -54,12 +54,13 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import add, is_not, itemgetter
 from typing import NoReturn
 
 from vsr.deadline import CHECK_EVERY, check
-from vsr.lexer import LexError, Token, TokenKind, lex
-from vsr.trees import NodeKind, RawNode, clone_raw
+from vsr.lexer import LexError, Token, TokenKind, lex, scan
+from vsr.trees import CleanNode, NodeKind, RawNode, clone_raw
 
 # Combined statement/expression nesting cap.  Keeps pathological inputs from
 # exhausting the interpreter stack; realistic RTL nests far shallower.
@@ -201,6 +202,8 @@ _LONE_END = frozenset((")", ";", ",", ":", "]", "}"))
 # `NodeKind.ID`, takes over 100 ns, several times the cost of building an
 # empty child list; reading a module global takes a few ns.
 _IDENTIFIER = TokenKind.IDENTIFIER
+_DIRECTIVE = TokenKind.DIRECTIVE
+_PUNCTUATION = TokenKind.PUNCTUATION
 _NUMBER = TokenKind.NUMBER
 _STRING = TokenKind.STRING
 _KEYWORD = TokenKind.KEYWORD
@@ -231,90 +234,149 @@ _TASK_DECL = NodeKind.TASK_DECL
 _TERNARY = NodeKind.TERNARY
 _WIDTH = NodeKind.WIDTH
 
+# Field readers for tokens and spans.
+_KIND, _TEXT, _SPAN = itemgetter(0), itemgetter(1), itemgetter(2)
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+
 
 class Parser:
-    def __init__(self, tokens: list[Token], deadline: float | None = None):
-        # Directives are lexed for span bookkeeping but never parsed.  They
-        # are filtered out in slices, so the deadline is checked between
-        # slices at no cost per token.  Two end tokens with empty text close
-        # the list, so looking at the current or the next token needs no
-        # bounds check (the position never passes the first) and no test
-        # for None.  Their span is empty and sits at the end of the last
-        # token, which is where an error at the end of input points.
-        directive = TokenKind.DIRECTIVE
-        rest = iter(tokens)
-        toks: list[Token] = []
-        for _ in range(0, len(tokens), CHECK_EVERY):
-            toks += [t for t in islice(rest, CHECK_EVERY) if t.kind is not directive]
-            check(deadline)
-        end = toks[-1].span[1] if toks else 0
-        toks += [Token(TokenKind.PUNCTUATION, "", (end, end))] * 2
-        self._toks = toks
+    """The grammar, over parallel token lists, building through one builder.
+
+    The lists are the texts, kinds, start and end offsets of the tokens,
+    directives already dropped.  This class builds RawNodes with spans;
+    `_Interner` runs the same grammar and builds interned CleanNodes.
+    """
+
+    def __init__(
+        self,
+        texts: list[str],
+        kinds: list[TokenKind],
+        starts: list[int] | None,
+        ends: list[int] | None,
+        deadline: float | None = None,
+    ):
+        # Two end tokens with empty text close the lists, so looking at the
+        # current or the next token needs no bounds check (the position
+        # never passes the first).  Their span is empty and sits at the end
+        # of the last token, which is where an error at the end of input
+        # points.  The lists are the caller's, made for this parse.
+        texts += ("", "")
+        kinds += (_PUNCTUATION, _PUNCTUATION)
+        if starts is not None:
+            end = ends[-1] if ends else 0
+            starts += (end, end)
+            ends += (end, end)
+        self._texts = texts
+        self._kinds = kinds
+        self._starts = starts
+        self._ends = ends
         self._pos = 0
         self._depth = 0
         self._deadline = deadline
 
+    # ---- The builder ----
+    #
+    # Every node is built by one of these methods, and `_Interner` replaces
+    # them all.  A node's span runs from the start of a given token to the
+    # end of the last token consumed, with two exceptions: binary, ternary
+    # and select nodes start where their first child starts, and binary and
+    # unary nodes end where their last child ends.  A parenthesized operand
+    # is the node of what is inside, so those starts and ends leave its
+    # parentheses out.
+
+    def _node(self, kind, kids, name, value, mods, start: int):
+        """A node whose span runs from token `start` to the last consumed."""
+        return RawNode(kind, kids, name, value, mods, (self._starts[start], self._ends[self._pos - 1]))
+
+    def _leaf(self, kind, name, value):
+        """An identifier or constant: the last consumed token alone."""
+        at = self._pos - 1
+        return RawNode(kind, [], name, value, (), (self._starts[at], self._ends[at]))
+
+    def _pair(self, kind, left, right):
+        """A binary operator node."""
+        return RawNode(kind, [left, right], None, None, (), (left.span[0], right.span[1]))
+
+    def _prefix(self, kind, at: int, operand):
+        """A unary operator node; its operator is token `at`."""
+        return RawNode(kind, [operand], None, None, (), (self._starts[at], operand.span[1]))
+
+    def _joined(self, kind, kids):
+        """A ternary or select node: from its first child to the last consumed."""
+        return RawNode(kind, kids, None, None, (), (kids[0].span[0], self._ends[self._pos - 1]))
+
+    def _copy(self, node):
+        """A node to put in the tree a second time (see `_decl`)."""
+        return clone_raw(node)
+
     # ---- Token plumbing ----
 
-    def _end(self) -> int:
-        if self._pos == 0:
-            return 0
-        return self._toks[self._pos - 1].span[1]
+    def _span(self, at: int) -> tuple[int, int] | None:
+        starts = self._starts
+        return None if starts is None else (starts[at], self._ends[at])
 
     def _error(self, message: str) -> NoReturn:
-        tok = self._toks[self._pos]
-        if not tok.text:
-            raise ParseError(f"{message}, found end of input", tok.span)
-        raise ParseError(f"{message}, found {tok.text!r}", tok.span)
-
-    def _advance(self) -> Token:
-        # Every token is consumed here and the position never moves back,
-        # so this is where the deadline is checked.
         pos = self._pos
-        tok = self._toks[pos]
-        if not tok.text:
+        text = self._texts[pos]
+        if not text:
+            raise ParseError(f"{message}, found end of input", self._span(pos))
+        raise ParseError(f"{message}, found {text!r}", self._span(pos))
+
+    def _advance(self) -> int:
+        # Every token is consumed here and the position never moves back,
+        # so this is where the deadline is checked.  Returns the index of
+        # the token consumed.
+        pos = self._pos
+        if not self._texts[pos]:
             self._error("unexpected end of input")
-        self._pos = pos = pos + 1
-        if not pos % CHECK_EVERY:
+        self._pos = nxt = pos + 1
+        if not nxt % CHECK_EVERY:
             check(self._deadline)
-        return tok
+        return pos
 
     def _at(self, text: str) -> bool:
         # The text alone is enough: a keyword, operator or punctuation text
         # always lexes as that one kind (see the module docstring).
-        return self._toks[self._pos].text == text
+        return self._texts[self._pos] == text
 
-    def _expect(self, text: str) -> Token:
-        if self._toks[self._pos].text != text:
+    def _expect(self, text: str) -> int:
+        # `_advance` inlined: `text` is never empty, so it is not the end.
+        pos = self._pos
+        if self._texts[pos] != text:
             self._error(f"expected '{text}'")
-        return self._advance()
+        self._pos = nxt = pos + 1
+        if not nxt % CHECK_EVERY:
+            check(self._deadline)
+        return pos
 
-    def _expect_ident(self) -> Token:
-        if self._toks[self._pos].kind is not _IDENTIFIER:
+    def _expect_ident(self) -> int:
+        if self._kinds[self._pos] is not _IDENTIFIER:
             self._error("expected identifier")
         return self._advance()
 
     def _enter(self) -> None:
         self._depth += 1
         if self._depth > _MAX_NESTING:
-            start = self._toks[self._pos].span[0]
-            raise ParseError("nesting too deep", (start, start + 1))
+            span = self._span(self._pos)
+            raise ParseError("nesting too deep", span and (span[0], span[0] + 1))
 
     # ---- Source structure ----
 
-    def parse_source_unit(self) -> RawNode:
+    def parse_source_unit(self):
         modules = []
-        while self._toks[self._pos].text:
+        texts = self._texts
+        while texts[self._pos]:
             modules.append(self._module())
         if not modules:
             raise ParseError("expected at least one module", (0, 0))
-        span = (modules[0].span[0], modules[-1].span[1])
-        return RawNode(_SOURCE_UNIT, modules, None, None, (), span)
+        # The first module starts at the first token.
+        return self._node(_SOURCE_UNIT, modules, None, None, (), 0)
 
-    def _module(self) -> RawNode:
-        start = self._expect("module").span[0]
-        name = self._expect_ident().text
-        children: list[RawNode] = []
+    def _module(self):
+        start = self._expect("module")
+        texts = self._texts
+        name = texts[self._expect_ident()]
+        children: list = []
         mods: tuple[str, ...] = ()
         if self._at("#"):
             self._advance()
@@ -326,50 +388,48 @@ class Parser:
             if ansi:
                 mods += ("ansi",)
         self._expect(";")
-        toks = self._toks
-        while toks[self._pos].text != "endmodule":
-            if not toks[self._pos].text:
+        while texts[self._pos] != "endmodule":
+            if not texts[self._pos]:
                 self._error("expected 'endmodule'")
             children.extend(self._module_item())
-        end = self._advance().span[1]
-        return RawNode(_MODULE_DEF, children, name, None, mods, (start, end))
+        self._advance()
+        return self._node(_MODULE_DEF, children, name, None, mods, start)
 
-    def _header_params(self) -> list[RawNode]:
+    def _header_params(self) -> list:
         self._expect("(")
         if not self._at("parameter"):
             self._error("expected 'parameter'")
         return self._decl(("parameter",))
 
-    def _port_header(self) -> tuple[list[RawNode], bool]:
+    def _port_header(self) -> tuple[list, bool]:
         """Parse the parenthesized port list; returns (ports, is_ansi)."""
         if self._at(")"):
             self._advance()
             return [], True
-        if self._toks[self._pos].kind is _IDENTIFIER:
+        if self._kinds[self._pos] is _IDENTIFIER:
             refs = []
             while True:
-                tok = self._expect_ident()
-                refs.append(
-                    RawNode(_PORT_REF, [], tok.text, None, ("header",), tok.span)
-                )
+                at = self._expect_ident()
+                refs.append(self._node(_PORT_REF, [], self._texts[at], None, ("header",), at))
                 if self._at(","):
                     self._advance()
                     continue
                 break
             self._expect(")")
             return refs, False
-        if self._toks[self._pos].text not in _DIRECTION_KIND:
+        if self._texts[self._pos] not in _DIRECTION_KIND:
             self._error("expected port direction")
         return self._decl(_DIRECTION_KIND), True
 
     # ---- Module items ----
 
-    def _module_item(self) -> list[RawNode]:
-        tok = self._toks[self._pos]
-        word = tok.text
+    def _module_item(self) -> list:
+        pos = self._pos
+        word = self._texts[pos]
         if word in _DECL_KIND:
             return self._decl()
-        if tok.kind is _KEYWORD:
+        kind = self._kinds[pos]
+        if kind is _KEYWORD:
             if word == "assign":
                 return self._continuous_assign()
             if word == "always":
@@ -377,17 +437,17 @@ class Parser:
             if word == "initial":
                 self._advance()
                 stmt = self._statement()
-                return [RawNode(_INITIAL, [stmt], None, None, (), (tok.span[0], self._end()))]
+                return [self._node(_INITIAL, [stmt], None, None, (), pos)]
             if word == "function":
                 return [self._func_decl()]
             if word == "task":
                 return [self._task_decl()]
             self._error("unsupported construct at module level")
-        if tok.kind is _IDENTIFIER:
+        if kind is _IDENTIFIER:
             return self._instances()
         self._error("expected module item")
 
-    def _decl(self, group_words: Collection[str] = ()) -> list[RawNode]:
+    def _decl(self, group_words: Collection[str] = ()) -> list:
         """Parse declarations, one node per declared name.
 
         A declaration is a keyword from `_DECL_KIND`, its qualifiers, and
@@ -396,7 +456,8 @@ class Parser:
         `real` and `time` take no `signed` and no width; only `reg` names
         take a memory range; a parameter name requires `= expr`, and a port
         name takes no initializer.  The first name gets the parsed width
-        and each later name a copy, so no node is in the tree twice.
+        and each later name a copy (`_copy`), so no RawNode is in the tree
+        twice.
 
         With no `group_words` this is one module or routine item and ends
         at its ';'.  Otherwise it is a `#(...)` or ANSI port list that ends
@@ -404,17 +465,17 @@ class Parser:
         declaration, and every node carries the 'header' mod.
         """
         header = ("header",) if group_words else ()
-        toks = self._toks
-        nodes: list[RawNode] = []
+        texts = self._texts
+        kinds = self._kinds
+        nodes: list = []
         while True:
-            keyword = self._advance()
-            start = keyword.span[0]
-            word = keyword.text
+            start = self._advance()
+            word = texts[start]
             kind = _DECL_KIND[word]
             mods = header
             port = word in _DIRECTION_KIND
             if port:
-                text = toks[self._pos].text
+                text = texts[self._pos]
                 if text == "wire":
                     self._advance()
                 elif text == "reg":
@@ -422,145 +483,143 @@ class Parser:
                     mods += ("reg",)
             width = None
             if word not in _VAR_KIND:
-                if toks[self._pos].text == "signed":
+                if texts[self._pos] == "signed":
                     self._advance()
                     mods += ("signed",)
-                if toks[self._pos].text == "[":
+                if texts[self._pos] == "[":
                     width = self._width()
             unused_width = width  # the first name takes it, later names a copy
             while True:
-                if toks[self._pos].kind is not _IDENTIFIER:
+                if kinds[self._pos] is not _IDENTIFIER:
                     self._error("expected identifier")
-                name = self._advance().text
+                name = texts[self._advance()]
                 if unused_width is not None:
                     kids = [unused_width]
                     unused_width = None
                 elif width is not None:
-                    kids = [clone_raw(width)]
+                    kids = [self._copy(width)]
                 else:
                     kids = []
-                text = toks[self._pos].text
+                text = texts[self._pos]
                 if text == "[" and word == "reg":
                     kids.append(self._width())  # memory address range
-                    text = toks[self._pos].text
+                    text = texts[self._pos]
                 if word in _PARAM_KIND:
                     self._expect("=")
                     kids.append(self._expr())
                 elif text == "=" and not port:
                     self._advance()
                     kids.append(self._expr())
+                nodes.append(self._node(kind, kids, name, None, mods, start))
                 pos = self._pos
-                nodes.append(RawNode(kind, kids, name, None, mods, (start, toks[pos - 1].span[1])))
-                if toks[pos].text != ",":
+                if texts[pos] != ",":
                     self._expect(")" if group_words else ";")
                     return nodes
                 self._advance()
-                if toks[pos + 1].text in group_words:
+                if texts[pos + 1] in group_words:
                     break
 
-    def _continuous_assign(self) -> list[RawNode]:
-        start = self._advance().span[0]  # `assign`
-        toks = self._toks
+    def _continuous_assign(self) -> list:
+        start = self._advance()  # `assign`
+        texts = self._texts
         nodes = []
         while True:
             lhs = self._lvalue()
             self._expect("=")
             rhs = self._expr()
-            end = toks[self._pos - 1].span[1]
-            nodes.append(RawNode(_CONTINUOUS_ASSIGN, [lhs, rhs], None, None, (), (start, end)))
-            if toks[self._pos].text != ",":
+            nodes.append(self._node(_CONTINUOUS_ASSIGN, [lhs, rhs], None, None, (), start))
+            if texts[self._pos] != ",":
                 break
             self._advance()
         self._expect(";")
         return nodes
 
-    def _always(self) -> RawNode:
-        start = self._advance().span[0]  # `always`
+    def _always(self):
+        start = self._advance()  # `always`
         sens = self._sens_list()
         stmt = self._statement()
-        return RawNode(_ALWAYS, [sens, stmt], None, None, (), (start, self._end()))
+        return self._node(_ALWAYS, [sens, stmt], None, None, (), start)
 
-    def _sens_list(self) -> RawNode:
-        start = self._expect("@").span[0]
-        items: list[RawNode] = []
+    def _sens_list(self):
+        start = self._expect("@")
+        items: list = []
         if self._at("*"):
-            tok = self._advance()
-            items.append(RawNode(_STAR_SENSE, [], None, None, (), tok.span))
+            at = self._advance()
+            items.append(self._node(_STAR_SENSE, [], None, None, (), at))
         else:
             self._expect("(")
             if self._at("*"):
-                tok = self._advance()
-                items.append(RawNode(_STAR_SENSE, [], None, None, (), tok.span))
+                at = self._advance()
+                items.append(self._node(_STAR_SENSE, [], None, None, (), at))
             else:
-                toks = self._toks
+                texts = self._texts
                 while True:
                     items.append(self._sens_item())
-                    text = toks[self._pos].text
+                    text = texts[self._pos]
                     if text != "or" and text != ",":
                         break
                     self._advance()
             self._expect(")")
-        return RawNode(_SENS_LIST, items, None, None, (), (start, self._end()))
+        return self._node(_SENS_LIST, items, None, None, (), start)
 
-    def _sens_item(self) -> RawNode:
-        tok = self._toks[self._pos]
-        kind = _EDGE_KIND.get(tok.text)
+    def _sens_item(self):
+        start = self._pos
+        kind = _EDGE_KIND.get(self._texts[start])
         if kind is None:
             kind = _LEVEL_SENSE
         else:
             self._advance()
         expr = self._expr()
-        return RawNode(kind, [expr], None, None, (), (tok.span[0], self._end()))
+        return self._node(kind, [expr], None, None, (), start)
 
-    def _instances(self) -> list[RawNode]:
-        first = self._advance()  # the module name
-        start = first.span[0]
-        modname = first.text
-        params: list[RawNode] = []
+    def _instances(self) -> list:
+        start = self._advance()  # the module name
+        texts = self._texts
+        modname = texts[start]
+        params: list = []
         if self._at("#"):
             self._advance()
             self._expect("(")
             params = self._conn_list(param=True)
             self._expect(")")
-        nodes = []
+        nodes: list = []
         while True:
-            inst = self._expect_ident().text
+            inst = texts[self._expect_ident()]
             self._expect("(")
             conns = self._conn_list(param=False)
-            end = self._expect(")").span[1]
-            kids = [clone_raw(p) for p in params] if nodes else params
-            nodes.append(RawNode(_INSTANCE, kids + conns, inst, modname, (), (start, end)))
+            self._expect(")")
+            kids = [self._copy(p) for p in params] if nodes else params
+            nodes.append(self._node(_INSTANCE, kids + conns, inst, modname, (), start))
             if not self._at(","):
                 break
             self._advance()
         self._expect(";")
         return nodes
 
-    def _conn_list(self, param: bool) -> list[RawNode]:
+    def _conn_list(self, param: bool) -> list:
         mods = ("param",) if param else ()
-        toks = self._toks
-        conns: list[RawNode] = []
-        if toks[self._pos].text == ")":
+        texts = self._texts
+        conns: list = []
+        if texts[self._pos] == ")":
             return conns
         while True:
-            tok = toks[self._pos]
-            if tok.text == ".":
+            start = self._pos
+            if texts[start] == ".":
                 self._advance()
-                pname = self._expect_ident().text
+                pname = texts[self._expect_ident()]
                 self._expect("(")
-                kids = [] if toks[self._pos].text == ")" else [self._expr()]
-                end = self._expect(")").span[1]
-                conns.append(RawNode(_PORT_CONN, kids, pname, None, mods, (tok.span[0], end)))
+                kids = [] if texts[self._pos] == ")" else [self._expr()]
+                self._expect(")")
+                conns.append(self._node(_PORT_CONN, kids, pname, None, mods, start))
             else:
                 expr = self._expr()
-                end = toks[self._pos - 1].span[1]
-                conns.append(RawNode(_PORT_CONN, [expr], None, None, mods, (tok.span[0], end)))
-            if toks[self._pos].text != ",":
+                conns.append(self._node(_PORT_CONN, [expr], None, None, mods, start))
+            if texts[self._pos] != ",":
                 return conns
             self._advance()
 
-    def _func_decl(self) -> RawNode:
-        start = self._advance().span[0]  # `function`
+    def _func_decl(self):
+        start = self._advance()  # `function`
         mods: tuple[str, ...] = ()
         if self._at("automatic"):
             self._advance()
@@ -568,7 +627,7 @@ class Parser:
         if self._at("signed"):
             self._advance()
             mods += ("signed",)
-        kids: list[RawNode] = []
+        kids: list = []
         for word in ("integer", "real", "time"):
             if self._at(word):
                 self._advance()
@@ -577,56 +636,55 @@ class Parser:
         else:
             if self._at("["):
                 kids.append(self._width())
-        name = self._expect_ident().text
+        name = self._texts[self._expect_ident()]
         self._expect(";")
         kids.extend(self._routine_decls())
         kids.append(self._statement())
-        end = self._expect("endfunction").span[1]
-        return RawNode(_FUNC_DECL, kids, name, None, mods, (start, end))
+        self._expect("endfunction")
+        return self._node(_FUNC_DECL, kids, name, None, mods, start)
 
-    def _task_decl(self) -> RawNode:
-        start = self._advance().span[0]  # `task`
+    def _task_decl(self):
+        start = self._advance()  # `task`
         mods: tuple[str, ...] = ()
         if self._at("automatic"):
             self._advance()
             mods += ("automatic",)
-        name = self._expect_ident().text
+        name = self._texts[self._expect_ident()]
         self._expect(";")
         kids = self._routine_decls()
         if not self._at("endtask"):
             kids.append(self._statement())
-        end = self._expect("endtask").span[1]
-        return RawNode(_TASK_DECL, kids, name, None, mods, (start, end))
+        self._expect("endtask")
+        return self._node(_TASK_DECL, kids, name, None, mods, start)
 
-    def _routine_decls(self) -> list[RawNode]:
-        decls: list[RawNode] = []
+    def _routine_decls(self) -> list:
+        decls: list = []
         while True:
             # `wire` is no declaration inside a function or task
-            word = self._toks[self._pos].text
+            word = self._texts[self._pos]
             if word == "wire" or word not in _DECL_KIND:
                 return decls
             decls.extend(self._decl())
 
     # ---- Statements ----
 
-    def _statement(self) -> RawNode:
+    def _statement(self):
         # A parse is abandoned at its first error, so the nesting count
         # needs no restoring when one is raised.
         depth = self._depth
         if depth >= _MAX_NESTING:
             self._enter()  # raises
         self._depth = depth + 1
-        toks = self._toks
         pos = self._pos
-        tok = toks[pos]
-        text = tok.text
-        kind = tok.kind
+        texts = self._texts
+        text = texts[pos]
+        kind = self._kinds[pos]
         if kind is _IDENTIFIER:
-            nxt = toks[pos + 1].text
+            nxt = texts[pos + 1]
             if nxt == "(" or nxt == ";":
                 node = self._task_call()
             else:
-                node = self._assignment(tok)
+                node = self._assignment(pos)
         elif kind is _KEYWORD:
             if text == "begin":
                 node = self._block()
@@ -637,52 +695,53 @@ class Parser:
             else:
                 self._error("unsupported construct in statement position")
         elif text == ";":
-            node = RawNode(_NULL_STMT, [], None, None, (), self._advance().span)
+            self._advance()
+            node = self._node(_NULL_STMT, [], None, None, (), pos)
         elif text == "{":
-            node = self._assignment(tok)
+            node = self._assignment(pos)
         else:
             self._error("expected statement")
         self._depth = depth
         return node
 
-    def _assignment(self, first: Token) -> RawNode:
+    def _assignment(self, start: int):
         lhs = self._lvalue()
-        kind = _ASSIGN_KIND.get(self._toks[self._pos].text)
+        kind = _ASSIGN_KIND.get(self._texts[self._pos])
         if kind is None:
             self._error("expected '=' or '<='")
         self._advance()
         rhs = self._expr()
-        end = self._expect(";").span[1]
-        return RawNode(kind, [lhs, rhs], None, None, (), (first.span[0], end))
+        self._expect(";")
+        return self._node(kind, [lhs, rhs], None, None, (), start)
 
-    def _task_call(self) -> RawNode:
-        first = self._advance()  # the name
-        args: list[RawNode] = []
+    def _task_call(self):
+        start = self._advance()  # the name
+        args: list = []
         if self._at("("):
             self._advance()
             if not self._at(")"):
                 args = self._expr_list()
             self._expect(")")
-        end = self._expect(";").span[1]
-        return RawNode(_TASK_CALL, args, first.text, None, (), (first.span[0], end))
+        self._expect(";")
+        return self._node(_TASK_CALL, args, self._texts[start], None, (), start)
 
-    def _block(self) -> RawNode:
-        start = self._advance().span[0]  # `begin`
+    def _block(self):
+        start = self._advance()  # `begin`
         name = None
         if self._at(":"):
             self._advance()
-            name = self._expect_ident().text
-        toks = self._toks
+            name = self._texts[self._expect_ident()]
+        texts = self._texts
         stmts = []
-        while toks[self._pos].text != "end":
-            if not toks[self._pos].text:
+        while texts[self._pos] != "end":
+            if not texts[self._pos]:
                 self._error("expected 'end'")
             stmts.append(self._statement())
-        end = self._advance().span[1]
-        return RawNode(_BLOCK, stmts, name, None, (), (start, end))
+        self._advance()
+        return self._node(_BLOCK, stmts, name, None, (), start)
 
-    def _if_stmt(self) -> RawNode:
-        start = self._advance().span[0]  # `if`
+    def _if_stmt(self):
+        start = self._advance()  # `if`
         self._expect("(")
         cond = self._expr()
         self._expect(")")
@@ -691,36 +750,36 @@ class Parser:
         if self._at("else"):
             self._advance()
             kids.append(self._statement())
-        return RawNode(_IF_STMT, kids, None, None, (), (start, self._end()))
+        return self._node(_IF_STMT, kids, None, None, (), start)
 
-    def _case_stmt(self) -> RawNode:
-        first = self._advance()
-        kind = _CASE_KIND[first.text]
+    def _case_stmt(self):
+        start = self._advance()
+        texts = self._texts
+        kind = _CASE_KIND[texts[start]]
         self._expect("(")
         subject = self._expr()
         self._expect(")")
-        toks = self._toks
         items = [subject]
-        while toks[self._pos].text != "endcase":
-            if not toks[self._pos].text:
+        while texts[self._pos] != "endcase":
+            if not texts[self._pos]:
                 self._error("expected 'endcase'")
             items.append(self._case_item())
-        end = self._advance().span[1]
-        return RawNode(kind, items, None, None, (), (first.span[0], end))
+        self._advance()
+        return self._node(kind, items, None, None, (), start)
 
-    def _case_item(self) -> RawNode:
-        toks = self._toks
-        start = toks[self._pos].span[0]
-        if toks[self._pos].text == "default":
+    def _case_item(self):
+        texts = self._texts
+        start = self._pos
+        if texts[start] == "default":
             self._advance()
-            if toks[self._pos].text == ":":
+            if texts[self._pos] == ":":
                 self._advance()
             kids = []
         else:
             kids = self._expr_list()
             self._expect(":")
         kids.append(self._statement())
-        return RawNode(_CASE_ITEM, kids, None, None, (), (start, self._end()))
+        return self._node(_CASE_ITEM, kids, None, None, (), start)
 
     # ---- Expressions ----
     #
@@ -732,53 +791,52 @@ class Parser:
     # and concatenations.  The nesting count goes up once per `_expr` and
     # once per unary operator.
 
-    def _expr_list(self) -> list[RawNode]:
+    def _expr_list(self) -> list:
         """One or more comma-separated expressions."""
-        toks = self._toks
+        texts = self._texts
         items = [self._expr()]
-        while toks[self._pos].text == ",":
+        while texts[self._pos] == ",":
             self._advance()
             items.append(self._expr())
         return items
 
-    def _lvalue(self) -> RawNode:
-        toks = self._toks
-        tok = toks[self._pos]
-        if tok.text == "{":
+    def _lvalue(self):
+        texts = self._texts
+        start = self._pos
+        if texts[start] == "{":
             self._advance()
             parts = [self._lvalue()]
-            while toks[self._pos].text == ",":
+            while texts[self._pos] == ",":
                 self._advance()
                 parts.append(self._lvalue())
-            end = self._expect("}").span[1]
-            return RawNode(_CONCAT, parts, None, None, (), (tok.span[0], end))
-        if tok.kind is not _IDENTIFIER:
+            self._expect("}")
+            return self._node(_CONCAT, parts, None, None, (), start)
+        if self._kinds[start] is not _IDENTIFIER:
             self._error("expected identifier")
         self._advance()
-        node = RawNode(_ID, [], tok.text, None, (), tok.span)
-        if toks[self._pos].text == "[":
+        node = self._leaf(_ID, texts[start], None)
+        if texts[self._pos] == "[":
             return self._select_suffix(node)
         return node
 
-    def _expr(self) -> RawNode:
+    def _expr(self):
         depth = self._depth
         if depth >= _MAX_NESTING:
             self._enter()  # raises: one more level is one too many
-        toks = self._toks
+        texts = self._texts
         pos = self._pos
-        tok = toks[pos]
-        kind = tok.kind
-        nxt = toks[pos + 1].text
+        kind = self._kinds[pos]
+        nxt = texts[pos + 1]
         # A leading identifier or constant is built here; alone before a
         # closing token it is the whole expression.
         if kind is _IDENTIFIER and nxt != "(" and nxt != "[":
             self._advance()
-            node = RawNode(_ID, [], tok.text, None, (), tok.span)
+            node = self._leaf(_ID, texts[pos], None)
             if nxt in _LONE_END:
                 return node
         elif kind is _NUMBER or kind is _STRING:
             self._advance()
-            node = RawNode(_CONST, [], None, tok.text, (), tok.span)
+            node = self._leaf(_CONST, None, texts[pos])
             if nxt in _LONE_END:
                 return node
         else:
@@ -786,64 +844,61 @@ class Parser:
         self._depth = depth + 1
         if node is None:
             node = self._operand()
-        text = toks[self._pos].text
+        text = texts[self._pos]
         if text in _BINARY:
             node = self._binary(node)
-            text = toks[self._pos].text
+            text = texts[self._pos]
         if text == "?":
             self._advance()
             then = self._expr()
             self._expect(":")
             other = self._expr()
-            span = (node.span[0], self._end())
-            node = RawNode(_TERNARY, [node, then, other], None, None, (), span)
+            node = self._joined(_TERNARY, [node, then, other])
         self._depth = depth
         return node
 
-    def _binary(self, left: RawNode) -> RawNode:
+    def _binary(self, left):
         """Fold the binary operator chain that starts at the current token.
 
         One loop with an operator stack: before an operator is pushed,
         every stacked operator of the same or a higher precedence is
         applied, which makes every operator left-associative, `**`
-        included.  A binary node spans from its left operand's start to
-        its right operand's end.
+        included.
         """
-        toks = self._toks
+        texts = self._texts
+        pair = self._pair
         operands = [left]
         pending: list[tuple[int, NodeKind]] = []  # (precedence, kind)
-        op: tuple[int, NodeKind] | None = _BINARY[toks[self._pos].text]
+        op: tuple[int, NodeKind] | None = _BINARY[texts[self._pos]]
         while True:
             # the end of the chain applies everything still pending
             prec = op[0] if op is not None else 0
             while pending and pending[-1][0] >= prec:
                 right = operands.pop()
-                left = operands[-1]
-                span = (left.span[0], right.span[1])
-                operands[-1] = RawNode(pending.pop()[1], [left, right], None, None, (), span)
+                operands[-1] = pair(pending.pop()[1], operands[-1], right)
             if op is None:
                 return operands[0]
             pending.append(op)
             self._advance()
             operands.append(self._operand())
-            op = _BINARY.get(toks[self._pos].text)
+            op = _BINARY.get(texts[self._pos])
 
-    def _operand(self) -> RawNode:
-        toks = self._toks
-        tok = toks[self._pos]
-        kind = tok.kind
+    def _operand(self):
+        texts = self._texts
+        pos = self._pos
+        kind = self._kinds[pos]
         if kind is _IDENTIFIER:
-            if toks[self._pos + 1].text == "(":
+            if texts[pos + 1] == "(":
                 return self._func_call()
             self._advance()
-            node = RawNode(_ID, [], tok.text, None, (), tok.span)
-            if toks[self._pos].text == "[":
+            node = self._leaf(_ID, texts[pos], None)
+            if texts[self._pos] == "[":
                 return self._select_suffix(node)
             return node
         if kind is _NUMBER or kind is _STRING:
             self._advance()
-            return RawNode(_CONST, [], None, tok.text, (), tok.span)
-        text = tok.text
+            return self._leaf(_CONST, None, texts[pos])
+        text = texts[pos]
         if text == "(":
             self._advance()
             node = self._expr()
@@ -859,65 +914,130 @@ class Parser:
         while text in _UNARY_KIND:
             self._enter()
             prefix.append(self._advance())
-            text = toks[self._pos].text
+            text = texts[self._pos]
         node = self._operand()
         self._depth -= len(prefix)
-        for tok in reversed(prefix):
-            node = RawNode(
-                _UNARY_KIND[tok.text], [node], None, None, (), (tok.span[0], node.span[1])
-            )
+        for at in reversed(prefix):
+            node = self._prefix(_UNARY_KIND[texts[at]], at, node)
         return node
 
-    def _func_call(self) -> RawNode:
-        first = self._advance()  # the name
+    def _func_call(self):
+        start = self._advance()  # the name
         self._expect("(")
         args = [] if self._at(")") else self._expr_list()
-        end = self._expect(")").span[1]
-        return RawNode(_FUNC_CALL, args, first.text, None, (), (first.span[0], end))
+        self._expect(")")
+        return self._node(_FUNC_CALL, args, self._texts[start], None, (), start)
 
-    def _select_suffix(self, target: RawNode) -> RawNode:
-        toks = self._toks
-        while toks[self._pos].text == "[":
+    def _select_suffix(self, target):
+        texts = self._texts
+        while texts[self._pos] == "[":
             self._advance()
             first = self._expr()
-            kind = _SELECT_KIND.get(toks[self._pos].text)
+            kind = _SELECT_KIND.get(texts[self._pos])
             if kind is None:
                 kind = _BIT_SELECT
                 kids = [target, first]
             else:
                 self._advance()
                 kids = [target, first, self._expr()]
-            end = self._expect("]").span[1]
-            target = RawNode(kind, kids, None, None, (), (target.span[0], end))
+            self._expect("]")
+            target = self._joined(kind, kids)
         return target
 
-    def _concat_or_repeat(self) -> RawNode:
-        start = self._advance().span[0]  # `{`
+    def _concat_or_repeat(self):
+        start = self._advance()  # `{`
         first = self._expr()
         if self._at("{"):
             self._advance()
             items = self._expr_list()
             self._expect("}")
-            end = self._expect("}").span[1]
-            return RawNode(_REPEAT, [first, *items], None, None, (), (start, end))
+            self._expect("}")
+            return self._node(_REPEAT, [first, *items], None, None, (), start)
         items = [first]
-        toks = self._toks
-        while toks[self._pos].text == ",":
+        texts = self._texts
+        while texts[self._pos] == ",":
             self._advance()
             items.append(self._expr())
-        end = self._expect("}").span[1]
-        return RawNode(_CONCAT, items, None, None, (), (start, end))
+        self._expect("}")
+        return self._node(_CONCAT, items, None, None, (), start)
 
-    def _width(self) -> RawNode:
-        start = self._advance().span[0]  # `[`
+    def _width(self):
+        start = self._advance()  # `[`
         msb = self._expr()
         self._expect(":")
         lsb = self._expr()
-        end = self._expect("]").span[1]
-        return RawNode(_WIDTH, [msb, lsb], None, None, (), (start, end))
+        self._expect("]")
+        return self._node(_WIDTH, [msb, lsb], None, None, (), start)
+
+
+class _Interner(Parser):
+    """The grammar of `Parser`, building hash-consed CleanNodes into a table.
+
+    Each node is looked up by the key `clean` gives it, the id of its kind
+    and the ids of its children, so the tree is the very object that
+    `clean(parse(...), table)` returns on the same table.  Names, values,
+    modifiers and spans are never kept; a copy is the node itself; and a
+    ParseError carries no span.
+    """
+
+    def __init__(self, texts, kinds, table: dict, deadline: float | None = None):
+        super().__init__(texts, kinds, None, None, deadline)
+        self._table = table
+        self._id_leaf = self._node(_ID, [], None, None, (), 0)
+        self._const_leaf = self._node(_CONST, [], None, None, (), 0)
+
+    def _node(self, kind, kids, name, value, mods, start):
+        key = (id(kind), *map(id, kids))
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = CleanNode(kind, tuple(kids))
+        return node
+
+    def _leaf(self, kind, name, value):
+        return self._id_leaf if kind is _ID else self._const_leaf
+
+    def _pair(self, kind, left, right):
+        key = (id(kind), id(left), id(right))
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = CleanNode(kind, (left, right))
+        return node
+
+    def _prefix(self, kind, at, operand):
+        key = (id(kind), id(operand))
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = CleanNode(kind, (operand,))
+        return node
+
+    def _joined(self, kind, kids):
+        return self._node(kind, kids, None, None, (), 0)
+
+    def _copy(self, node):
+        return node
 
 
 # ---- Entry points ----
+
+
+def _drop_directives(texts, kinds, starts, deadline):
+    """The lists without their directive tokens.
+
+    Directives are lexed for span bookkeeping but never parsed.  They are
+    dropped in slices, so the deadline is checked between slices at no cost
+    per token; a text with no directive is left as it is.
+    """
+    if _DIRECTIVE not in kinds:
+        return texts, kinds, starts
+    kept: list[list] = [[], [], []]
+    for lo in range(0, len(kinds), CHECK_EVERY):
+        part = slice(lo, lo + CHECK_EVERY)
+        keep = list(map(is_not, kinds[part], repeat(_DIRECTIVE)))
+        for out, values in zip(kept, (texts, kinds, starts)):
+            if values is not None:
+                out += compress(values[part], keep)
+        check(deadline)
+    return kept[0], kept[1], kept[2] if starts is not None else None
 
 
 def parse(tokens: list[Token], *, deadline: float | None = None) -> RawNode:
@@ -925,7 +1045,20 @@ def parse(tokens: list[Token], *, deadline: float | None = None) -> RawNode:
 
     Raises DeadlineExceeded once `deadline` has passed (see `vsr.deadline`).
     """
-    return Parser(tokens, deadline).parse_source_unit()
+    # The directive filter of `_drop_directives`, over tokens.
+    rest = iter(tokens)
+    toks: list[Token] = []
+    for _ in range(0, len(tokens), CHECK_EVERY):
+        toks += [t for t in islice(rest, CHECK_EVERY) if t.kind is not _DIRECTIVE]
+        check(deadline)
+    spans = list(map(_SPAN, toks))
+    return Parser(
+        list(map(_TEXT, toks)),
+        list(map(_KIND, toks)),
+        list(map(_FIRST, spans)),
+        list(map(_SECOND, spans)),
+        deadline,
+    ).parse_source_unit()
 
 
 def parse_source(text: str) -> RawNode:
@@ -933,7 +1066,7 @@ def parse_source(text: str) -> RawNode:
     return parse(lex(text))
 
 
-def _looks_like_code(tokens: list[Token]) -> bool:
+def _looks_like_code(texts: list[str]) -> bool:
     """True when a `module` keyword comes before an `endmodule` keyword.
 
     That holds exactly when the first `module` comes before the last
@@ -941,13 +1074,11 @@ def _looks_like_code(tokens: list[Token]) -> bool:
     a token or two instead of reading the whole stream, which at the body
     cap would take hundreds of ms without a deadline check.
     """
-    for first, tok in enumerate(tokens):
-        if tok.text == "module":
-            break
-    else:
+    if "module" not in texts:
         return False
-    for i in range(len(tokens) - 1, first, -1):
-        if tokens[i].text == "endmodule":
+    first = texts.index("module")
+    for i in range(len(texts) - 1, first, -1):
+        if texts[i] == "endmodule":
             return True
     return False
 
@@ -962,17 +1093,19 @@ def classify(source: str, *, deadline: float | None = None) -> Validity:
     and is no verdict on the text.
     """
     try:
-        tokens = lex(source, deadline=deadline)
+        texts, kinds, starts = scan(source, deadline, spans=True)
     except LexError as exc:
         diag = Diagnostic("error", str(exc), exc.span)
         return Validity(ValidityStatus.NOT_CODE, None, (diag,))
-    if not _looks_like_code(tokens):
+    if not _looks_like_code(texts):
         diag = Diagnostic(
             "error", "no module/endmodule pair in token stream", (0, len(source))
         )
         return Validity(ValidityStatus.NOT_CODE, None, (diag,))
     try:
-        ast = parse(tokens, deadline=deadline)
+        texts, kinds, starts = _drop_directives(texts, kinds, starts, deadline)
+        ends = list(map(add, starts, map(len, texts)))
+        ast = Parser(texts, kinds, starts, ends, deadline).parse_source_unit()
     except ParseError as exc:
         diag = Diagnostic("error", str(exc), exc.span)
         return Validity(ValidityStatus.PARSE_FAIL, None, (diag,))
@@ -980,3 +1113,27 @@ def classify(source: str, *, deadline: float | None = None) -> Validity:
         diag = Diagnostic("error", "parser recursion limit exceeded", (0, len(source)))
         return Validity(ValidityStatus.PARSE_FAIL, None, (diag,))
     return Validity(ValidityStatus.PARSED, ast, ())
+
+
+def classify_into(
+    source: str, table: dict, *, deadline: float | None = None
+) -> tuple[ValidityStatus, CleanNode | None]:
+    """`classify` for scoring: the status, and the cleaned tree when parsed.
+
+    The tree is built straight into `table` as `clean(classify(source).ast,
+    table)` would intern it, and is that very object; no token, span,
+    RawNode or diagnostic is made.  A failed parse may leave nodes in the
+    table.  Raises DeadlineExceeded as `classify` does.
+    """
+    try:
+        texts, kinds, _ = scan(source, deadline)
+    except LexError:
+        return ValidityStatus.NOT_CODE, None
+    if not _looks_like_code(texts):
+        return ValidityStatus.NOT_CODE, None
+    try:
+        texts, kinds, _ = _drop_directives(texts, kinds, None, deadline)
+        tree = _Interner(texts, kinds, table, deadline).parse_source_unit()
+    except (ParseError, RecursionError):
+        return ValidityStatus.PARSE_FAIL, None
+    return ValidityStatus.PARSED, tree

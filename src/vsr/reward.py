@@ -45,9 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from vsr.deadline import check
-from vsr.parser import Diagnostic, ValidityStatus, classify
+from vsr.parser import Diagnostic, ValidityStatus, classify, classify_into
 from vsr.similarity import DEFAULT_DEPTH_LIMIT, sim_ast, sim_ast_seq
-from vsr.trees import CleanNode, clean
+from vsr.trees import CleanNode, clean  # noqa: F401  (a tracing site, see below)
 
 REWARD_SCALE = 10.0
 REWARD_PARSE_FAIL = -5.0
@@ -99,10 +99,13 @@ class ReferenceTooDeepError(ValueError):
 
 
 def _prepare_reference(ref: str, deadline: float | None) -> PreparedReference:
-    validity = classify(ref, deadline=deadline)
     table: dict = {}
-    tree = None if validity.ast is None else clean(validity.ast, table, deadline=deadline)
-    return PreparedReference(validity.status, validity.diagnostics, tree, table)
+    status, tree = classify_into(ref, table, deadline=deadline)
+    if tree is None:
+        # The error path: the public classify gives the diagnostics.
+        validity = classify(ref, deadline=deadline)
+        return PreparedReference(validity.status, validity.diagnostics, None, {})
+    return PreparedReference(status, (), tree, table)
 
 
 def reward(
@@ -152,20 +155,19 @@ def reward(
         # A copy: the full path's answer, see the module doc.
         check(deadline)
         return RewardOutcome(ValidityStatus.PARSED, 1.0, REWARD_SCALE)
-    gen_v = classify(gen, deadline=deadline)
-    if gen_v.status is ValidityStatus.NOT_CODE:
-        return RewardOutcome(gen_v.status, None, REWARD_NOT_CODE)
-    if gen_v.status is ValidityStatus.PARSE_FAIL:
-        return RewardOutcome(gen_v.status, None, REWARD_PARSE_FAIL)
-    assert gen_v.ast is not None
-    # `clean` and the similarities are looked up on each call, not bound at
-    # import: tracing rebinds these module globals.  The table is a copy, so
-    # the sample shares the reference's structure without adding its own
-    # nodes to the prepared table.
-    gen_tree = clean(gen_v.ast, dict(prepared.table), deadline=deadline)
+    # The sample is interned into a copy of the reference's table, so it
+    # shares the reference's structure without adding its own nodes to the
+    # prepared table.
+    status, gen_tree = classify_into(gen, dict(prepared.table), deadline=deadline)
+    if status is ValidityStatus.NOT_CODE:
+        return RewardOutcome(status, None, REWARD_NOT_CODE)
+    if gen_tree is None:
+        return RewardOutcome(status, None, REWARD_PARSE_FAIL)
     if gen_tree.depth > depth_limit:
         # Too deep to score: the parse-fail tier, see the module doc.
         return RewardOutcome(ValidityStatus.PARSE_FAIL, None, REWARD_PARSE_FAIL)
+    # The similarities are looked up on each call, not bound at import:
+    # tracing rebinds these module globals.
     fn = sim_ast if mode == "ast" else sim_ast_seq
     sim = fn(gen_tree, ref_tree, depth_limit=depth_limit, deadline=deadline)
-    return RewardOutcome(gen_v.status, sim, REWARD_SCALE * sim)
+    return RewardOutcome(status, sim, REWARD_SCALE * sim)

@@ -227,11 +227,11 @@ class TestReferenceMemo:
         # the module, not the `reward` function the package re-exports
         reward_module = importlib.import_module("vsr.reward")
         seen = []
-        real = reward_module.classify
+        real = reward_module.classify_into
         monkeypatch.setattr(
             reward_module,
-            "classify",
-            lambda text, **kw: seen.append(text) or real(text, **kw),
+            "classify_into",
+            lambda text, table, **kw: seen.append(text) or real(text, table, **kw),
         )
         memo: dict = {}
         # differs from REF in whitespace only, so it is no copy of REF
@@ -305,7 +305,7 @@ class TestCopies:
         def refuse(*args, **kwargs):
             raise AssertionError("a copy reached the pipeline")
 
-        for name in ("classify", "clean", "sim_ast", "sim_ast_seq"):
+        for name in ("classify", "classify_into", "clean", "sim_ast", "sim_ast_seq"):
             monkeypatch.setattr(reward_module, name, refuse)
         for mode in ("ast", "seq"):
             assert reward(REF, REF, mode=mode, memo=memo) == RewardOutcome(
@@ -315,11 +315,11 @@ class TestCopies:
     def test_copy_classifies_the_reference_only(self, monkeypatch):
         reward_module = importlib.import_module("vsr.reward")
         seen = []
-        real = reward_module.classify
+        real = reward_module.classify_into
         monkeypatch.setattr(
             reward_module,
-            "classify",
-            lambda text, **kw: seen.append(text) or real(text, **kw),
+            "classify_into",
+            lambda text, table, **kw: seen.append(text) or real(text, table, **kw),
         )
         memo: dict = {}
         for _ in range(3):
