@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, itemgetter, sub
 from typing import NamedTuple
 
@@ -122,6 +122,8 @@ _BULK_SPANS_RE = re.compile(rf"({_SKIP})({_LEXEME})")
 # each.  A line that would make a run longer than twice this is lexed by
 # the per-match path, which checks the deadline as it goes.
 _RUN = 16384
+# How far past a rare lexeme the per-match path goes on (see `_lex_slow`).
+_DENSE = 64
 _LINE_BLANKS = " \t\r\f\v\n"
 
 _FIRST_KIND = {
@@ -213,7 +215,7 @@ def scan(
             back = source.rfind("\n", pos, pos + _RUN)
             if back < 0:
                 # The line at `pos` is longer than a run.
-                pos = _lex_slow(source, pos, end, texts, kinds, starts, deadline)
+                pos = _lex_slow(source, pos, pos, texts, kinds, starts, deadline)
                 continue
             end = back + 1  # the run stops before the long line
         pos = _lex_bulk(source, pos, end, texts, kinds, starts, deadline)
@@ -257,54 +259,75 @@ def _lex_bulk(source, pos, end, texts, kinds, starts, deadline) -> int:
     # reads them.
     at = base + hi - len(rest)
     first = pos + len(source[pos:at].rstrip(_LINE_BLANKS))
-    return _lex_slow(source, first, at + 1, texts, kinds, starts, deadline)
+    return _lex_slow(source, first, at, texts, kinds, starts, deadline)
 
 
-def _lex_slow(source, pos, stop, texts, kinds, starts, deadline) -> int:
-    """Lex from `pos`, one master match at a time, until the scan passes `stop`.
+def _line_end(source: str, at: int) -> int:
+    """The offset just past the end of the line that holds offset `at`."""
+    nl = source.find("\n", at)
+    return len(source) if nl < 0 else nl + 1
 
-    Returns where the scan stands: the end of the last match, at or past
-    `stop`.  The deadline is checked once per CHECK_EVERY matches and after
-    each rare lexeme.
+
+def _lex_slow(source, pos, past, texts, kinds, starts, deadline) -> int:
+    """Lex from `pos` one master match at a time, to the end of a line.
+
+    That is the line that holds offset `past`, or a later one: each rare
+    lexeme moves the end to the line _DENSE characters past its own end, so
+    text dense with rare lexemes stays on this path rather than start a
+    bulk run at each.  Returns the offset where lexing stopped, at the
+    start of a line or at the end of the text.  Lexemes are taken in slices
+    of CHECK_EVERY matches, and the deadline is checked between slices and
+    after each rare lexeme, at no cost per lexeme.
     """
-    match = _MASTER_RE.match
+    add_text, add_kind = texts.append, kinds.append
+    add_start = None if starts is None else starts.append
+    scan = _MASTER_RE.finditer
     keywords = KEYWORDS
     kind_of_group = _KIND_OF_GROUP
     identifier, keyword = TokenKind.IDENTIFIER, TokenKind.KEYWORD
-
-    def emit(kind, text, start):
-        texts.append(text)
-        kinds.append(kind)
-        if starts is not None:
-            starts.append(start)
-
-    steps = CHECK_EVERY
-    while pos < stop:
-        m = match(source, pos)
-        group = m.lastindex
-        if group == _RARE:
-            pos = _lex_rare(source, m, emit, deadline)
+    # No common lexeme holds a newline, so one ends before `stop`.
+    stop = _line_end(source, past)
+    matches = scan(source, pos, stop)
+    while True:
+        for m in islice(matches, CHECK_EVERY):
+            group = m.lastindex
+            if group == _WORD:
+                text = m[group]
+                add_text(text)
+                add_kind(keyword if text in keywords else identifier)
+            elif group is None:  # a line comment, or the end of the scan
+                if m.end() == stop:
+                    return stop
+                continue
+            elif group != _RARE:
+                add_text(m[group])
+                add_kind(kind_of_group[group])
+            else:
+                pos, kind, text = _lex_rare(source, m, deadline)
+                if kind is not None:
+                    add_text(text)
+                    add_kind(kind)
+                    if add_start is not None:
+                        add_start(pos - len(text))
+                if pos + _DENSE >= stop:
+                    stop = _line_end(source, pos + _DENSE)
+                check(deadline)
+                matches = scan(source, pos, stop)
+                break
+            if add_start is not None:
+                add_start(m.start(group))
+        else:
             check(deadline)
-            steps = CHECK_EVERY
-            continue
-        pos = m.end()
-        if group == _WORD:
-            text = m[group]
-            emit(keyword if text in keywords else identifier, text, m.start(group))
-        elif group is not None:  # not a line comment, nor the end of the text
-            emit(kind_of_group[group], m[group], m.start(group))
-        steps -= 1
-        if not steps:
-            check(deadline)
-            steps = CHECK_EVERY
-    return pos
 
 
-def _lex_rare(source: str, m: re.Match, emit, deadline: float | None) -> int:
+def _lex_rare(
+    source: str, m: re.Match, deadline: float | None
+) -> tuple[int, TokenKind | None, str]:
     """Lex the lexeme that starts at the rare group of master match `m`.
 
-    Emits its token, if it makes one, and returns the offset just past it;
-    raises LexError when the text there is malformed.  Long strings and
+    Returns the offset just past it, and the kind and text of its token,
+    or None and "" for a block comment; raises LexError when the text there
+    is malformed.  Long strings and
     escaped identifiers are scanned by `re` in runs, and a string checks
     `deadline` once per CHECK_EVERY escapes, so no lexeme is a long Python
     loop without a deadline check.
@@ -316,18 +339,20 @@ def _lex_rare(source: str, m: re.Match, emit, deadline: float | None) -> int:
         close = source.find("*/", i + 2)
         if close < 0:
             raise LexError("unterminated block comment", (i, i + 2))
-        return close + 2
+        return close + 2, None, ""
     if ch == "`":
         # Only blanks since the last newline: a whole-line directive.  The
         # match's blank prefix reaches back to the end of the previous
-        # lexeme or comment, and none of those ends just after a newline (a
-        # newline inside a comment or string is followed by its closing
-        # characters).  So the line holds only blanks before the backtick
-        # exactly when the prefix starts the text or holds a newline.  This
-        # reads each blank run once, where looking back to the line start
-        # would reread a long line at each backtick on it.
+        # lexeme or comment, or to where the scan started, which is the
+        # start of the text or of a line or the end of a lexeme or comment.
+        # No lexeme or comment ends just after a newline (a newline inside
+        # a comment or string is followed by its closing characters).  So
+        # the line holds only blanks before the backtick exactly when the
+        # prefix starts the text or a line or holds a newline.  This reads
+        # each blank run once, where looking back to the line start would
+        # reread a long line at each backtick on it.
         blanks = m.start()
-        if blanks == 0 or source.find("\n", blanks, i) >= 0:
+        if not blanks or source[blanks - 1] == "\n" or source.find("\n", blanks, i) >= 0:
             # whole-line directive such as `define or `timescale
             nl = source.find("\n", i)
             end = n if nl < 0 else nl
@@ -336,8 +361,7 @@ def _lex_rare(source: str, m: re.Match, emit, deadline: float | None) -> int:
             if name is None:
                 raise LexError("stray backtick", (i, i + 1))
             end = name.end()
-        emit(TokenKind.DIRECTIVE, source[i:end], i)
-        return end
+        return end, TokenKind.DIRECTIVE, source[i:end]
     if ch == '"':
         run = _STRING_RUN_RE.match
         steps = CHECK_EVERY
@@ -345,8 +369,7 @@ def _lex_rare(source: str, m: re.Match, emit, deadline: float | None) -> int:
         while j < n:
             c = source[j]
             if c == '"':
-                emit(TokenKind.STRING, source[i : j + 1], i)
-                return j + 1
+                return j + 1, TokenKind.STRING, source[i : j + 1]
             if c == "\n":
                 raise LexError("unterminated string", (i, i + 1))
             # a backslash: it escapes the next character, whatever it is
@@ -361,8 +384,7 @@ def _lex_rare(source: str, m: re.Match, emit, deadline: float | None) -> int:
         j = _ESCAPED_RUN_RE.match(source, i + 1).end()
         if j == i + 1:
             raise LexError("empty escaped identifier", (i, i + 1))
-        emit(TokenKind.IDENTIFIER, source[i:j], i)
-        return j
+        return j, TokenKind.IDENTIFIER, source[i:j]
     if ch == "'":  # a quote the number pattern rejected
         raise LexError("malformed number literal", (i, i + 1))
     if ch == "$":
@@ -371,6 +393,5 @@ def _lex_rare(source: str, m: re.Match, emit, deadline: float | None) -> int:
         name = re.compile(_SYS_ID).match(source, i)
         if name is None:
             raise LexError("stray '$'", (i, i + 1))
-        emit(TokenKind.IDENTIFIER, name.group(), i)
-        return name.end()
+        return name.end(), TokenKind.IDENTIFIER, name.group()
     raise LexError(f"illegal character {ch!r}", (i, i + 1))

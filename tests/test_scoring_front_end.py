@@ -112,6 +112,17 @@ def test_bulk_and_per_match_lexing_agree(text):
     assert_lexes_alike(text)
 
 
+@pytest.mark.parametrize("blanks", ["", "  "])
+def test_a_directive_line_where_a_run_starts(blanks):
+    # The first run ends at the newline after its first _RUN characters.
+    text = "a" * _RUN + "\n" + blanks + "`timescale 1ns/1ps\n" + "a\n" * 10
+    assert_lexes_alike(text)
+    # The per-match path hands back at a line start a little past a rare
+    # lexeme; put a directive line at each line start after it.
+    for k in range(40):
+        assert_lexes_alike("`M x\n" + "a\n" * k + blanks + "`timescale 1ns\n" + "b\n" * 40)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_script_inputs_lex_alike(family):
     for name, text, _ in INPUTS:
