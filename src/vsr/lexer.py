@@ -271,10 +271,10 @@ def _line_end(source: str, at: int) -> int:
 def _lex_slow(source, pos, past, texts, kinds, starts, deadline) -> int:
     """Lex from `pos` one master match at a time, to the end of a line.
 
-    That is the line that holds offset `past`, or a later one: each rare
-    lexeme moves the end to the line _DENSE characters past its own end, so
-    text dense with rare lexemes stays on this path rather than start a
-    bulk run at each.  Returns the offset where lexing stopped, at the
+    That is the line that holds offset `past`, or a later one: a rare
+    lexeme closer than _DENSE characters to the end moves it on by twice
+    that, so text dense with rare lexemes stays on this path rather than
+    start a bulk run at each.  Returns the offset where lexing stopped, at the
     start of a line or at the end of the text.  Lexemes are taken in slices
     of CHECK_EVERY matches, and the deadline is checked between slices and
     after each rare lexeme, at no cost per lexeme.
@@ -303,14 +303,9 @@ def _lex_slow(source, pos, past, texts, kinds, starts, deadline) -> int:
                 add_text(m[group])
                 add_kind(kind_of_group[group])
             else:
-                pos, kind, text = _lex_rare(source, m, deadline)
-                if kind is not None:
-                    add_text(text)
-                    add_kind(kind)
-                    if add_start is not None:
-                        add_start(pos - len(text))
+                pos = _lex_rare(source, m, texts, kinds, starts, deadline)
                 if pos + _DENSE >= stop:
-                    stop = _line_end(source, pos + _DENSE)
+                    stop = _line_end(source, pos + 2 * _DENSE)
                 check(deadline)
                 matches = scan(source, pos, stop)
                 break
@@ -320,17 +315,14 @@ def _lex_slow(source, pos, past, texts, kinds, starts, deadline) -> int:
             check(deadline)
 
 
-def _lex_rare(
-    source: str, m: re.Match, deadline: float | None
-) -> tuple[int, TokenKind | None, str]:
+def _lex_rare(source: str, m: re.Match, texts, kinds, starts, deadline) -> int:
     """Lex the lexeme that starts at the rare group of master match `m`.
 
-    Returns the offset just past it, and the kind and text of its token,
-    or None and "" for a block comment; raises LexError when the text there
-    is malformed.  Long strings and
-    escaped identifiers are scanned by `re` in runs, and a string checks
-    `deadline` once per CHECK_EVERY escapes, so no lexeme is a long Python
-    loop without a deadline check.
+    Appends its token to the lists, if it makes one, and returns the offset
+    just past it; raises LexError when the text there is malformed.  Long
+    strings and escaped identifiers are scanned by `re` in runs, and a
+    string checks `deadline` once per CHECK_EVERY escapes, so no lexeme is
+    a long Python loop without a deadline check.
     """
     n = len(source)
     i = m.start(_RARE)
@@ -339,7 +331,7 @@ def _lex_rare(
         close = source.find("*/", i + 2)
         if close < 0:
             raise LexError("unterminated block comment", (i, i + 2))
-        return close + 2, None, ""
+        return close + 2
     if ch == "`":
         # Only blanks since the last newline: a whole-line directive.  The
         # match's blank prefix reaches back to the end of the previous
@@ -361,15 +353,18 @@ def _lex_rare(
             if name is None:
                 raise LexError("stray backtick", (i, i + 1))
             end = name.end()
-        return end, TokenKind.DIRECTIVE, source[i:end]
-    if ch == '"':
+        kind = TokenKind.DIRECTIVE
+    elif ch == '"':
         run = _STRING_RUN_RE.match
         steps = CHECK_EVERY
-        j = run(source, i + 1).end()
-        while j < n:
-            c = source[j]
+        end = run(source, i + 1).end()
+        while True:
+            if end >= n:
+                raise LexError("unterminated string", (i, n))
+            c = source[end]
             if c == '"':
-                return j + 1, TokenKind.STRING, source[i : j + 1]
+                end += 1
+                break
             if c == "\n":
                 raise LexError("unterminated string", (i, i + 1))
             # a backslash: it escapes the next character, whatever it is
@@ -377,21 +372,28 @@ def _lex_rare(
             if not steps:
                 check(deadline)
                 steps = CHECK_EVERY
-            j = run(source, j + 2).end()
-        raise LexError("unterminated string", (i, n))
-    if ch == "\\":
+            end = run(source, end + 2).end()
+        kind = TokenKind.STRING
+    elif ch == "\\":
         # escaped identifier: backslash through the next whitespace
-        j = _ESCAPED_RUN_RE.match(source, i + 1).end()
-        if j == i + 1:
+        end = _ESCAPED_RUN_RE.match(source, i + 1).end()
+        if end == i + 1:
             raise LexError("empty escaped identifier", (i, i + 1))
-        return j, TokenKind.IDENTIFIER, source[i:j]
-    if ch == "'":  # a quote the number pattern rejected
+        kind = TokenKind.IDENTIFIER
+    elif ch == "'":  # a quote the number pattern rejected
         raise LexError("malformed number literal", (i, i + 1))
-    if ch == "$":
+    elif ch == "$":
         # Compiled on first use, not at import: a system identifier comes
         # this way only on a line longer than a run.
         name = re.compile(_SYS_ID).match(source, i)
         if name is None:
             raise LexError("stray '$'", (i, i + 1))
-        return name.end(), TokenKind.IDENTIFIER, name.group()
-    raise LexError(f"illegal character {ch!r}", (i, i + 1))
+        end = name.end()
+        kind = TokenKind.IDENTIFIER
+    else:
+        raise LexError(f"illegal character {ch!r}", (i, i + 1))
+    texts.append(source[i:end])
+    kinds.append(kind)
+    if starts is not None:
+        starts.append(i)
+    return end
