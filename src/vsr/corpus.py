@@ -22,7 +22,8 @@ from enum import Enum
 from pathlib import Path
 
 from vsr.lexer import KEYWORDS, LexError, scan
-from vsr.lexer import lex  # noqa: F401  importable here: the benchmark tracer rebinds vsr.corpus.lex
+# `lex` is unused here, but the benchmark tracer rebinds vsr.corpus.lex.
+from vsr.lexer import lex  # noqa: F401
 from vsr.parser import ValidityStatus, classify
 from vsr.printer import PrintError, pretty_print
 from vsr.trees import (

@@ -4,6 +4,26 @@ Comments are stripped, whitespace is skipped, and compiler directives are
 kept as `directive` tokens so later stages can drop them without losing
 span bookkeeping.  Token spans are (start, end) offsets into the source
 string; every token's text is exactly `source[start:end]`.
+
+`scan` is the tokenizer.  It fills parallel lists of token texts and kinds,
+and of start offsets when the caller needs spans; `lex` builds its Token
+list from those lists, and the scoring path reads them as they are.  Two
+paths share the work, and give the same tokens and errors:
+
+- The bulk scan reads runs of whole lines, about 16 KiB each, with one
+  `re.findall` per run, so a common lexeme costs no Python bytecode of its
+  own.  It finds keywords, identifiers (plain, system and escaped),
+  numbers, operators, punctuation and one-line strings, and skips blanks,
+  line comments and one-line block comments.  A lexeme's kind is read off
+  its first character, and for a word off the keyword set.
+- The per-match path takes one master-pattern match per token.  It lexes
+  what the bulk scan leaves: directives (a backtick's whole-line rule
+  needs the line), block comments and strings that span lines, malformed
+  text, and any line longer than a run.  It goes on for a stretch after
+  each such lexeme, so text dense with them is not cut into short runs.
+
+The deadline is checked after each run and once per CHECK_EVERY matches of
+the per-match path, so no input runs long past its deadline.
 """
 
 from __future__ import annotations
@@ -78,14 +98,14 @@ _NUMBER = (
     r"|\d[\d_]*[eE][+-]?\d[\d_]*"
     r"|\d[\d_]*"
 )
-# Operators as a trie on their first character, each branch longest first,
-# so `<<<` is never read as `<<` then `<`; one failed first character costs
-# one test where a list of every operator would cost twenty.  A `/` that
-# opens a comment is left to the comment branches.
-_OPERATOR_RE = (
-    r"<(?:<<?|=)?|>(?:>>?|=)?|=(?:==?)?|!(?:==?)?|&&?|\|\|?|~[&|^]?|\^~?|\*\*?"
-    r"|\+:?|-:?|[%?]|/(?![/*])"
+# Operators longest first, so `<<<` is never read as `<<` then `<`.  A `/`
+# that opens a comment is left to the comment branches.
+_OPERATORS = (
+    "<<<", ">>>", "===", "!==",
+    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+    "~&", "~|", "~^", "^~", "**", "+:", "-:",
 )
+_OPERATOR_RE = "|".join(map(re.escape, _OPERATORS)) + r"|[-+*%&|^~!<>=?]|/(?![/*])"
 _PUNCT_RE = r"[()\[\]{};,.:#@]"
 
 # ---- The bulk scan ----
@@ -116,7 +136,9 @@ _LEXEME = (
 )
 _BULK_RE = re.compile(rf"{_SKIP}({_LEXEME})")
 # The same with the skip as a group of its own, for callers that need spans.
-_BULK_SPANS_RE = re.compile(rf"({_SKIP})({_LEXEME})")
+# It is compiled on first use, through the `re` module's own cache, so that
+# a process that only scores does not pay for it at import.
+_BULK_SPANS = rf"({_SKIP})({_LEXEME})"
 # A run ends at the first newline this many characters after its start.  A
 # run is then about CHECK_EVERY lexemes, and the deadline is checked after
 # each.  A line that would make a run longer than twice this is lexed by
@@ -127,7 +149,8 @@ _DENSE = 64
 _LINE_BLANKS = " \t\r\f\v\n"
 
 _FIRST_KIND = {
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$\\", TokenKind.IDENTIFIER),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", TokenKind.IDENTIFIER),
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz_$\\", TokenKind.IDENTIFIER),
     **dict.fromkeys("0123456789'", TokenKind.NUMBER),
     **dict.fromkeys("-+*%&|^~!<>=?/", TokenKind.OPERATOR),
     **dict.fromkeys("()[]{};,.:#@", TokenKind.PUNCTUATION),
@@ -173,7 +196,8 @@ _KIND_OF_GROUP = {
 _STRING_RUN_RE = re.compile(r'[^"\\\n]*')
 _ESCAPED_RUN_RE = re.compile(r"\S*")
 
-_new_token = partial(tuple.__new__, Token)  # a Token without NamedTuple's Python __new__
+# Builds a Token without NamedTuple's Python __new__.
+_new_token = partial(tuple.__new__, Token)
 
 
 def lex(source: str, *, deadline: float | None = None) -> list[Token]:
@@ -227,7 +251,7 @@ def _lex_bulk(source, pos, end, texts, kinds, starts, deadline) -> int:
     """Lex `source[pos:end]` in one findall; return where lexing stands.
 
     That is `end`, unless the run held a lexeme the bulk scan leaves to the
-    per-match path: then it is just past that lexeme.
+    per-match path: then it is the line start where that path stopped.
     """
     if source[end - 1] == "\n":
         text, base, lo, hi = source, 0, pos, end
@@ -240,7 +264,7 @@ def _lex_bulk(source, pos, end, texts, kinds, starts, deadline) -> int:
         rest = found.pop() if found and found[-1][-1] == "\n" else ""
         texts += found
     else:
-        pairs = _BULK_SPANS_RE.findall(text, lo, hi)
+        pairs = re.compile(_BULK_SPANS).findall(text, lo, hi)
         while pairs and not pairs[-1][1]:
             pairs.pop()
         rest = pairs.pop()[1] if pairs and pairs[-1][1][-1] == "\n" else ""
@@ -274,10 +298,10 @@ def _lex_slow(source, pos, past, texts, kinds, starts, deadline) -> int:
     That is the line that holds offset `past`, or a later one: a rare
     lexeme closer than _DENSE characters to the end moves it on by twice
     that, so text dense with rare lexemes stays on this path rather than
-    start a bulk run at each.  Returns the offset where lexing stopped, at the
-    start of a line or at the end of the text.  Lexemes are taken in slices
-    of CHECK_EVERY matches, and the deadline is checked between slices and
-    after each rare lexeme, at no cost per lexeme.
+    start a bulk run at each.  Returns the offset where lexing stopped, at
+    the start of a line or at the end of the text.  Lexemes are taken in
+    slices of CHECK_EVERY matches, and the deadline is checked between
+    slices and after each rare lexeme, at no cost per lexeme.
     """
     add_text, add_kind = texts.append, kinds.append
     add_start = None if starts is None else starts.append
@@ -285,7 +309,8 @@ def _lex_slow(source, pos, past, texts, kinds, starts, deadline) -> int:
     keywords = KEYWORDS
     kind_of_group = _KIND_OF_GROUP
     identifier, keyword = TokenKind.IDENTIFIER, TokenKind.KEYWORD
-    # No common lexeme holds a newline, so one ends before `stop`.
+    # The scan ends at a line end, and no common lexeme holds a newline, so
+    # it cuts none; `_lex_rare` reads past it on its own.
     stop = _line_end(source, past)
     matches = scan(source, pos, stop)
     while True:

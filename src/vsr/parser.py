@@ -33,20 +33,36 @@ The nesting cap counts one level per `_expr` and per unary operator, and
 `_expr` checks it before anything else, so the cap and its error are the
 same with and without the fast path.
 
-Tokens are tested by their text alone, never by text and kind.  That is
-exact because the lexer never gives one text two kinds: keywords,
-operators and punctuation are disjoint sets; a word lexes as a keyword
-exactly when it is in the keyword set; and escaped identifiers start with
-`\\`, system identifiers with `$`, strings with `"`, numbers with a digit or
-`'`, and directives (which the parser drops first) with a backtick, none of
-which starts a keyword, operator or punctuation text.  Kind tests remain
-only where any token of a kind will do: identifiers, constants and the
-unsupported-keyword errors.  The hot routines test `self._toks[self._pos]`
+The parser reads parallel lists, not Token objects: the texts and kinds of
+the tokens, and their start and end offsets when it builds spans.  Tokens
+are tested by their text alone, never by text and kind.  That is exact
+because the lexer never gives one text two kinds: keywords, operators and
+punctuation are disjoint sets; a word lexes as a keyword exactly when it is
+in the keyword set; and escaped identifiers start with `\\`, system
+identifiers with `$`, strings with `"`, numbers with a digit or `'`, and
+directives (which the parser drops first) with a backtick, none of which
+starts a keyword, operator or punctuation text.  Kind tests remain only
+where any token of a kind will do: identifiers, constants and the
+unsupported-keyword errors.  The hot routines test `self._texts[self._pos]`
 inline rather than through `_at`; two end tokens with empty text close the
-token list, so that look-up never runs off its end.  Every token is still
-consumed through `_advance`, which checks the deadline by position; a
-routine whose caller has already looked at its first token consumes that
-token with `_advance` rather than `_expect`.
+lists, so that look-up never runs off their end.  Every token is still
+consumed through `_advance` or `_expect`, which check the deadline by
+position; a routine whose caller has already looked at its first token
+consumes that token with `_advance`.
+
+Every node is built through one builder: five methods on the parser
+(`_node`, `_leaf`, `_pair`, `_prefix`, `_joined`) and `_copy` for a node put
+in the tree twice.  `Parser` builds RawNodes with spans for `parse` and
+`classify`.  A span runs from the start of a given token, passed as its
+index, to the end of the last token consumed when the node is built; only
+operator, ternary and select nodes differ: binary, ternary and select
+nodes start where their first child starts, and binary and unary nodes end
+where their last child ends.  A parenthesized operand is the node of what
+is inside, so such a start or end leaves its parentheses out, as it always
+has.  `_Interner` builds for the scoring path instead: each node is interned
+into the caller's table under the key `vsr.trees.clean` gives it, so
+`classify_into` returns the very tree `clean(classify(text).ast, table)`
+would, with no Token, span, RawNode or diagnostic made on the way.
 """
 
 from __future__ import annotations
@@ -54,7 +70,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import add, is_not, itemgetter
 from typing import NoReturn
 
@@ -286,7 +302,8 @@ class Parser:
 
     def _node(self, kind, kids, name, value, mods, start: int):
         """A node whose span runs from token `start` to the last consumed."""
-        return RawNode(kind, kids, name, value, mods, (self._starts[start], self._ends[self._pos - 1]))
+        span = (self._starts[start], self._ends[self._pos - 1])
+        return RawNode(kind, kids, name, value, mods, span)
 
     def _leaf(self, kind, name, value):
         """An identifier or constant: the last consumed token alone."""
@@ -1020,24 +1037,25 @@ class _Interner(Parser):
 # ---- Entry points ----
 
 
-def _drop_directives(texts, kinds, starts, deadline):
-    """The lists without their directive tokens.
+def _drop_directives(kinds: list[TokenKind], lists: list[list], deadline) -> list[list]:
+    """`lists`, each parallel to `kinds`, without their directive tokens.
 
     Directives are lexed for span bookkeeping but never parsed.  They are
-    dropped in slices, so the deadline is checked between slices at no cost
-    per token; a text with no directive is left as it is.
+    dropped in slices, and the deadline is checked after each slice, with
+    or without a directive in it, at no cost per token.
     """
     if _DIRECTIVE not in kinds:
-        return texts, kinds, starts
-    kept: list[list] = [[], [], []]
+        for _ in range(0, len(kinds), CHECK_EVERY):
+            check(deadline)
+        return lists
+    kept: list[list] = [[] for _ in lists]
     for lo in range(0, len(kinds), CHECK_EVERY):
         part = slice(lo, lo + CHECK_EVERY)
         keep = list(map(is_not, kinds[part], repeat(_DIRECTIVE)))
-        for out, values in zip(kept, (texts, kinds, starts)):
-            if values is not None:
-                out += compress(values[part], keep)
+        for out, values in zip(kept, lists):
+            out += compress(values[part], keep)
         check(deadline)
-    return kept[0], kept[1], kept[2] if starts is not None else None
+    return kept
 
 
 def parse(tokens: list[Token], *, deadline: float | None = None) -> RawNode:
@@ -1045,20 +1063,10 @@ def parse(tokens: list[Token], *, deadline: float | None = None) -> RawNode:
 
     Raises DeadlineExceeded once `deadline` has passed (see `vsr.deadline`).
     """
-    # The directive filter of `_drop_directives`, over tokens.
-    rest = iter(tokens)
-    toks: list[Token] = []
-    for _ in range(0, len(tokens), CHECK_EVERY):
-        toks += [t for t in islice(rest, CHECK_EVERY) if t.kind is not _DIRECTIVE]
-        check(deadline)
-    spans = list(map(_SPAN, toks))
-    return Parser(
-        list(map(_TEXT, toks)),
-        list(map(_KIND, toks)),
-        list(map(_FIRST, spans)),
-        list(map(_SECOND, spans)),
-        deadline,
-    ).parse_source_unit()
+    kinds = list(map(_KIND, tokens))
+    spans = list(map(_SPAN, tokens))
+    lists = [list(map(_TEXT, tokens)), kinds, list(map(_FIRST, spans)), list(map(_SECOND, spans))]
+    return Parser(*_drop_directives(kinds, lists, deadline), deadline).parse_source_unit()
 
 
 def parse_source(text: str) -> RawNode:
@@ -1103,7 +1111,7 @@ def classify(source: str, *, deadline: float | None = None) -> Validity:
         )
         return Validity(ValidityStatus.NOT_CODE, None, (diag,))
     try:
-        texts, kinds, starts = _drop_directives(texts, kinds, starts, deadline)
+        texts, kinds, starts = _drop_directives(kinds, [texts, kinds, starts], deadline)
         ends = list(map(add, starts, map(len, texts)))
         ast = Parser(texts, kinds, starts, ends, deadline).parse_source_unit()
     except ParseError as exc:
@@ -1132,7 +1140,7 @@ def classify_into(
     if not _looks_like_code(texts):
         return ValidityStatus.NOT_CODE, None
     try:
-        texts, kinds, _ = _drop_directives(texts, kinds, None, deadline)
+        texts, kinds = _drop_directives(kinds, [texts, kinds], deadline)
         tree = _Interner(texts, kinds, table, deadline).parse_source_unit()
     except (ParseError, RecursionError):
         return ValidityStatus.PARSE_FAIL, None

@@ -14,6 +14,17 @@ scored by similarity, so it earns the parse-fail tier: status
 DepthLimitError escape.  Both checks read the cleaned root's `depth`
 (see `vsr.trees.CleanNode`) and do not walk either tree.
 
+Both sides go through the scoring front end, `vsr.parser.classify_into`:
+the text is lexed into token lists and parsed straight into hash-consed
+CleanNodes, with no Token, span, RawNode or diagnostic made.  Its status
+is the one `classify` gives, and its tree is the very object that
+`clean(classify(text).ast, table)` returns with the same table.  A
+reference is interned into a table of its own, and each sample into a copy
+of that table.  A sample's diagnostics are never reported, so none are
+made.  A reference's are, in ReferenceParseError; when a reference fails,
+`classify` runs on it once more to give them, which only that error path
+pays for.
+
 In RL one reference is scored against a group of samples, so a reference
 can be prepared once per batch: the caller passes the same `memo` dict to
 every `reward` call of the batch, and each reference text is classified
@@ -25,10 +36,11 @@ reference's checks have passed, a copy returns status `parsed`, sim 1.0 and
 reward 10.0 in either mode without being classified, cleaned or scored.
 This is the full path's answer, exactly:
 
-- `classify` is a pure function of the text, so the copy classifies as the
-  reference did: parsed, with an equal raw tree.
-- Cleaning an equal raw tree into a copy of the reference's intern table
-  returns the reference's own root, so the copy is not too deep either.
+- `classify_into` is a pure function of the text and the table, so the
+  copy classifies as the reference did: parsed.
+- Interning the copy into a copy of the reference's table finds every node
+  of the reference there and returns the reference's own root, so the copy
+  is not too deep either.
 - Both `sim_ast` and `sim_ast_seq` score a pair `a is b` as exactly 1.0.
 
 A `deadline` (see `vsr.deadline`) reaches every long loop of the pipeline:
@@ -47,7 +59,8 @@ from dataclasses import dataclass
 from vsr.deadline import check
 from vsr.parser import Diagnostic, ValidityStatus, classify, classify_into
 from vsr.similarity import DEFAULT_DEPTH_LIMIT, sim_ast, sim_ast_seq
-from vsr.trees import CleanNode, clean  # noqa: F401  importable here: the benchmark tracer rebinds vsr.reward.clean
+# `clean` is unused here, but the benchmark tracer rebinds vsr.reward.clean.
+from vsr.trees import CleanNode, clean  # noqa: F401
 
 REWARD_SCALE = 10.0
 REWARD_PARSE_FAIL = -5.0
@@ -73,11 +86,11 @@ class PreparedReference:
 
     Only what scoring reads is kept: the reference's `status` and
     `diagnostics`, its hash-consed cleaned `tree` and the intern `table`
-    that holds it.  The raw parse tree is not kept.  `tree` is None and
+    that holds it; no raw parse tree is ever made.  `tree` is None and
     `table` empty when the reference did not parse; the depth limit is
-    judged on `tree.depth` at each call.  Scoring cleans each sample into a
-    copy of `table`, so a prepared reference is never changed and can serve
-    any number of samples, whatever their depth limit.
+    judged on `tree.depth` at each call.  Scoring interns each sample into
+    a copy of `table`, so a prepared reference is never changed and can
+    serve any number of samples, whatever their depth limit.
     """
 
     status: ValidityStatus

@@ -93,8 +93,8 @@ def test_run_ends_fall_anywhere_in_a_piece(shift):
 @pytest.mark.parametrize(
     "text",
     [
-        pytest.param("module m; assign y = " + "a+" * 20000 + "a;\nendmodule\n", id="long-line"),
-        pytest.param("module m; assign y = " + "a+" * 6000 + "a;\nendmodule\n", id="line-over-a-run"),
+        pytest.param("module m; assign y = " + "a+" * 20000 + "a;\nendmodule\n", id="long"),
+        pytest.param("module m; assign y = " + "a+" * 6000 + "a;\nendmodule\n", id="over-a-run"),
         pytest.param("x $y\n" * 20000, id="system-ids"),
         pytest.param("/* c */ x\n" * 20000, id="block-comments"),
         pytest.param("`M x\n" * 20000, id="macro-uses"),

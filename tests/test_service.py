@@ -643,8 +643,10 @@ class TestTimeout:
 
     @pytest.mark.parametrize("transport", ["handle_line", "http"])
     def test_request_after_a_timeout_answers_at_normal_latency(self, transport):
-        # FAT takes hundreds of ms untimed and a trivial request well under
-        # one, so only FAT can reach this deadline even on a loaded host.
+        # FAT against a copy with its operators swapped takes seconds
+        # untimed (a copy of FAT alone now takes tens of ms) and a trivial
+        # request well under one, so only FAT can reach this deadline even
+        # on a loaded host.
         config = ServiceConfig(timeout_ms=50)
         stack = contextlib.ExitStack()
         if transport == "http":
@@ -668,7 +670,7 @@ class TestTimeout:
         trivial = {"id": 1, "ref": REF, "gen": GEN}
         with stack:
             normal = min(timed(trivial)[0] for _ in range(5))
-            _, slow = timed({"id": "slow", "ref": FAT, "gen": FAT})
+            _, slow = timed({"id": "slow", "ref": FAT, "gen": FAT.replace("^", "&")})
             after, resp = timed(trivial)
         assert slow["error"] == "evaluation exceeded 50 ms"
         assert resp["status"] == "parsed"
