@@ -1082,9 +1082,10 @@ def _looks_like_code(texts: list[str]) -> bool:
     a token or two instead of reading the whole stream, which at the body
     cap would take hundreds of ms without a deadline check.
     """
-    if "module" not in texts:
+    try:
+        first = texts.index("module")
+    except ValueError:
         return False
-    first = texts.index("module")
     for i in range(len(texts) - 1, first, -1):
         if texts[i] == "endmodule":
             return True
