@@ -259,22 +259,20 @@ def _lex_bulk(source, pos, end, texts, kinds, starts, deadline) -> int:
         text, base, lo, hi = source[pos:end] + "\n", pos, 0, end - pos + 1
     if starts is None:
         found = _BULK_RE.findall(text, lo, hi)
-        while found and not found[-1]:
-            found.pop()  # the match at the end of the run
-        rest = found.pop() if found and found[-1][-1] == "\n" else ""
-        texts += found
     else:
         pairs = re.compile(_BULK_SPANS).findall(text, lo, hi)
-        while pairs and not pairs[-1][1]:
-            pairs.pop()
-        rest = pairs.pop()[1] if pairs and pairs[-1][1][-1] == "\n" else ""
         found = list(map(_second, pairs))
-        texts += found
+    while found and not found[-1]:
+        found.pop()  # the match at the end of the run
+    rest = found.pop() if found and found[-1][-1] == "\n" else ""
+    texts += found
+    kinds += map(_KEYWORD_KIND.get, found, map(_FIRST_KIND.__getitem__, map(_first, found)))
+    if starts is not None:
+        # Each match is its skip and its lexeme; `map` stops with `found`.
         lengths = list(map(len, found))
         ends = accumulate(map(add, map(len, map(_first, pairs)), lengths), initial=base + lo)
         next(ends)
         starts += map(sub, ends, lengths)
-    kinds += map(_KEYWORD_KIND.get, found, map(_FIRST_KIND.__getitem__, map(_first, found)))
     if not rest:
         return end
     # The last match took the rest of the run from a lexeme the per-match
