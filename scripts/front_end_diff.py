@@ -90,11 +90,13 @@ DECL_WORDS = ("parameter", "localparam", "input", "output", "inout", "wire", "re
 WIDE_ITEMS = (16, 200)
 WIDE_SWAP = {"+": "-", "-": "+", "&": "|", "|": "&", "^": "~^", "~^": "^", "<<": ">>", ">>": "<<"}
 WIDE_SIGNALS = ("a", "b", "c", "s0", "s1", "s2")
-# The length of one bulk run of the lexer (`vsr.lexer`), and the pieces the
-# long/N family puts near the ends of runs: lexemes that the bulk scan hands
-# to the per-match path or reads next to them.  The first four leave a
-# parse unchanged when put at a line start.
+# The length of one bulk run of the lexer (`vsr.lexer`), the number of
+# long/N texts (one of each shape), and the pieces that family puts near the
+# ends of runs: lexemes that the bulk scan hands to the per-match path or
+# reads next to them.  The first four leave a parse unchanged when put at a
+# line start.
 RUN = 16384
+LONG = 4
 LONG_RARE = (
     "/* c */ ",
     "/* a\n b */",
@@ -380,8 +382,7 @@ def gen_long(files, rng: random.Random, n: int) -> tuple[str, str]:
     return text, first
 
 
-def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int,
-           long: int = 0):
+def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int):
     """Yield (name, text, reference text) in a fixed order."""
     rng = random.Random(seed)
     files = []
@@ -413,7 +414,7 @@ def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int,
         ref, text = gen_wide_pair(rng)
         yield f"wide/{n}", text, ref
     long_rng = random.Random(f"long/{seed}")
-    for n in range(long):
+    for n in range(LONG):
         text, ref = gen_long(files, long_rng, n)
         yield f"long/{n}", text, ref
 
@@ -429,11 +430,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="use only the first N files of each folder")
     ap.add_argument("--wide", type=int, default=20,
                     help="generated wide module pairs (default 20)")
-    ap.add_argument("--long", type=int, default=4,
-                    help="long texts, the four shapes in turn (default 4)")
     args = ap.parse_args(argv)
     for name, text, ref in inputs(args.seed, args.copies, args.generated, args.limit,
-                                  args.wide, args.long):
+                                  args.wide):
         print(f"{name}\t{fingerprint(text, ref)}")
     return 0
 

@@ -9,8 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "front_end_diff.py"
 EXPECTED = ROOT / "tests" / "expected" / "front_end_fingerprints.txt"
-SMALL = ["--seed", "3", "--copies", "1", "--generated", "10", "--limit", "2", "--wide", "2",
-         "--long", "4"]
+SMALL = ["--seed", "3", "--copies", "1", "--generated", "10", "--limit", "2", "--wide", "2"]
 
 
 def load_script():

@@ -29,7 +29,7 @@ def load_script():
 def script_inputs():
     """(name, text, reference) for golden files, fixtures, their damaged and
     blank-redrawn copies, generated texts, wide pairs and long texts."""
-    return list(load_script().inputs(1, 1, 60, None, 4, 4))
+    return list(load_script().inputs(1, 1, 60, None, 4))
 
 
 INPUTS = script_inputs() + [("wide_module/600", wide_module(600), SMALL)]
