@@ -6,8 +6,8 @@ span bookkeeping.  Token spans are (start, end) offsets into the source
 string; every token's text is exactly `source[start:end]`.
 
 `scan` is the tokenizer.  It fills parallel lists of token texts and kinds,
-and of start offsets when the caller needs spans; `lex` builds its Token
-list from those lists, and the scoring path reads them as they are.  Two
+and of spans when the caller needs them; `lex` builds its Token list from
+those lists, and the parser reads them as they are.  Two
 paths share the work, and give the same tokens and errors:
 
 - The bulk scan reads runs of whole lines, about 16 KiB each, with one
@@ -210,26 +210,24 @@ def lex(source: str, *, deadline: float | None = None) -> list[Token]:
     also a directive token.  Raises DeadlineExceeded once `deadline` (a
     `time.monotonic()` value) has passed; see `vsr.deadline`.
     """
-    texts, kinds, starts = scan(source, deadline, spans=True)
-    ends = map(add, starts, map(len, texts))
-    return list(map(_new_token, zip(kinds, texts, zip(starts, ends))))
+    texts, kinds, spans = scan(source, deadline, spans=True)
+    return list(map(_new_token, zip(kinds, texts, spans)))
 
 
 def scan(
     source: str, deadline: float | None = None, *, spans: bool = False
-) -> tuple[list[str], list[TokenKind], list[int] | None]:
-    """Tokenize `source` into parallel lists: texts, kinds and start offsets.
+) -> tuple[list[str], list[TokenKind], list[tuple[int, int]] | None]:
+    """Tokenize `source` into parallel lists: texts, kinds and spans.
 
-    The tokens are those of `lex`, and so are the errors.  The offsets are
-    computed only when `spans` is true and are None otherwise; a token ends
-    at its start plus the length of its text.  Runs of whole lines go to
-    the bulk scan and the rest to the per-match path (see the comments
-    above); the deadline is checked after each run and as the per-match
-    path goes.
+    The tokens are those of `lex`, and so are the errors and the spans.
+    The spans are computed only when `spans` is true and are None
+    otherwise.  Runs of whole lines go to the bulk scan and the rest to the
+    per-match path (see the comments above); the deadline is checked after
+    each run and as the per-match path goes.
     """
     texts: list[str] = []
     kinds: list[TokenKind] = []
-    starts: list[int] | None = [] if spans else None
+    found_spans: list[tuple[int, int]] | None = [] if spans else None
     n = len(source)
     pos = 0
     while pos < n:
@@ -239,15 +237,15 @@ def scan(
             back = source.rfind("\n", pos, pos + _RUN)
             if back < 0:
                 # The line at `pos` is longer than a run.
-                pos = _lex_slow(source, pos, pos, texts, kinds, starts, deadline)
+                pos = _lex_slow(source, pos, pos, texts, kinds, found_spans, deadline)
                 continue
             end = back + 1  # the run stops before the long line
-        pos = _lex_bulk(source, pos, end, texts, kinds, starts, deadline)
+        pos = _lex_bulk(source, pos, end, texts, kinds, found_spans, deadline)
         check(deadline)
-    return texts, kinds, starts
+    return texts, kinds, found_spans
 
 
-def _lex_bulk(source, pos, end, texts, kinds, starts, deadline) -> int:
+def _lex_bulk(source, pos, end, texts, kinds, spans, deadline) -> int:
     """Lex `source[pos:end]` in one findall; return where lexing stands.
 
     That is `end`, unless the run held a lexeme the bulk scan leaves to the
@@ -257,7 +255,7 @@ def _lex_bulk(source, pos, end, texts, kinds, starts, deadline) -> int:
         text, base, lo, hi = source, 0, pos, end
     else:  # the last run of a text that does not end in a newline
         text, base, lo, hi = source[pos:end] + "\n", pos, 0, end - pos + 1
-    if starts is None:
+    if spans is None:
         found = _BULK_RE.findall(text, lo, hi)
     else:
         pairs = re.compile(_BULK_SPANS).findall(text, lo, hi)
@@ -267,12 +265,13 @@ def _lex_bulk(source, pos, end, texts, kinds, starts, deadline) -> int:
     rest = found.pop() if found and found[-1][-1] == "\n" else ""
     texts += found
     kinds += map(_KEYWORD_KIND.get, found, map(_FIRST_KIND.__getitem__, map(_first, found)))
-    if starts is not None:
-        # Each match is its skip and its lexeme; `map` stops with `found`.
+    if spans is not None:
+        # Each match is its skip and its lexeme, so its lexeme ends where it
+        # does; `map` stops with `found`.
         lengths = list(map(len, found))
         ends = accumulate(map(add, map(len, map(_first, pairs)), lengths), initial=base + lo)
-        next(ends)
-        starts += map(sub, ends, lengths)
+        ends = list(islice(ends, 1, None))
+        spans += zip(map(sub, ends, lengths), ends)
     if not rest:
         return end
     # The last match took the rest of the run from a lexeme the per-match
@@ -281,7 +280,7 @@ def _lex_bulk(source, pos, end, texts, kinds, starts, deadline) -> int:
     # reads them.
     at = base + hi - len(rest)
     first = pos + len(source[pos:at].rstrip(_LINE_BLANKS))
-    return _lex_slow(source, first, at, texts, kinds, starts, deadline)
+    return _lex_slow(source, first, at, texts, kinds, spans, deadline)
 
 
 def _line_end(source: str, at: int) -> int:
@@ -290,7 +289,7 @@ def _line_end(source: str, at: int) -> int:
     return len(source) if nl < 0 else nl + 1
 
 
-def _lex_slow(source, pos, past, texts, kinds, starts, deadline) -> int:
+def _lex_slow(source, pos, past, texts, kinds, spans, deadline) -> int:
     """Lex from `pos` one master match at a time, to the end of a line.
 
     That is the line that holds offset `past`, or a later one: a rare
@@ -302,7 +301,7 @@ def _lex_slow(source, pos, past, texts, kinds, starts, deadline) -> int:
     slices and after each rare lexeme, at no cost per lexeme.
     """
     add_text, add_kind = texts.append, kinds.append
-    add_start = None if starts is None else starts.append
+    add_span = None if spans is None else spans.append
     scan = _MASTER_RE.finditer
     keywords = KEYWORDS
     kind_of_group = _KIND_OF_GROUP
@@ -326,19 +325,19 @@ def _lex_slow(source, pos, past, texts, kinds, starts, deadline) -> int:
                 add_text(m[group])
                 add_kind(kind_of_group[group])
             else:
-                pos = _lex_rare(source, m, texts, kinds, starts, deadline)
+                pos = _lex_rare(source, m, texts, kinds, spans, deadline)
                 if pos + _DENSE >= stop:
                     stop = _line_end(source, pos + 2 * _DENSE)
                 check(deadline)
                 matches = scan(source, pos, stop)
                 break
-            if add_start is not None:
-                add_start(m.start(group))
+            if add_span is not None:
+                add_span(m.span(group))
         else:
             check(deadline)
 
 
-def _lex_rare(source: str, m: re.Match, texts, kinds, starts, deadline) -> int:
+def _lex_rare(source: str, m: re.Match, texts, kinds, spans, deadline) -> int:
     """Lex the lexeme that starts at the rare group of master match `m`.
 
     Appends its token to the lists, if it makes one, and returns the offset
@@ -417,6 +416,6 @@ def _lex_rare(source: str, m: re.Match, texts, kinds, starts, deadline) -> int:
         raise LexError(f"illegal character {ch!r}", (i, i + 1))
     texts.append(source[i:end])
     kinds.append(kind)
-    if starts is not None:
-        starts.append(i)
+    if spans is not None:
+        spans.append((i, end))
     return end

@@ -71,11 +71,13 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from operator import add, is_not, itemgetter
+from operator import is_not, itemgetter
 from typing import NoReturn
 
 from vsr.deadline import CHECK_EVERY, check
-from vsr.lexer import LexError, Token, TokenKind, lex, scan
+from vsr.lexer import LexError, Token, TokenKind, scan
+# `lex` is unused here, but the benchmark tracer rebinds vsr.parser.lex.
+from vsr.lexer import lex  # noqa: F401
 from vsr.trees import CleanNode, NodeKind, RawNode, clone_raw
 
 # Combined statement/expression nesting cap.  Keeps pathological inputs from
@@ -250,16 +252,15 @@ _TASK_DECL = NodeKind.TASK_DECL
 _TERNARY = NodeKind.TERNARY
 _WIDTH = NodeKind.WIDTH
 
-# Field readers for tokens and spans.
+# Field readers for tokens.
 _KIND, _TEXT, _SPAN = itemgetter(0), itemgetter(1), itemgetter(2)
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 class Parser:
     """The grammar, over parallel token lists, building through one builder.
 
-    The lists are the texts, kinds, start and end offsets of the tokens,
-    directives already dropped.  This class builds RawNodes with spans;
+    The lists are the texts, kinds and spans of the tokens, directives
+    already dropped.  This class builds RawNodes with spans;
     `_Interner` runs the same grammar and builds interned CleanNodes.
     """
 
@@ -267,8 +268,7 @@ class Parser:
         self,
         texts: list[str],
         kinds: list[TokenKind],
-        starts: list[int] | None,
-        ends: list[int] | None,
+        spans: list[tuple[int, int]] | None,
         deadline: float | None = None,
     ):
         # Two end tokens with empty text close the lists, so looking at the
@@ -278,14 +278,12 @@ class Parser:
         # points.  The lists are the caller's, made for this parse.
         texts += ("", "")
         kinds += (_PUNCTUATION, _PUNCTUATION)
-        if starts is not None:
-            end = ends[-1] if ends else 0
-            starts += (end, end)
-            ends += (end, end)
+        if spans is not None:
+            end = spans[-1][1] if spans else 0
+            spans += ((end, end), (end, end))
         self._texts = texts
         self._kinds = kinds
-        self._starts = starts
-        self._ends = ends
+        self._spans = spans
         self._pos = 0
         self._depth = 0
         self._deadline = deadline
@@ -302,13 +300,12 @@ class Parser:
 
     def _node(self, kind, kids, name, value, mods, start: int):
         """A node whose span runs from token `start` to the last consumed."""
-        span = (self._starts[start], self._ends[self._pos - 1])
-        return RawNode(kind, kids, name, value, mods, span)
+        spans = self._spans
+        return RawNode(kind, kids, name, value, mods, (spans[start][0], spans[self._pos - 1][1]))
 
     def _leaf(self, kind, name, value):
         """An identifier or constant: the last consumed token alone."""
-        at = self._pos - 1
-        return RawNode(kind, [], name, value, (), (self._starts[at], self._ends[at]))
+        return RawNode(kind, [], name, value, (), self._spans[self._pos - 1])
 
     def _pair(self, kind, left, right):
         """A binary operator node."""
@@ -316,11 +313,11 @@ class Parser:
 
     def _prefix(self, kind, at: int, operand):
         """A unary operator node; its operator is token `at`."""
-        return RawNode(kind, [operand], None, None, (), (self._starts[at], operand.span[1]))
+        return RawNode(kind, [operand], None, None, (), (self._spans[at][0], operand.span[1]))
 
     def _joined(self, kind, kids):
         """A ternary or select node: from its first child to the last consumed."""
-        return RawNode(kind, kids, None, None, (), (kids[0].span[0], self._ends[self._pos - 1]))
+        return RawNode(kind, kids, None, None, (), (kids[0].span[0], self._spans[self._pos - 1][1]))
 
     def _copy(self, node):
         """A node to put in the tree a second time (see `_decl`)."""
@@ -329,8 +326,8 @@ class Parser:
     # ---- Token plumbing ----
 
     def _span(self, at: int) -> tuple[int, int] | None:
-        starts = self._starts
-        return None if starts is None else (starts[at], self._ends[at])
+        spans = self._spans
+        return None if spans is None else spans[at]
 
     def _error(self, message: str) -> NoReturn:
         pos = self._pos
@@ -998,7 +995,7 @@ class _Interner(Parser):
     """
 
     def __init__(self, texts, kinds, table: dict, deadline: float | None = None):
-        super().__init__(texts, kinds, None, None, deadline)
+        super().__init__(texts, kinds, None, deadline)
         self._table = table
         self._id_leaf = self._node(_ID, [], None, None, (), 0)
         self._const_leaf = self._node(_CONST, [], None, None, (), 0)
@@ -1014,18 +1011,10 @@ class _Interner(Parser):
         return self._id_leaf if kind is _ID else self._const_leaf
 
     def _pair(self, kind, left, right):
-        key = (id(kind), id(left), id(right))
-        node = self._table.get(key)
-        if node is None:
-            node = self._table[key] = CleanNode(kind, (left, right))
-        return node
+        return self._node(kind, (left, right), None, None, (), 0)
 
     def _prefix(self, kind, at, operand):
-        key = (id(kind), id(operand))
-        node = self._table.get(key)
-        if node is None:
-            node = self._table[key] = CleanNode(kind, (operand,))
-        return node
+        return self._node(kind, (operand,), None, None, (), 0)
 
     def _joined(self, kind, kids):
         return self._node(kind, kids, None, None, (), 0)
@@ -1058,20 +1047,24 @@ def _drop_directives(kinds: list[TokenKind], lists: list[list], deadline) -> lis
     return kept
 
 
+def _parse_lists(texts, kinds, spans, deadline) -> RawNode:
+    """Parse the token lists of `scan(..., spans=True)`; raises ParseError."""
+    texts, kinds, spans = _drop_directives(kinds, [texts, kinds, spans], deadline)
+    return Parser(texts, kinds, spans, deadline).parse_source_unit()
+
+
 def parse(tokens: list[Token], *, deadline: float | None = None) -> RawNode:
     """Parse a token stream into a SourceUnit tree; raises ParseError.
 
     Raises DeadlineExceeded once `deadline` has passed (see `vsr.deadline`).
     """
-    kinds = list(map(_KIND, tokens))
     spans = list(map(_SPAN, tokens))
-    lists = [list(map(_TEXT, tokens)), kinds, list(map(_FIRST, spans)), list(map(_SECOND, spans))]
-    return Parser(*_drop_directives(kinds, lists, deadline), deadline).parse_source_unit()
+    return _parse_lists(list(map(_TEXT, tokens)), list(map(_KIND, tokens)), spans, deadline)
 
 
 def parse_source(text: str) -> RawNode:
     """Lex and parse `text`; raises LexError or ParseError."""
-    return parse(lex(text))
+    return _parse_lists(*scan(text, spans=True), None)
 
 
 def _looks_like_code(texts: list[str]) -> bool:
@@ -1102,7 +1095,7 @@ def classify(source: str, *, deadline: float | None = None) -> Validity:
     and is no verdict on the text.
     """
     try:
-        texts, kinds, starts = scan(source, deadline, spans=True)
+        texts, kinds, spans = scan(source, deadline, spans=True)
     except LexError as exc:
         diag = Diagnostic("error", str(exc), exc.span)
         return Validity(ValidityStatus.NOT_CODE, None, (diag,))
@@ -1112,9 +1105,7 @@ def classify(source: str, *, deadline: float | None = None) -> Validity:
         )
         return Validity(ValidityStatus.NOT_CODE, None, (diag,))
     try:
-        texts, kinds, starts = _drop_directives(kinds, [texts, kinds, starts], deadline)
-        ends = list(map(add, starts, map(len, texts)))
-        ast = Parser(texts, kinds, starts, ends, deadline).parse_source_unit()
+        ast = _parse_lists(texts, kinds, spans, deadline)
     except ParseError as exc:
         diag = Diagnostic("error", str(exc), exc.span)
         return Validity(ValidityStatus.PARSE_FAIL, None, (diag,))
