@@ -7,8 +7,8 @@ string; every token's text is exactly `source[start:end]`.
 
 `scan` is the tokenizer.  It fills parallel lists of token texts and kinds,
 and of spans when the caller needs them; `lex` builds its Token list from
-those lists, and the parser reads them as they are.  Two
-paths share the work, and give the same tokens and errors:
+those lists, and the parser reads them as they are.  Two paths share the
+work, and give the same tokens and errors:
 
 - The bulk scan reads runs of whole lines, about 16 KiB each, with one
   `re.findall` per run, so a common lexeme costs no Python bytecode of its

@@ -260,8 +260,8 @@ class Parser:
     """The grammar, over parallel token lists, building through one builder.
 
     The lists are the texts, kinds and spans of the tokens, directives
-    already dropped.  This class builds RawNodes with spans;
-    `_Interner` runs the same grammar and builds interned CleanNodes.
+    already dropped.  This class builds RawNodes with spans; `_Interner`
+    runs the same grammar and builds interned CleanNodes.
     """
 
     def __init__(
