@@ -34,6 +34,14 @@ standard library alone, so both sides see the same texts:
                          starts near each run length; and the same with
                          strings, system and escaped identifiers, macro
                          uses and stray characters among them
+  group/N                batches scored in order through one reference
+                         memo, as the service scores a batch body: three
+                         files, each sent with itself, copies with their
+                         names, numbers and strings rewritten (one with its
+                         blank runs redrawn too), a token-damaged copy and
+                         its rewrite, a prose answer twice and another file,
+                         shuffled, each item in a mode and under a depth
+                         limit drawn at random
 
 Each hash covers the `lex` tokens, or its error and span; the `classify`
 status and diagnostics; every raw node's kind, name, value, mods, span and
@@ -43,7 +51,8 @@ the `reward` outcome in both modes against a reference (the file itself, the
 undamaged file, or the previous generated text); and, when both sides
 parse, the `sim_ast_with_trace` score and match steps of that pair cleaned
 through one intern table, so a changed match shows even when the score does
-not.  Errors are hashed by type and message, so a changed diagnostic shows
+not.  A group's hash covers the `reward` outcome of each of its items in
+order.  Errors are hashed by type and message, so a changed diagnostic shows
 as a changed line.
 """
 
@@ -61,7 +70,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate  # noqa: E402
-from vsr.lexer import LexError, lex  # noqa: E402
+from vsr.lexer import KEYWORDS, LexError, lex  # noqa: E402
 from vsr.parser import classify  # noqa: E402
 from vsr.printer import PrintError, pretty_print  # noqa: E402
 from vsr.reward import reward  # noqa: E402
@@ -113,6 +122,27 @@ LONG_RARE = (
 )
 
 
+# The group/N family: how many batches, how many references each, the
+# depth limits an item is scored under, and what a rewritten copy draws its
+# numbers from.
+GROUPS = 8
+GROUP_REFS = 3
+GROUP_LIMITS = (512, 512, 512, 8)
+GROUP_PROSE = "Here is the module you asked for."
+GROUP_LITERALS = ("0", "1", "7", "12", "8'hff", "4'b10x1", "'d3", "2.5", "1e3")
+# A rough lexeme scanner for rewriting copies: comments, strings, escaped
+# and system names, numbers and words, each in a group of its own, and any
+# other character.
+_REWRITE_TOKEN = re.compile(
+    r"//[^\n]*|/\*.*?\*/"
+    r'|(?P<string>"[^"\n]*")|(?P<escaped>\\\S+)|(?P<system>\$[A-Za-z0-9_$]+)'
+    r"|(?P<number>(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][0-9a-fA-FxXzZ?_]+"
+    r"|[0-9][0-9_]*(?:\.[0-9][0-9_]*)?(?:[eE][+-]?[0-9][0-9_]*)?)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_$]*)|\S",
+    re.DOTALL,
+)
+
+
 def fingerprint(text: str, ref: str) -> str:
     parts: list[str] = [_tokens(text)]
     validity = classify(text)
@@ -137,6 +167,16 @@ def fingerprint(text: str, ref: str) -> str:
         ref_tree = clean(ref_ast, table)
         gen_tree = clean(validity.ast, table)
         parts.append(_attempt(lambda: repr(sim_ast_with_trace(gen_tree, ref_tree))))
+    return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def group_fingerprint(items) -> str:
+    """Hash the outcomes of one batch's items, scored in order through one memo."""
+    memo: dict = {}
+    parts = [
+        _attempt(lambda: repr(reward(gen, ref, mode=mode, depth_limit=limit, memo=memo)))
+        for gen, ref, mode, limit in items
+    ]
     return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -210,6 +250,47 @@ def redraw_blanks(text: str, rng: random.Random) -> str:
     elif tail == 2:  # a comment with no newline after it ends the text
         out.append(run(False) + " // note")
     return "".join(out)
+
+
+def rewrite_names(text: str, rng: random.Random) -> str:
+    """`text` with its names, numbers and strings rewritten, comments kept.
+
+    Each word that is not a keyword gets a new name, the same one wherever
+    it appears; system and escaped names, numbers and strings are each
+    drawn anew.  Keywords, operators, punctuation and blanks stay.
+    """
+    names: dict[str, str] = {}
+    base = rng.randrange(1000)
+
+    def new(m: re.Match) -> str:
+        group, lexeme = m.lastgroup, m.group()
+        if group == "word":
+            return lexeme if lexeme in KEYWORDS else names.setdefault(lexeme, f"n{base + len(names)}")
+        if group == "number":
+            return rng.choice(GROUP_LITERALS)
+        if group == "string":
+            return f'"s{rng.randrange(100)}"'
+        if group == "escaped":
+            return f"\\e{rng.randrange(100)}"
+        if group == "system":
+            return f"$s{rng.randrange(100)}"
+        return lexeme
+
+    return _REWRITE_TOKEN.sub(new, text)
+
+
+def gen_group(files, rng: random.Random) -> list[tuple[str, str, str, int]]:
+    """One batch's items (generation, reference, mode, depth limit), see the module doc."""
+    items = []
+    for _, ref in rng.sample(files, GROUP_REFS):
+        broken = damage_token(ref, rng)
+        samples = [ref, rewrite_names(ref, rng), rewrite_names(ref, rng),
+                   rewrite_names(redraw_blanks(ref, rng), rng), broken,
+                   rewrite_names(broken, rng), GROUP_PROSE, GROUP_PROSE, rng.choice(files)[1]]
+        items += [(gen, ref, rng.choice(("ast", "seq")), rng.choice(GROUP_LIMITS))
+                  for gen in samples]
+    rng.shuffle(items)
+    return items
 
 
 def gen_expr(rng: random.Random, depth: int) -> str:
@@ -382,13 +463,19 @@ def gen_long(files, rng: random.Random, n: int) -> tuple[str, str]:
     return text, first
 
 
-def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int):
-    """Yield (name, text, reference text) in a fixed order."""
-    rng = random.Random(seed)
+def load_files(limit: int | None) -> list[tuple[str, str]]:
+    """(name, text) of the golden files, then the fixtures, the first `limit` of each."""
     files = []
     for folder in ("golden", "fixtures"):
         paths = sorted((ROOT / "tests" / folder).glob("*.v"))[:limit]
         files += [(f"{folder}/{p.name}", p.read_text(encoding="utf-8")) for p in paths]
+    return files
+
+
+def inputs(seed: int, copies: int, generated: int, limit: int | None, wide: int):
+    """Yield (name, text, reference text) in a fixed order."""
+    rng = random.Random(seed)
+    files = load_files(limit)
     for name, text in files:
         yield name, text, text
     for name, text in files:
@@ -434,6 +521,10 @@ def main(argv: list[str] | None = None) -> int:
     for name, text, ref in inputs(args.seed, args.copies, args.generated, args.limit,
                                   args.wide):
         print(f"{name}\t{fingerprint(text, ref)}")
+    files = load_files(args.limit)
+    group_rng = random.Random(f"group/{args.seed}")
+    for n in range(GROUPS):
+        print(f"group/{n}\t{group_fingerprint(gen_group(files, group_rng))}")
     return 0
 
 

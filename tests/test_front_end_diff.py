@@ -30,12 +30,15 @@ def test_small_seed_runs_and_repeats(capsys):
     assert run(script, capsys, SMALL) == first
     # 2 golden files and 2 fixtures, a token- and a character-damaged copy
     # of each, a copy of each with its blank runs redrawn, 10 generated texts
-    # of each family, 2 wide module pairs and 4 long texts
-    assert len(first) == 4 + 4 * 2 + 4 + 10 + 10 + 2 + 4
+    # of each family, 2 wide module pairs, 4 long texts and the batches
+    assert len(first) == 4 + 4 * 2 + 4 + 10 + 10 + 2 + 4 + script.GROUPS
     assert all(re.fullmatch(r"[^\t]+\t[0-9a-f]{40}", line) for line in first)
     names = [line.split("\t")[0] for line in first]
     assert names[:2] == ["golden/abs_val.v", "golden/adder4.v"]
-    assert names[-6:] == ["wide/0", "wide/1", "long/0", "long/1", "long/2", "long/3"]
+    groups = [f"group/{n}" for n in range(script.GROUPS)]
+    assert names[-6 - len(groups):] == [
+        "wide/0", "wide/1", "long/0", "long/1", "long/2", "long/3", *groups
+    ]
     assert names[12:16] == [f"blank/{name}/0" for name in names[:4]]
     assert len(set(names)) == len(names)
 
@@ -44,9 +47,10 @@ def test_seed_picks_the_generated_inputs(capsys):
     script = load_script()
     one = run(script, capsys, SMALL)
     other = run(script, capsys, [*SMALL[:1], "4", *SMALL[2:]])
-    # the files as they are hash alike; the generated texts differ
+    # the files as they are hash alike; the generated texts and batches differ
     assert one[:4] == other[:4]
     assert one[-10:] != other[-10:]
+    assert all(a != b for a, b in zip(one[-script.GROUPS:], other[-script.GROUPS:]))
 
 
 def test_long_texts_have_their_shapes():
