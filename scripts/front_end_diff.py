@@ -264,8 +264,8 @@ def rewrite_names(text: str, rng: random.Random) -> str:
 
     def new(m: re.Match) -> str:
         group, lexeme = m.lastgroup, m.group()
-        if group == "word":
-            return lexeme if lexeme in KEYWORDS else names.setdefault(lexeme, f"n{base + len(names)}")
+        if group == "word" and lexeme not in KEYWORDS:
+            return names.setdefault(lexeme, f"n{base + len(names)}")
         if group == "number":
             return rng.choice(GROUP_LITERALS)
         if group == "string":

@@ -157,6 +157,18 @@ _FIRST_KIND = {
     '"': TokenKind.STRING,
 }
 _KEYWORD_KIND = dict.fromkeys(KEYWORDS, TokenKind.KEYWORD)
+# Every text a keyword, operator or punctuation token can have, each mapped
+# to one shared copy of itself; a token of any other kind never has one of
+# these texts (see `vsr.parser`).
+FIXED_TEXTS = {
+    text: text
+    for text in (
+        *KEYWORDS,
+        *_OPERATORS,
+        *(c for c, kind in _FIRST_KIND.items()
+          if kind is TokenKind.OPERATOR or kind is TokenKind.PUNCTUATION),
+    )
+}
 _first = itemgetter(0)
 _second = itemgetter(1)
 

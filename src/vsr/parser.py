@@ -63,6 +63,11 @@ has.  `_Interner` builds for the scoring path instead: each node is interned
 into the caller's table under the key `vsr.trees.clean` gives it, so
 `classify_into` returns the very tree `clean(classify(text).ast, table)`
 would, with no Token, span, RawNode or diagnostic made on the way.
+
+Since tokens are tested by text only where the text is a keyword, an
+operator or punctuation, what `classify_into` gives is a function of the
+table and the token list's `shape`, the list with every other text replaced
+by its kind; `vsr.reward` parses each shape once per reference in a batch.
 """
 
 from __future__ import annotations
@@ -71,11 +76,11 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from operator import is_not, itemgetter
+from operator import attrgetter, is_not, itemgetter
 from typing import NoReturn
 
 from vsr.deadline import CHECK_EVERY, check
-from vsr.lexer import LexError, Token, TokenKind, scan
+from vsr.lexer import FIXED_TEXTS, LexError, Token, TokenKind, scan
 # `lex` is unused here, but the benchmark tracer rebinds vsr.parser.lex.
 from vsr.lexer import lex  # noqa: F401
 from vsr.trees import CleanNode, NodeKind, RawNode, clone_raw
@@ -254,6 +259,8 @@ _WIDTH = NodeKind.WIDTH
 
 # Field readers for tokens.
 _KIND, _TEXT, _SPAN = itemgetter(0), itemgetter(1), itemgetter(2)
+# A token kind's value, read without the Python-level `Enum.value` property.
+_KIND_VALUE = attrgetter("_value_")
 
 
 class Parser:
@@ -1129,6 +1136,17 @@ def classify_into(
         texts, kinds, _ = scan(source, deadline)
     except LexError:
         return ValidityStatus.NOT_CODE, None
+    return classify_lists_into(texts, kinds, table, deadline=deadline)
+
+
+def classify_lists_into(
+    texts: list[str], kinds: list[TokenKind], table: dict, *, deadline: float | None = None
+) -> tuple[ValidityStatus, CleanNode | None]:
+    """`classify_into` on a text that has lexed: `scan`'s texts and kinds.
+
+    The lists are consumed.  The result is a function of `shape(texts,
+    kinds)` and the table alone (see `shape`).
+    """
     if not _looks_like_code(texts):
         return ValidityStatus.NOT_CODE, None
     try:
@@ -1137,3 +1155,23 @@ def classify_into(
     except (ParseError, RecursionError):
         return ValidityStatus.PARSE_FAIL, None
     return ValidityStatus.PARSED, tree
+
+
+def shape(texts: list[str], kinds: list[TokenKind]) -> tuple:
+    """The shape of a token list: its texts, names and literals replaced by kinds.
+
+    Each identifier, number, string and directive text becomes its kind's
+    value, and each keyword, operator and punctuation text stays, as its
+    shared copy in `FIXED_TEXTS`; so a shape holds one pointer per token
+    and nothing of its own.  No kind's value is a fixed text, so a shape
+    still tells every token's kind, and the text of each token that has
+    one of those kinds.
+
+    Two token lists of one shape, classified into copies of one table, give
+    the same status, and trees that are equal and share every node the
+    table held: the grammar tests a token by its kind, or by its text only
+    where that text is a keyword, operator or punctuation (see the module
+    docstring); `_looks_like_code` tests keywords alone; directives are
+    dropped by kind; and the interner keeps no name or value.
+    """
+    return tuple(map(FIXED_TEXTS.get, texts, map(_KIND_VALUE, kinds)))

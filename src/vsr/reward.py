@@ -14,8 +14,9 @@ scored by similarity, so it earns the parse-fail tier: status
 DepthLimitError escape.  Both checks read the cleaned root's `depth`
 (see `vsr.trees.CleanNode`) and do not walk either tree.
 
-Both sides go through the scoring front end, `vsr.parser.classify_into`:
-the text is lexed into token lists and parsed straight into hash-consed
+Both sides go through the scoring front end, `vsr.parser.classify_into`
+(with a memo, its two halves: `scan`, then `classify_lists_into`): the
+text is lexed into token lists and parsed straight into hash-consed
 CleanNodes, with no Token, span, RawNode or diagnostic made.  Its status
 is the one `classify` gives, and its tree is the very object that
 `clean(classify(text).ast, table)` returns with the same table.  A
@@ -31,25 +32,52 @@ every `reward` call of the batch, and each reference text is classified
 and cleaned on its first use only.  The memo belongs to the caller and
 lives as long as the caller keeps it; nothing is cached globally.
 
+Many samples of a group are the same code up to names and constants, which
+`clean` drops.  So with a memo, each prepared reference also keeps two
+memos of the samples scored against it: `shapes` maps a sample's token
+shape (`vsr.parser.shape`: its tokens with each name, number, string and
+directive text replaced by its kind) to its status and tree, and `sims`
+maps a tree and a mode to its similarity.  The reference's own shape is
+entered when it is prepared.  A sample whose shape is there is lexed but
+not parsed, and one whose tree was already scored in its mode is not
+scored again.  Without a memo no shape is computed.
+
 A sample whose text equals its reference text is a copy.  Once the
 reference's checks have passed, a copy returns status `parsed`, sim 1.0 and
 reward 10.0 in either mode without being classified, cleaned or scored.
-This is the full path's answer, exactly:
 
-- `classify_into` is a pure function of the text and the table, so the
-  copy classifies as the reference did: parsed.
-- Interning the copy into a copy of the reference's table finds every node
-  of the reference there and returns the reference's own root, so the copy
-  is not too deep either.
-- Both `sim_ast` and `sim_ast_seq` score a pair `a is b` as exactly 1.0.
+Copies and memo hits give the full path's answer, exactly.  The full path
+parses the sample into a fresh copy of the reference's table T and scores
+that tree.
+
+1. Token lists of one shape, parsed into copies of one table, get one
+   status and, when parsed, equal trees (see `vsr.parser.shape`).  So a
+   shape hit's status and tree equal the full path's, and since depth is
+   structural, so does the outcome of every depth check.
+2. The reference's own shape, parsed into a copy of T, gives the
+   reference's root itself: by induction over the builder calls, each is
+   keyed on the same kind and the same child objects as when the reference
+   was parsed into T, so it finds the node that call entered.  A copy has
+   the reference's shape, so it parses, and it is exactly as deep as the
+   reference, which has passed its check.
+3. `sim_ast` and `sim_ast_seq` are functions of the two trees' structure:
+   sharing is only a shortcut (see `vsr.similarity`), and the depth limit
+   only bounds what they accept.  So the sim of an equal tree, and the sim
+   kept for this very tree in this mode, are the full path's.  By the
+   shortcut, a pair `a is b` scores exactly 1.0, which is a copy's sim.
+
+The depth checks read the tree's depth at every call, hit or not, so one
+shape can be scored under one limit and too deep under another.  A tree's
+key in `sims` is its id: `shapes` holds every tree that `sims` names, for as
+long as the prepared reference lives, so no id is reused meanwhile.
 
 A `deadline` (see `vsr.deadline`) reaches every long loop of the pipeline:
 lex, parse, clean and similarity.  Once it has passed, the loop running
-at the time raises DeadlineExceeded and `reward` stops.  The memo only
-ever receives a finished PreparedReference, so a reference whose
-preparation was stopped leaves no entry and is prepared anew on its next
-use.  A copy runs no loop, but it checks the deadline once, as lexing it
-would have.
+at the time raises DeadlineExceeded and `reward` stops.  The memos only
+ever receive finished results: a PreparedReference, a status and tree, a
+sim.  So work that was stopped leaves no entry and is done anew on its next
+use.  A copy or a shape hit runs no parse loop, but it checks the deadline
+once, as the parse would have.
 """
 
 from __future__ import annotations
@@ -57,7 +85,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from vsr.deadline import check
-from vsr.parser import Diagnostic, ValidityStatus, classify, classify_into
+from vsr.lexer import LexError, scan
+from vsr.parser import (
+    Diagnostic,
+    ValidityStatus,
+    classify,
+    classify_into,
+    classify_lists_into,
+    shape,
+)
 from vsr.similarity import DEFAULT_DEPTH_LIMIT, sim_ast, sim_ast_seq
 # `clean` is unused here, but the benchmark tracer rebinds vsr.reward.clean.
 from vsr.trees import CleanNode, clean  # noqa: F401
@@ -89,14 +125,21 @@ class PreparedReference:
     that holds it; no raw parse tree is ever made.  `tree` is None and
     `table` empty when the reference did not parse; the depth limit is
     judged on `tree.depth` at each call.  Scoring interns each sample into
-    a copy of `table`, so a prepared reference is never changed and can
+    a copy of `table`, so the reference's fields never change, and it can
     serve any number of samples, whatever their depth limit.
+
+    `shapes` and `sims` are the memos of the samples scored against it
+    (see the module doc).  Only a reference kept in a caller's memo serves
+    more than one sample, so only there are they read again; `shapes` is
+    filled only there.
     """
 
     status: ValidityStatus
     diagnostics: tuple[Diagnostic, ...]
     tree: CleanNode | None
     table: dict
+    shapes: dict
+    sims: dict
 
 
 class ReferenceParseError(ValueError):
@@ -111,14 +154,39 @@ class ReferenceTooDeepError(ValueError):
     """The reference parsed, but its cleaned tree exceeds the depth limit."""
 
 
-def _prepare_reference(ref: str, deadline: float | None) -> PreparedReference:
+def _classify(text: str, new_table, shapes: dict | None, deadline: float | None):
+    """`classify_into(text, new_table())`, through `shapes` when it is a dict.
+
+    With `shapes`, a text whose shape is there gets that entry after one
+    deadline check, and any other is parsed into `new_table()` and its
+    result entered (see the module doc).
+    """
+    if shapes is None:
+        return classify_into(text, new_table(), deadline=deadline)
+    try:
+        texts, kinds, _ = scan(text, deadline)
+    except LexError:
+        return ValidityStatus.NOT_CODE, None
+    key = shape(texts, kinds)
+    found = shapes.get(key)
+    if found is None:
+        found = shapes[key] = classify_lists_into(texts, kinds, new_table(), deadline=deadline)
+    else:
+        check(deadline)
+    return found
+
+
+def _prepare_reference(
+    ref: str, deadline: float | None, batch: bool
+) -> PreparedReference:
     table: dict = {}
-    status, tree = classify_into(ref, table, deadline=deadline)
+    shapes: dict = {}
+    status, tree = _classify(ref, lambda: table, shapes if batch else None, deadline)
     if tree is None:
         # The error path: the public classify gives the diagnostics.
         validity = classify(ref, deadline=deadline)
-        return PreparedReference(validity.status, validity.diagnostics, None, {})
-    return PreparedReference(status, (), tree, table)
+        return PreparedReference(validity.status, validity.diagnostics, None, {}, {}, {})
+    return PreparedReference(status, (), tree, table, shapes, {})
 
 
 def reward(
@@ -134,10 +202,12 @@ def reward(
 
     `mode` picks the similarity ('ast' greedy, 'seq' positional).  `memo`,
     when given, maps reference text to its prepared form: a hit skips the
-    reference's lex, parse and clean, a miss fills the entry.  Outcomes are
-    identical with and without it.  Raises ReferenceParseError when the
-    reference itself is not parsable and ReferenceTooDeepError when it is
-    deeper than `depth_limit`; a too-deep generation scores as parse_fail.
+    reference's lex, parse and clean, a miss fills the entry, and a sample
+    of a shape or tree already scored against that reference skips its
+    parse or its similarity.  Outcomes are identical with and without it.
+    Raises ReferenceParseError when the reference itself is not parsable
+    and ReferenceTooDeepError when it is deeper than `depth_limit`; a
+    too-deep generation scores as parse_fail.
     A generation equal to the reference gets sim 1.0 without being
     classified, cleaned or compared (see the module doc).
 
@@ -148,10 +218,11 @@ def reward(
         raise ValueError(f"mode must be 'ast' or 'seq', got {mode!r}")
     if depth_limit < 1:
         raise ValueError(f"depth limit must be >= 1, got {depth_limit}")
-    prepared = memo.get(ref) if memo is not None else None
+    batch = memo is not None
+    prepared = memo.get(ref) if batch else None
     if prepared is None:
-        prepared = _prepare_reference(ref, deadline)
-        if memo is not None:
+        prepared = _prepare_reference(ref, deadline, batch)
+        if batch:
             memo[ref] = prepared
     ref_tree = prepared.tree
     if ref_tree is None:
@@ -171,7 +242,9 @@ def reward(
     # The sample is interned into a copy of the reference's table, so it
     # shares the reference's structure without adding its own nodes to the
     # prepared table.
-    status, gen_tree = classify_into(gen, dict(prepared.table), deadline=deadline)
+    status, gen_tree = _classify(
+        gen, prepared.table.copy, prepared.shapes if batch else None, deadline
+    )
     if status is ValidityStatus.NOT_CODE:
         return RewardOutcome(status, None, REWARD_NOT_CODE)
     if gen_tree is None:
@@ -179,8 +252,13 @@ def reward(
     if gen_tree.depth > depth_limit:
         # Too deep to score: the parse-fail tier, see the module doc.
         return RewardOutcome(ValidityStatus.PARSE_FAIL, None, REWARD_PARSE_FAIL)
-    # The similarities are looked up on each call, not bound at import:
-    # tracing rebinds these module globals.
-    fn = sim_ast if mode == "ast" else sim_ast_seq
-    sim = fn(gen_tree, ref_tree, depth_limit=depth_limit, deadline=deadline)
+    key = (id(gen_tree), mode)
+    sim = prepared.sims.get(key)
+    if sim is None:
+        # The similarities are looked up on each call, not bound at import:
+        # tracing rebinds these module globals.
+        fn = sim_ast if mode == "ast" else sim_ast_seq
+        sim = prepared.sims[key] = fn(
+            gen_tree, ref_tree, depth_limit=depth_limit, deadline=deadline
+        )
     return RewardOutcome(status, sim, REWARD_SCALE * sim)

@@ -26,7 +26,9 @@ cooperative: the scoring loops check the deadline as they go (see
 
 A batch (a stdio {"batch": [...]} line or a /v1/reward/batch body) gets a
 fresh reference memo (see `vsr.reward`), so each distinct reference in it is
-prepared once; an entry is dropped after the batch's last item using it.
+prepared once, and against it each sample shape is parsed once and each tree
+scored once per mode; an entry is dropped after the batch's last item using
+it.
 
 HTTP framing.  The server is a `socketserver.ThreadingTCPServer`, one thread
 per connection, and the handler runs the HTTP/1.1 keep-alive loop itself;

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURE_DIR, golden_paths
 from helpers import chain_module
 from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate
+from vsr.lexer import scan
 from vsr.parser import ValidityStatus, classify
 from vsr.reward import (
     REWARD_NOT_CODE,
@@ -224,21 +225,34 @@ class TestReferenceMemo:
         assert len(seen) > len(memo[REF].table)
 
     def test_hit_does_not_classify_the_reference_again(self, monkeypatch):
-        # the module, not the `reward` function the package re-exports
+        # With a memo, `reward` lexes through `scan` and parses through
+        # `classify_lists_into`, both looked up on the module, not the
+        # `reward` function the package re-exports.
         reward_module = importlib.import_module("vsr.reward")
-        seen = []
-        real = reward_module.classify_into
+        lexed, parsed = [], []
+        real_scan, real_parse = reward_module.scan, reward_module.classify_lists_into
         monkeypatch.setattr(
             reward_module,
-            "classify_into",
-            lambda text, table, **kw: seen.append(text) or real(text, table, **kw),
+            "scan",
+            lambda text, *args: lexed.append(text) or real_scan(text, *args),
+        )
+        monkeypatch.setattr(
+            reward_module,
+            "classify_lists_into",
+            lambda texts, *args, **kw: (
+                parsed.append(tuple(texts)) or real_parse(texts, *args, **kw)
+            ),
         )
         memo: dict = {}
-        # differs from REF in whitespace only, so it is no copy of REF
+        # differs from REF in whitespace only: no copy of REF, but its shape
         spaced = " " + REF
         for gen in (spaced, BROKEN, PROSE, spaced):
             reward(gen, REF, memo=memo)
-        assert seen == [REF, spaced, BROKEN, PROSE, spaced]
+        # Each text is lexed once per call, the reference only on its first
+        # use.  A text is parsed only when its shape is new to the reference,
+        # so `spaced`, which has the reference's shape, never is.
+        assert lexed == [REF, spaced, BROKEN, PROSE, spaced]
+        assert parsed == [tuple(scan(text)[0]) for text in (REF, BROKEN, PROSE)]
 
 
 def _full_path(gen: str, ref: str, mode: str) -> RewardOutcome:
@@ -305,7 +319,8 @@ class TestCopies:
         def refuse(*args, **kwargs):
             raise AssertionError("a copy reached the pipeline")
 
-        for name in ("classify", "classify_into", "clean", "sim_ast", "sim_ast_seq"):
+        for name in ("scan", "classify", "classify_into", "classify_lists_into",
+                     "clean", "sim_ast", "sim_ast_seq"):
             monkeypatch.setattr(reward_module, name, refuse)
         for mode in ("ast", "seq"):
             assert reward(REF, REF, mode=mode, memo=memo) == RewardOutcome(
@@ -313,19 +328,22 @@ class TestCopies:
             )
 
     def test_copy_classifies_the_reference_only(self, monkeypatch):
+        # Without a memo the reference goes through `classify_into`; with one,
+        # through `classify_lists_into`, so that its shape is known.
         reward_module = importlib.import_module("vsr.reward")
         seen = []
-        real = reward_module.classify_into
-        monkeypatch.setattr(
-            reward_module,
-            "classify_into",
-            lambda text, table, **kw: seen.append(text) or real(text, table, **kw),
-        )
+        for name in ("classify_into", "classify_lists_into"):
+            def spy(*args, real=getattr(reward_module, name), name=name, **kw):
+                seen.append(name)
+                return real(*args, **kw)
+
+            monkeypatch.setattr(reward_module, name, spy)
         memo: dict = {}
         for _ in range(3):
             reward(REF, REF, memo=memo)
             reward(REF, REF)
-        assert seen == [REF] * 4
+        # the reference, once for the memo and once per call without one
+        assert seen == ["classify_lists_into"] + ["classify_into"] * 3
 
 
 @settings(max_examples=120, deadline=None)
