@@ -29,8 +29,8 @@ scan matches child i to child i (each scores 1.0, and the scan takes the
 first candidate that does), and a sum of m ones divided by m is 1.0.  Trees
 built without sharing get the same scores, only without the shortcut.
 
-The greedy scan also skips, exactly, candidates that provably cannot win
-their row.  For a node x, the leaf-path profile P_x maps each kind path
+Rows of wide parents also skip, exactly, candidates that provably cannot
+win their row.  For a node x, the leaf-path profile P_x maps each kind path
 from x down to a leaf to a weight: the sum, over the leaves at the end of
 that path, of the product of 1/len(children) over the leaf's ancestors
 within x (a leaf's own profile is its empty path with weight 1).  Then
@@ -59,18 +59,21 @@ trees of up to about four million nodes, far more than the quadratic scan
 gets through, so a skipped candidate's computed score is below the best
 too.
 
-Rows apply the test best bound first (see `_greedy_scores`).  A first pass
-in column order takes the scores already known and defers each unscored
-candidate with its bound; a second pass scores the deferred candidates,
-highest bound first, until the next bound falls below the best.  Scoring
-the likeliest winner first lifts the best early, so fewer candidates clear
-the bound.  Candidates are then no longer compared in column order, so ties
-are settled by column: a score equal to the best takes the row only at a
-lower column.  The choices, the scores and the trace are those of the plain
-greedy scan; only the pair memo shrinks.
+A pair whose right node has fewer than `_INDEX_WIDTH` children runs the
+plain scan above and stops a row early only at a score of 1.0, which no
+later column can beat: below that width, profiles and bounds cost more
+than the scores they save.  A wide row (see `_greedy_scores`) scores one
+probe column, then defers, with its bound, each unscored candidate whose
+bound is not below best - 1e-9, and scores the deferred ones highest bound
+first until the next bound is.  Scoring the likeliest winner first lifts
+the best early, so fewer candidates are scored.  Candidates are then no longer
+compared in column order, so ties are settled by column: a score equal to
+the best takes the row only at a lower column.  The choices, the scores
+and the trace are those of the plain greedy scan; only the pair memo
+shrinks.
 
-A wide row does not bound every column either (prefix filtering, as in
-Bayardo, Ma and Srikant, "Scaling Up All Pairs Similarity Search", 2007).
+Nor does a wide row bound every column (prefix filtering, as in Bayardo,
+Ma and Srikant, "Scaling Up All Pairs Similarity Search", 2007).
 Since min(P_a[p], P_b[p]) <= P_a[p],
 
     B(a, b) <= sum of P_a[p] over the paths p that both profiles hold.
@@ -87,12 +90,14 @@ a score or a bound.
 
 On a 158-item module against a reordered copy with one operator swapped in
 each item (the 158 item rows hold 24,964 candidate pairs), the matcher
-scores 2,411 node pairs and computes 5,096 bounds.  Scanning every column
-and scoring in column order it scored 5,704 pairs; scoring best bound first
-but bounding every column, 2,530 pairs and 8,538 bounds.  Over the six
-seed-1 templates of the `wide_items` benchmark (150 to 200 items) it scores
-17,168 pairs and computes 32,007 bounds, against 17,391 and 72,715 when
-every row bounded every column.
+scores 2,228 node pairs and computes 3,225 bounds.  The plain scan on every
+row scores 25,882 pairs; bounding the narrow rows too, with the lowest
+untaken column on the rarest path as the probe, took 2,411 pairs and 5,096
+bounds.  Over the six seed-1 templates of the `wide_items` benchmark (150
+to 200 items) it scores 16,048 pairs and computes 20,505 bounds, against
+320,933 pairs for the plain scan, 17,168 pairs and 32,007 bounds with
+narrow rows bounded, and 17,391 and 72,715 when every row bounded every
+column.
 """
 
 from __future__ import annotations
@@ -111,11 +116,15 @@ _BOUND_MARGIN = 1e-9
 
 # A row whose parent has at least this many right children takes its
 # candidates from a path index over those children (see `_greedy_scores`);
-# narrower rows scan their columns.  Chosen by measurement: on generated
-# modules of 16 to 70 items against reordered, operator-swapped copies, the
-# index's per-row work (sorting the row's paths, the probe, the union) cost
-# more than the bounds it saved below about 32 columns, and less above.
-_INDEX_WIDTH = 32
+# narrower rows run the plain scan.  Chosen by measurement: on generated
+# modules of 8 to 70 items against reordered, operator-swapped copies, a
+# whole call with the module row on the index took 0.97, 0.81, 0.63 and
+# 0.50 of its time with that row scanned at widths 16, 20, 24 and 32
+# (`tests/helpers.py` pairs), and 1.43, 1.10, 0.87 and 0.58 at widths 24,
+# 26, 27 and 36 (the `wide_items` generator, whose twelve declarations match
+# exactly and scan cheaply).  The index pays from about 16 and 27 columns
+# respectively; 24 splits the difference.
+_INDEX_WIDTH = 24
 
 
 class DepthLimitError(RuntimeError):
@@ -218,14 +227,14 @@ def _column_index(
     return index, countdown
 
 
-def _first_untaken(ranked: list[tuple[int, int, list[int]]], taken: list[bool]) -> int:
-    """The lowest untaken column on the first path of `ranked` that has one,
-    or -1 when every column on every path is taken."""
-    for _, _, cols in ranked:
-        for col in cols:
-            if not taken[col]:
-                return col
-    return -1
+def _frame(a: CleanNode, b: CleanNode, key: tuple[int, int], index_width: int) -> tuple:
+    """The frame that starts scoring the pair (a, b): a narrow one for the
+    plain scan when `b` has fewer than `index_width` children, else a wide
+    one (see `_greedy_scores`)."""
+    n = len(b.children)
+    if n < index_width:
+        return (a, b, key, 0, 0, 0.0, -1, 0.0, [False] * n, [])
+    return (a, b, key, 0, 0.0, -1, 0.0, [False] * n, [], None, None, None, -1, None, None, -1)
 
 
 def _greedy_scores(
@@ -244,40 +253,38 @@ def _greedy_scores(
 
     Each left child takes the first highest-scoring unmatched right child of
     its kind; accumulation order is fixed so results are bit-identical
-    across runs.  A row makes two passes over its candidates:
+    across runs.  A pair whose right node has fewer than `_INDEX_WIDTH`
+    children runs the plain scan: each row scores its untaken same-kind
+    columns in order and stops early only at a score of 1.0, which no later
+    column can beat.
 
-    1. In column order, when the parent has fewer than `_INDEX_WIDTH` right
-       children.  Shared nodes and memo hits count at once.  While the
-       row's best is still 0, the first unscored candidate is scored on the
-       spot.  After that, an unscored candidate whose leaf-path bound is at
-       least the best minus the margin is deferred with its bound, and one
-       below it is skipped.  A score of 1.0 ends the pass: no later column
-       can beat it.
-       A wider parent gets a path index on its first row: for each kind and
-       leaf path, the columns whose profile holds that path.  The row first
-       scores a probe, the lowest untaken column on its rarest path (the
-       next rarest when all of a path's columns are taken).  It then drops
-       its most common paths while their mass on the left stays below the
-       probe's score minus the margin, and looks only at the untaken
-       columns on the paths that are left.  Those count or are deferred
-       as above, except that a known score equal to the best also takes the
-       row at a lower column.  A column on dropped paths alone has a bound
-       of at most the dropped mass (the prefix lemma), so its score is
-       below the probe's.
+    A wider pair builds a path index on its first row: for each kind and
+    leaf path, the columns whose profile holds that path.  Each row then
+    makes two passes:
+
+    1. The row bounds the untaken columns on its rarest path that has one
+       and scores a probe, the one with the highest bound (lowest column on
+       ties; the row's own node, which scores 1.0, when it is among them).
+       It then drops its most common paths while their mass on the left
+       stays below the probe's score minus the margin, and looks only at
+       the untaken columns on the paths that are left.  A known score above
+       the best, or equal to it at a lower column, takes the row; an
+       unscored column whose bound is at least the best minus the margin is
+       deferred with its bound, and one below it is skipped.  A column on
+       dropped paths alone has a bound of at most the dropped mass (the
+       prefix lemma), so its score is below the probe's.
     2. Over the deferred candidates, highest bound first and lower column
        first among equal bounds.  Each is scored, and a score above the
        best, or equal to it at a lower column, takes the row.  The pass
        stops at the first candidate whose bound is below the best minus the
        margin, since every one after it has a bound no higher.
 
-    Every candidate left unscored has a bound, hence a score, below the
-    row's final best, so it could neither beat nor tie it; every other
-    candidate was compared under the first-column tie rule.  The choice is
-    therefore the plain scan's.  Scoring the most promising candidate first
-    raises the best early, so the bound settles most rows after a few
-    scores.  When `choices` is given it receives, per scored pair, the
-    chosen right index of every left child (-1 for none).  Raises
-    DeadlineExceeded once `deadline` has passed.
+    Every candidate a wide row leaves unscored has a bound, hence a score,
+    below the row's final best, so it could neither beat nor tie it; every
+    other candidate was compared under the first-column tie rule.  The
+    choice is therefore the plain scan's.  When `choices` is given it
+    receives, per scored pair, the chosen right index of every left child
+    (-1 for none).  Raises DeadlineExceeded once `deadline` has passed.
     """
     root = (id(t1), id(t2))
     if t1 is t2 or t1.kind is not t2.kind:
@@ -286,37 +293,37 @@ def _greedy_scores(
     # Leaf-path profiles and their path trie, for this call only.
     profiles: dict[int, dict[int, float]] = {}
     trie: list[dict[int, int]] = [{}]
-    # One frame per suspended pair: (a, b, key, row i, column j, best score
-    # and column so far in row i, sum of finished rows, taken columns,
-    # chosen column per finished row, row i's left profile or None, its
-    # deferred (-bound, column) list or None, the position in that list, -1
-    # until pass 1 ends, the path index of a wide pair or None, and row i's
-    # ranked paths while it waits for its probe, else None).  Only pairs of
-    # the same kind that are not one node and not yet scored are ever
+    index_width = _INDEX_WIDTH
+    # One frame per suspended pair (see `_frame`).  A narrow frame holds
+    # (a, b, key, row i, column j, best score and column so far in row i,
+    # sum of finished rows, taken columns, chosen column per finished row).
+    # A wide frame drops j and adds the path index or None, and row i's left
+    # profile, ranked paths, probe column (-1 before it is picked or when
+    # there is none), the probe path's bounds by column, deferred
+    # (-bound, column) list and the position in that list (-1 until pass 1
+    # ends); the row's fields are None until it reaches them.  Only pairs
+    # of the same kind that are not one node and not yet scored are ever
     # pushed.
-    stack = [
-        (t1, t2, root, 0, 0, 0.0, -1, 0.0, [False] * len(t2.children), [], None, None, -1, None,
-         None)
-    ]
+    stack = [_frame(t1, t2, root, index_width)]
     # A row's scan costs at most its width, and each pushed frame is
     # followed by its parent row resuming, so charging every row entry one
     # plus its width, and every profile walk one per node, bounds the work
     # between checks.
     countdown = CHECK_EVERY
-    index_width = _INDEX_WIDTH
     while stack:
-        (a, b, key, i, j, best_s, best_j, total, taken, chosen, left, deferred, pos, index,
-         ranked) = stack[-1]
+        frame = stack[-1]
+        a, b = frame[0], frame[1]
         c1s, c2s = a.children, b.children
         n1, n2 = len(c1s), len(c2s)
         missing = None
-        while i < n1:
-            countdown -= n2 + 1
-            if countdown <= 0:
-                countdown = CHECK_EVERY
-                check(deadline)
-            ca = c1s[i]
-            if pos < 0 and n2 < index_width:
+        if n2 < index_width:
+            _, _, key, i, j, best_s, best_j, total, taken, chosen = frame
+            while i < n1:
+                countdown -= n2 + 1
+                if countdown <= 0:
+                    countdown = CHECK_EVERY
+                    check(deadline)
+                ca = c1s[i]
                 kind = ca.kind
                 while j < n2:
                     cb = c2s[j]
@@ -329,25 +336,8 @@ def _greedy_scores(
                         pair = (id(ca), id(cb))
                         s = scores.get(pair)
                         if s is None:
-                            if best_s == 0.0:
-                                missing = (ca, cb, pair)
-                                break
-                            if left is None:
-                                left = profiles.get(id(ca))
-                                if left is None:
-                                    countdown = _profile(ca, profiles, trie, countdown, deadline)
-                                    left = profiles[id(ca)]
-                            right = profiles.get(id(cb))
-                            if right is None:
-                                countdown = _profile(cb, profiles, trie, countdown, deadline)
-                                right = profiles[id(cb)]
-                            bound = _bound(left, right)
-                            if bound >= best_s - _BOUND_MARGIN:
-                                if deferred is None:
-                                    deferred = []
-                                deferred.append((-bound, j))
-                            j += 1
-                            continue
+                            missing = (ca, cb, pair)
+                            break
                     if s > best_s:
                         best_s = s
                         best_j = j
@@ -355,28 +345,54 @@ def _greedy_scores(
                             break
                     j += 1
                 if missing is not None:
+                    stack[-1] = (a, b, key, i, j, best_s, best_j, total, taken, chosen)
                     break
-                pos = 0
-                if deferred is not None:
-                    deferred.sort()
-            elif pos < 0:
-                if index is None:
-                    index, countdown = _column_index(c2s, profiles, trie, countdown, deadline)
-                by_path = index.get(id(ca.kind))
-                if by_path is not None:
-                    if left is None:
+                chosen.append(best_j)
+                if best_j >= 0:
+                    total += best_s
+                    taken[best_j] = True
+                i += 1
+                j = 0
+                best_s = 0.0
+                best_j = -1
+        else:
+            (_, _, key, i, best_s, best_j, total, taken, chosen, index, left, ranked, probe,
+             bounds, deferred, pos) = frame
+            if index is None:
+                index, countdown = _column_index(c2s, profiles, trie, countdown, deadline)
+            while i < n1:
+                countdown -= n2 + 1
+                if countdown <= 0:
+                    countdown = CHECK_EVERY
+                    check(deadline)
+                ca = c1s[i]
+                if pos < 0:
+                    by_path = index.get(id(ca.kind))
+                    if by_path is not None and ranked is None:
                         left = profiles.get(id(ca))
                         if left is None:
                             countdown = _profile(ca, profiles, trie, countdown, deadline)
                             left = profiles[id(ca)]
-                    if ranked is None:
                         # The row's paths that some column holds, rarest first.
                         ranked = sorted(
                             [(len(cols), p, cols) for p in left if (cols := by_path.get(p))]
                         )
-                    # No column is taken while the row waits for its probe,
-                    # so on resuming it finds the same probe, now scored.
-                    probe = _first_untaken(ranked, taken)
+                        bounds = {}
+                        for _, _, cols in ranked:
+                            top = -1.0
+                            for col in cols:
+                                if taken[col]:
+                                    continue
+                                cb = c2s[col]
+                                if cb is ca:
+                                    probe = col
+                                    break
+                                bound = bounds[col] = _bound(left, profiles[id(cb)])
+                                if bound > top:
+                                    top = bound
+                                    probe = col
+                            if probe >= 0:
+                                break
                     if probe >= 0:
                         cb = c2s[probe]
                         if ca is cb:
@@ -413,7 +429,9 @@ def _greedy_scores(
                             else:
                                 s = scores.get((id(ca), id(cb)))
                                 if s is None:
-                                    bound = _bound(left, profiles[id(cb)])
+                                    bound = bounds.get(col)
+                                    if bound is None:
+                                        bound = _bound(left, profiles[id(cb)])
                                     if bound >= best_s - _BOUND_MARGIN:
                                         deferred.append((-bound, col))
                                     continue
@@ -421,46 +439,41 @@ def _greedy_scores(
                                 best_s = s
                                 best_j = col
                         deferred.sort()
-                pos = 0
-            if deferred is not None:
-                while pos < len(deferred):
-                    neg_bound, col = deferred[pos]
-                    if -neg_bound < best_s - _BOUND_MARGIN:
+                    pos = 0
+                if deferred is not None:
+                    while pos < len(deferred):
+                        neg_bound, col = deferred[pos]
+                        if -neg_bound < best_s - _BOUND_MARGIN:
+                            break
+                        cb = c2s[col]
+                        pair = (id(ca), id(cb))
+                        s = scores.get(pair)
+                        if s is None:
+                            missing = (ca, cb, pair)
+                            break
+                        if s > best_s or (s == best_s and col < best_j):
+                            best_s = s
+                            best_j = col
+                        pos += 1
+                    if missing is not None:
                         break
-                    cb = c2s[col]
-                    pair = (id(ca), id(cb))
-                    s = scores.get(pair)
-                    if s is None:
-                        missing = (ca, cb, pair)
-                        break
-                    if s > best_s or (s == best_s and col < best_j):
-                        best_s = s
-                        best_j = col
-                    pos += 1
-                if missing is not None:
-                    break
-            chosen.append(best_j)
-            if best_j >= 0:
-                total += best_s
-                taken[best_j] = True
-            i += 1
-            j = 0
-            best_s = 0.0
-            best_j = -1
-            left = None
-            deferred = None
-            pos = -1
-            ranked = None
+                chosen.append(best_j)
+                if best_j >= 0:
+                    total += best_s
+                    taken[best_j] = True
+                i += 1
+                best_s = 0.0
+                best_j = -1
+                left = ranked = bounds = deferred = None
+                probe = pos = -1
+            if missing is not None:
+                stack[-1] = (
+                    a, b, key, i, best_s, best_j, total, taken, chosen, index, left, ranked,
+                    probe, bounds, deferred, pos,
+                )
         if missing is not None:
-            stack[-1] = (
-                a, b, key, i, j, best_s, best_j, total, taken, chosen, left, deferred, pos, index,
-                ranked,
-            )
             ca, cb, pair = missing
-            stack.append(
-                (ca, cb, pair, 0, 0, 0.0, -1, 0.0, [False] * len(cb.children), [], None, None, -1,
-                 None, None)
-            )
+            stack.append(_frame(ca, cb, pair, index_width))
             continue
         m = max(n1, n2)
         scores[key] = total / m if m > 0 else 1.0

@@ -12,7 +12,7 @@ from vsr.deadline import CHECK_EVERY, DeadlineExceeded
 from vsr.lexer import LexError, TokenKind, lex
 from vsr.parser import classify, parse
 from vsr.reward import reward
-from vsr.similarity import sim_ast, sim_ast_seq
+from vsr.similarity import _INDEX_WIDTH, sim_ast, sim_ast_seq
 from vsr.trees import CleanNode, NodeKind, clean
 
 FAT = wide_module(600)  # passes every loop's first deadline check
@@ -73,6 +73,32 @@ class TestEachLoopStops:
 
     def test_greedy_similarity(self):
         gen, ref = cleaned_pair(case_module(800, "-"), case_module(800, "+"))
+        with pytest.raises(DeadlineExceeded):
+            sim_ast(gen, ref, deadline=passed())
+
+    def test_greedy_similarity_narrow_rows(self):
+        # Built without interning, and every row is narrower than the path
+        # index's cut-off, so only the plain scan runs.  The rows of one
+        # Always pair charge 20 x 21 steps per pass and resume once per
+        # child pair, far past one check interval.
+        def tree(leaf_kind):
+            assign = NodeKind.CONTINUOUS_ASSIGN
+            return CleanNode(
+                NodeKind.MODULE_DEF,
+                tuple(
+                    CleanNode(
+                        NodeKind.ALWAYS,
+                        tuple(
+                            CleanNode(assign, (CleanNode(NodeKind.ID), CleanNode(leaf_kind)))
+                            for _ in range(20)
+                        ),
+                    )
+                    for _ in range(20)
+                ),
+            )
+
+        gen, ref = tree(NodeKind.CONST), tree(NodeKind.ID)
+        assert len(ref.children) < _INDEX_WIDTH and len(ref.children[0].children) < _INDEX_WIDTH
         with pytest.raises(DeadlineExceeded):
             sim_ast(gen, ref, deadline=passed())
 

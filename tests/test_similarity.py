@@ -367,14 +367,21 @@ class TestLeafPathBound:
         assert rows >= 150 and cols >= 150
         assert len(_greedy_scores(g, r)) < rows * cols / 8
 
+    # The 158 item rows hold 24,964 candidate pairs.  Bounding every
+    # unscored same-kind candidate of a row took 8,538 bounds; the path index
+    # bounds only the columns that share a rare path with the row.  At the
+    # default width, where narrow rows run the plain scan and bound nothing,
+    # that is 3,225 bounds and 2,228 scored pairs, against 5,096 and 2,411
+    # when narrow rows were bounded too.  With every row on the index it is
+    # 5,004 bounds.
+    max_bounds = 5_096
+
     def test_wide_pair_bounds_few_of_the_candidates(self, wide_pair, monkeypatch):
-        # The 158 item rows hold 24,964 candidate pairs.  Bounding every
-        # unscored same-kind candidate of a row took 8,538 bounds; the path
-        # index bounds only the columns that share a rare path with the row.
         g, r = wide_pair
         calls = count_bounds(monkeypatch)
-        _greedy_scores(g, r)
-        assert calls[0] < 6_000
+        scored = len(_greedy_scores(g, r))
+        assert calls[0] < self.max_bounds
+        assert scored < 2_411
 
 
 def tie_row_pair(seed, width=(1, 25)):
@@ -409,9 +416,10 @@ def tie_row_pair(seed, width=(1, 25)):
 
 
 class TestBestBoundFirstRows:
-    """A row scores its deferred candidates highest bound first, but must
-    still choose the first column with the highest score, on shared,
-    interned and unshared trees alike."""
+    """A wide row scores its deferred candidates highest bound first, but
+    must still choose the first column with the highest score, as the plain
+    scan of a narrow row does, on shared, interned and unshared trees
+    alike."""
 
     def check(self, a, b):
         want = naive_sim_ast(a, b)
@@ -447,6 +455,7 @@ class TestLeafPathBoundIndexed(TestLeafPathBound):
     matcher is declared again; the bound itself does not depend on rows."""
 
     test_bound_is_at_least_the_score = None
+    max_bounds = 6_000
 
     @settings(max_examples=150)
     @given(small_trees, st.integers(0, 2**32 - 1))
@@ -457,6 +466,28 @@ class TestLeafPathBoundIndexed(TestLeafPathBound):
 @pytest.mark.usefixtures("index_every_row")
 class TestBestBoundFirstRowsIndexed(TestBestBoundFirstRows):
     """The tie tests again, with every row on the path index."""
+
+
+class TestPlainScanRows:
+    def test_pair_without_a_wide_row_makes_no_bound_call(self, monkeypatch):
+        # Ten items against a reordered, operator-swapped copy: every row is
+        # narrower than the cut-off, so every row runs the plain scan.
+        ref, gen = swapped_item_pair(random.Random(5), 10)
+        table = {}
+        g, r = clean(classify(gen).ast, table), clean(classify(ref).ast, table)
+        work = [g, r]
+        while work:
+            x = work.pop()
+            assert len(x.children) < _INDEX_WIDTH
+            work.extend(x.children)
+        calls = count_bounds(monkeypatch)
+        want = naive_sim_ast(g, r)
+        assert want < 1.0
+        assert sim_ast(g, r) == want
+        score, steps = sim_ast_with_trace(g, r)
+        assert score == want
+        assert [(s.left, s.right, s.score) for s in steps] == naive_greedy_trace(g, r)
+        assert calls[0] == 0
 
 
 class TestIndexedRows:
