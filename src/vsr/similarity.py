@@ -66,11 +66,11 @@ than the scores they save.  A wide row (see `_greedy_scores`) scores one
 probe column, then defers, with its bound, each unscored candidate whose
 bound is not below best - 1e-9, and scores the deferred ones highest bound
 first until the next bound is.  Scoring the likeliest winner first lifts
-the best early, so fewer candidates are scored.  Candidates are then no longer
-compared in column order, so ties are settled by column: a score equal to
-the best takes the row only at a lower column.  The choices, the scores
-and the trace are those of the plain greedy scan; only the pair memo
-shrinks.
+the best early, so fewer candidates are scored.  Candidates are then no
+longer compared in column order, so ties are settled by column: a score
+equal to the best takes the row only at a lower column.  The choices, the
+scores and the trace are those of the plain greedy scan; only the pair
+memo shrinks.
 
 Nor does a wide row bound every column (prefix filtering, as in Bayardo,
 Ma and Srikant, "Scaling Up All Pairs Similarity Search", 2007).
@@ -358,8 +358,6 @@ def _greedy_scores(
         else:
             (_, _, key, i, best_s, best_j, total, taken, chosen, index, left, ranked, probe,
              bounds, deferred, pos) = frame
-            if index is None:
-                index, countdown = _column_index(c2s, profiles, trie, countdown, deadline)
             while i < n1:
                 countdown -= n2 + 1
                 if countdown <= 0:
@@ -367,6 +365,8 @@ def _greedy_scores(
                     check(deadline)
                 ca = c1s[i]
                 if pos < 0:
+                    if index is None:
+                        index, countdown = _column_index(c2s, profiles, trie, countdown, deadline)
                     by_path = index.get(id(ca.kind))
                     if by_path is not None and ranked is None:
                         left = profiles.get(id(ca))
