@@ -109,10 +109,20 @@ def _draw_indices(rng: random.Random, n: int, k: int) -> list[int]:
 
 
 def read_outcomes(path: str | Path) -> list[TaskOutcome]:
-    """Load task outcomes from JSON lines of {"task": ..., "trials": [...]}."""
+    """Load task outcomes from JSON lines of {"task": ..., "trials": [...]}.
+
+    Raises ValueError, with the line number, on a line that is not UTF-8,
+    not JSON or not a well-formed outcome.
+    """
     outcomes = []
-    with open(path, "r", encoding="utf-8") as handle:
+    # As in `vsr.corpus.ingest`: undecodable bytes come through as lone
+    # surrogates, so each line is checked on its own and the error names it.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"line {lineno}: not UTF-8 text") from None
             line = line.strip()
             if not line:
                 continue

@@ -50,24 +50,23 @@ consumed through `_advance` or `_expect`, which check the deadline by
 position; a routine whose caller has already looked at its first token
 consumes that token with `_advance`.
 
-Every node is built through one builder: five methods on the parser
-(`_node`, `_leaf`, `_pair`, `_prefix`, `_joined`) and `_copy` for a node put
-in the tree twice.  `Parser` builds RawNodes with spans for `parse` and
-`classify`.  A span runs from the start of a given token, passed as its
-index, to the end of the last token consumed when the node is built; only
-operator, ternary and select nodes differ: binary, ternary and select
-nodes start where their first child starts, and binary and unary nodes end
-where their last child ends.  A parenthesized operand is the node of what
-is inside, so such a start or end leaves its parentheses out, as it always
-has.  `_Interner` builds for the scoring path instead: each node is interned
-into the caller's table under the key `vsr.trees.clean` gives it, so
-`classify_into` returns the very tree `clean(classify(text).ast, table)`
-would, with no Token, span, RawNode or diagnostic made on the way.
+Every node is built through one builder of three methods: `_node`, `_leaf`
+for an identifier or constant, and `_copy` for a node put in the tree
+twice.  `Parser` builds RawNodes with spans for `parse` and `classify`, by
+one rule: a node spans from its start token to the last token consumed when
+it is built.  The start token of an operator, ternary or select node is the
+first token of its first operand, parentheses included, and that of a unary
+node is its operator; so every span's brackets balance.  `_Interner`
+builds for the scoring path instead: each node is interned into the
+caller's table under the key `vsr.trees.clean` gives it, so
+`classify_lists_into` returns the very tree `clean(classify(text).ast,
+table)` would, with no Token, span, RawNode or diagnostic made on the way.
 
 Since tokens are tested by text only where the text is a keyword, an
-operator or punctuation, what `classify_into` gives is a function of the
-table and the token list's `shape`, the list with every other text replaced
-by its kind; `vsr.reward` parses each shape once per reference in a batch.
+operator or punctuation, what `classify_lists_into` gives is a function of
+the table and the token list's `shape`, the list with every other text
+replaced by its kind; `vsr.reward` parses each shape once per reference in
+a batch.
 """
 
 from __future__ import annotations
@@ -267,8 +266,9 @@ class Parser:
     """The grammar, over parallel token lists, building through one builder.
 
     The lists are the texts, kinds and spans of the tokens, directives
-    already dropped.  This class builds RawNodes with spans; `_Interner`
-    runs the same grammar and builds interned CleanNodes.
+    already dropped.  This class builds RawNodes, each spanning from its
+    start token to the last token consumed; `_Interner` runs the same
+    grammar and builds interned CleanNodes.
     """
 
     def __init__(
@@ -298,12 +298,11 @@ class Parser:
     # ---- The builder ----
     #
     # Every node is built by one of these methods, and `_Interner` replaces
-    # them all.  A node's span runs from the start of a given token to the
-    # end of the last token consumed, with two exceptions: binary, ternary
-    # and select nodes start where their first child starts, and binary and
-    # unary nodes end where their last child ends.  A parenthesized operand
-    # is the node of what is inside, so those starts and ends leave its
-    # parentheses out.
+    # them all.  A node's span runs from the start of its start token,
+    # passed as an index, to the end of the last token consumed.  An
+    # operator, ternary or select node starts at its first operand's first
+    # token, a '(' when that operand is parenthesized, and a unary node at
+    # its operator.
 
     def _node(self, kind, kids, name, value, mods, start: int):
         """A node whose span runs from token `start` to the last consumed."""
@@ -313,18 +312,6 @@ class Parser:
     def _leaf(self, kind, name, value):
         """An identifier or constant: the last consumed token alone."""
         return RawNode(kind, [], name, value, (), self._spans[self._pos - 1])
-
-    def _pair(self, kind, left, right):
-        """A binary operator node."""
-        return RawNode(kind, [left, right], None, None, (), (left.span[0], right.span[1]))
-
-    def _prefix(self, kind, at: int, operand):
-        """A unary operator node; its operator is token `at`."""
-        return RawNode(kind, [operand], None, None, (), (self._spans[at][0], operand.span[1]))
-
-    def _joined(self, kind, kids):
-        """A ternary or select node: from its first child to the last consumed."""
-        return RawNode(kind, kids, None, None, (), (kids[0].span[0], self._spans[self._pos - 1][1]))
 
     def _copy(self, node):
         """A node to put in the tree a second time (see `_decl`)."""
@@ -837,7 +824,7 @@ class Parser:
         self._advance()
         node = self._leaf(_ID, texts[start], None)
         if texts[self._pos] == "[":
-            return self._select_suffix(node)
+            return self._select_suffix(node, start)
         return node
 
     def _expr(self):
@@ -867,28 +854,31 @@ class Parser:
             node = self._operand()
         text = texts[self._pos]
         if text in _BINARY:
-            node = self._binary(node)
+            node = self._binary(node, pos)
             text = texts[self._pos]
         if text == "?":
             self._advance()
             then = self._expr()
             self._expect(":")
             other = self._expr()
-            node = self._joined(_TERNARY, [node, then, other])
+            node = self._node(_TERNARY, [node, then, other], None, None, (), pos)
         self._depth = depth
         return node
 
-    def _binary(self, left):
-        """Fold the binary operator chain that starts at the current token.
+    def _binary(self, left, start: int):
+        """Fold the binary operator chain whose first operator is the current token.
 
+        `left` is the chain's first operand and `start` its first token.
         One loop with an operator stack: before an operator is pushed,
         every stacked operator of the same or a higher precedence is
         applied, which makes every operator left-associative, `**`
-        included.
+        included.  Beside each operand is its first token, where a node
+        with that operand on its left starts.
         """
         texts = self._texts
-        pair = self._pair
+        node = self._node
         operands = [left]
+        starts = [start]
         pending: list[tuple[int, NodeKind]] = []  # (precedence, kind)
         op: tuple[int, NodeKind] | None = _BINARY[texts[self._pos]]
         while True:
@@ -896,11 +886,14 @@ class Parser:
             prec = op[0] if op is not None else 0
             while pending and pending[-1][0] >= prec:
                 right = operands.pop()
-                operands[-1] = pair(pending.pop()[1], operands[-1], right)
+                del starts[-1]
+                kind = pending.pop()[1]
+                operands[-1] = node(kind, [operands[-1], right], None, None, (), starts[-1])
             if op is None:
                 return operands[0]
             pending.append(op)
             self._advance()
+            starts.append(self._pos)
             operands.append(self._operand())
             op = _BINARY.get(texts[self._pos])
 
@@ -914,7 +907,7 @@ class Parser:
             self._advance()
             node = self._leaf(_ID, texts[pos], None)
             if texts[self._pos] == "[":
-                return self._select_suffix(node)
+                return self._select_suffix(node, pos)
             return node
         if kind is _NUMBER or kind is _STRING:
             self._advance()
@@ -939,7 +932,7 @@ class Parser:
         node = self._operand()
         self._depth -= len(prefix)
         for at in reversed(prefix):
-            node = self._prefix(_UNARY_KIND[texts[at]], at, node)
+            node = self._node(_UNARY_KIND[texts[at]], [node], None, None, (), at)
         return node
 
     def _func_call(self):
@@ -949,7 +942,8 @@ class Parser:
         self._expect(")")
         return self._node(_FUNC_CALL, args, self._texts[start], None, (), start)
 
-    def _select_suffix(self, target):
+    def _select_suffix(self, target, start: int):
+        """Selects on `target`, a name that is token `start`."""
         texts = self._texts
         while texts[self._pos] == "[":
             self._advance()
@@ -962,7 +956,7 @@ class Parser:
                 self._advance()
                 kids = [target, first, self._expr()]
             self._expect("]")
-            target = self._joined(kind, kids)
+            target = self._node(kind, kids, None, None, (), start)
         return target
 
     def _concat_or_repeat(self):
@@ -1016,15 +1010,6 @@ class _Interner(Parser):
 
     def _leaf(self, kind, name, value):
         return self._id_leaf if kind is _ID else self._const_leaf
-
-    def _pair(self, kind, left, right):
-        return self._node(kind, (left, right), None, None, (), 0)
-
-    def _prefix(self, kind, at, operand):
-        return self._node(kind, (operand,), None, None, (), 0)
-
-    def _joined(self, kind, kids):
-        return self._node(kind, kids, None, None, (), 0)
 
     def _copy(self, node):
         return node
@@ -1122,30 +1107,18 @@ def classify(source: str, *, deadline: float | None = None) -> Validity:
     return Validity(ValidityStatus.PARSED, ast, ())
 
 
-def classify_into(
-    source: str, table: dict, *, deadline: float | None = None
-) -> tuple[ValidityStatus, CleanNode | None]:
-    """`classify` for scoring: the status, and the cleaned tree when parsed.
-
-    The tree is built straight into `table` as `clean(classify(source).ast,
-    table)` would intern it, and is that very object; no token, span,
-    RawNode or diagnostic is made.  A failed parse may leave nodes in the
-    table.  Raises DeadlineExceeded as `classify` does.
-    """
-    try:
-        texts, kinds, _ = scan(source, deadline)
-    except LexError:
-        return ValidityStatus.NOT_CODE, None
-    return classify_lists_into(texts, kinds, table, deadline=deadline)
-
-
 def classify_lists_into(
     texts: list[str], kinds: list[TokenKind], table: dict, *, deadline: float | None = None
 ) -> tuple[ValidityStatus, CleanNode | None]:
-    """`classify_into` on a text that has lexed: `scan`'s texts and kinds.
+    """`classify` for scoring, on a text that has lexed: `scan`'s texts and kinds.
 
-    The lists are consumed.  The result is a function of `shape(texts,
-    kinds)` and the table alone (see `shape`).
+    Gives the status, and the cleaned tree when parsed.  The tree is built
+    straight into `table` as `clean(classify(source).ast, table)` would
+    intern it, and is that very object; no token, span, RawNode or
+    diagnostic is made.  A failed parse may leave nodes in the table.  The
+    lists are consumed.  The result is a function of `shape(texts, kinds)`
+    and the table alone (see `shape`).  Raises DeadlineExceeded as
+    `classify` does.
     """
     if not _looks_like_code(texts):
         return ValidityStatus.NOT_CODE, None

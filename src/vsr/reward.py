@@ -14,17 +14,16 @@ scored by similarity, so it earns the parse-fail tier: status
 DepthLimitError escape.  Both checks read the cleaned root's `depth`
 (see `vsr.trees.CleanNode`) and do not walk either tree.
 
-Both sides go through the scoring front end, `vsr.parser.classify_into`
-(with a memo, its two halves: `scan`, then `classify_lists_into`): the
-text is lexed into token lists and parsed straight into hash-consed
-CleanNodes, with no Token, span, RawNode or diagnostic made.  Its status
-is the one `classify` gives, and its tree is the very object that
-`clean(classify(text).ast, table)` returns with the same table.  A
-reference is interned into a table of its own, and each sample into a copy
-of that table.  A sample's diagnostics are never reported, so none are
-made.  A reference's are, in ReferenceParseError; when a reference fails,
-`classify` runs on it once more to give them, which only that error path
-pays for.
+Both sides go through the scoring front end, `vsr.lexer.scan` and then
+`vsr.parser.classify_lists_into`: the text is lexed into token lists and
+parsed straight into hash-consed CleanNodes, with no Token, span, RawNode
+or diagnostic made.  Its status is the one `classify` gives, and its tree
+is the very object that `clean(classify(text).ast, table)` returns with the
+same table.  A reference is interned into a table of its own, and each
+sample into a copy of that table.  A sample's diagnostics are never
+reported, so none are made.  A reference's are, in ReferenceParseError;
+when a reference fails, `classify` runs on it once more to give them, which
+only that error path pays for.
 
 In RL one reference is scored against a group of samples, so a reference
 can be prepared once per batch: the caller passes the same `memo` dict to
@@ -90,7 +89,6 @@ from vsr.parser import (
     Diagnostic,
     ValidityStatus,
     classify,
-    classify_into,
     classify_lists_into,
     shape,
 )
@@ -155,18 +153,18 @@ class ReferenceTooDeepError(ValueError):
 
 
 def _classify(text: str, new_table, shapes: dict | None, deadline: float | None):
-    """`classify_into(text, new_table())`, through `shapes` when it is a dict.
+    """The status of `text` and, when parsed, its tree in `new_table()`.
 
-    With `shapes`, a text whose shape is there gets that entry after one
-    deadline check, and any other is parsed into `new_table()` and its
-    result entered (see the module doc).
+    A text that does not lex is not code.  When `shapes` is a dict, a text
+    whose shape is there gets that entry after one deadline check, and any
+    other is parsed and its result entered (see the module doc).
     """
-    if shapes is None:
-        return classify_into(text, new_table(), deadline=deadline)
     try:
         texts, kinds, _ = scan(text, deadline)
     except LexError:
         return ValidityStatus.NOT_CODE, None
+    if shapes is None:
+        return classify_lists_into(texts, kinds, new_table(), deadline=deadline)
     key = shape(texts, kinds)
     found = shapes.get(key)
     if found is None:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import random
 
+from vsr.lexer import LexError, scan
+from vsr.parser import ValidityStatus, classify_lists_into
 from vsr.trees import CleanNode, NodeKind
 
 # A small pool keeps kind collisions frequent so greedy matching has real
@@ -72,6 +74,17 @@ def perturb_somewhere(node: CleanNode, rng: random.Random) -> CleanNode:
     idx = rng.randrange(len(kids))
     kids[idx] = perturb_somewhere(kids[idx], rng)
     return CleanNode(node.kind, tuple(kids))
+
+
+def classify_text(text: str, table: dict):
+    """The scoring front end on `text`: `classify_lists_into` over `scan`'s
+    lists, and `not_code` for a text that does not lex, as `vsr.reward`
+    runs it."""
+    try:
+        texts, kinds, _ = scan(text)
+    except LexError:
+        return ValidityStatus.NOT_CODE, None
+    return classify_lists_into(texts, kinds, table)
 
 
 def wide_module(assign_count: int, name: str = "gen_block") -> str:

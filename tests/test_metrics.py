@@ -167,3 +167,13 @@ class TestReadOutcomes:
         path.write_text('{"task": "ok", "trials": [true]}\n{"task": 3}\n')
         with pytest.raises(ValueError, match="line 2"):
             read_outcomes(path)
+
+    def test_non_utf8_line_is_named(self, tmp_path):
+        # Far enough in that the decoder reads it in a later buffer, whose
+        # offsets say nothing about the file's lines.
+        path = tmp_path / "bytes.jsonl"
+        good = b'{"task": "ok", "trials": [true]}\n'
+        path.write_bytes(good * 3000 + b'{"task": "\xff", "trials": [true]}\n')
+        with pytest.raises(ValueError) as info:
+            read_outcomes(path)
+        assert str(info.value) == "line 3001: not UTF-8 text"

@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,10 @@ class TestStructure:
     def test_spans_nest_and_order(self, golden_source):
         unit = classify(golden_source).ast
         assert unit is not None
+        # The brackets of the source, as (start, text), in order.
+        brackets = [(tok.span[0], tok.text) for tok in lex(golden_source)
+                    if tok.text in ("(", ")", "[", "]", "{", "}")]
+        starts = [start for start, _ in brackets]
         for parent in iter_tree(unit):
             positioned = [c for c in parent.children if c.span is not None]
             for a, b in zip(positioned, positioned[1:]):
@@ -103,6 +109,15 @@ class TestStructure:
             for child in positioned:
                 assert parent.span[0] <= child.span[0]
                 assert child.span[1] <= parent.span[1]
+            # A span cuts no bracket pair: the brackets inside it balance.
+            lo, hi = parent.span
+            stack = []
+            for _, text in brackets[bisect_left(starts, lo):bisect_left(starts, hi)]:
+                if text in "([{":
+                    stack.append(")]}"["([{".index(text)])
+                else:
+                    assert stack and stack.pop() == text, (parent.kind, golden_source[lo:hi])
+            assert not stack, (parent.kind, golden_source[lo:hi])
 
 
 class TestExpressions:
@@ -552,9 +567,10 @@ class TestExpressionGrammar:
     def test_unary_before_an_identifier_and_a_parenthesis(self, op):
         n = len(op)
         assert expr_shape(f"{op}a") == (UNARY[op], None, (0, n + 1), [leaf("ID", "a", n)])
-        # the parentheses are not part of any span
+        # the unary node ends at the ')' it consumed last; the node inside
+        # the parentheses leaves them out
         plus = ("PLUS", None, (n + 1, n + 6), [leaf("ID", "a", n + 1), leaf("ID", "b", n + 5)])
-        assert expr_shape(f"{op}(a + b)") == (UNARY[op], None, (0, n + 6), [plus])
+        assert expr_shape(f"{op}(a + b)") == (UNARY[op], None, (0, n + 7), [plus])
 
     @pytest.mark.parametrize("op1", list(UNARY))
     def test_unary_before_another_unary(self, op1):
@@ -603,10 +619,10 @@ class TestExpressionGrammar:
                 ]),
             ),
             (
-                # a ternary's span starts at its condition's span, and a
-                # parenthesized condition's span leaves the '(' out
+                # a ternary starts at its condition's first token, the '('
+                # of a parenthesized condition, whose own node leaves it out
                 "(a ? b : c) ? d : e",
-                ("TERNARY", None, (1, 19), [
+                ("TERNARY", None, (0, 19), [
                     ("TERNARY", None, (1, 10), [
                         leaf("ID", "a", 1), leaf("ID", "b", 5), leaf("ID", "c", 9),
                     ]),
@@ -630,6 +646,14 @@ class TestExpressionGrammar:
     )
     def test_ternary_chains(self, text, want):
         assert expr_shape(text) == want
+
+    def test_an_operator_spans_its_parenthesized_operands(self):
+        plus = ("PLUS", None, (1, 6), [leaf("ID", "a", 1), leaf("ID", "b", 5)])
+        want = ("MUL", None, (0, 11), [plus, leaf("ID", "c", 10)])
+        assert expr_shape("(a + b) * c") == want
+        plus = ("PLUS", None, (5, 10), [leaf("ID", "b", 5), leaf("ID", "c", 9)])
+        want = ("MUL", None, (0, 11), [leaf("ID", "a", 0), plus])
+        assert expr_shape("a * (b + c)") == want
 
 
 # A lone operand in every expression position.  `<>` marks the operand;

@@ -319,8 +319,8 @@ class TestCopies:
         def refuse(*args, **kwargs):
             raise AssertionError("a copy reached the pipeline")
 
-        for name in ("scan", "classify", "classify_into", "classify_lists_into",
-                     "clean", "sim_ast", "sim_ast_seq"):
+        for name in ("scan", "classify", "classify_lists_into", "clean", "sim_ast",
+                     "sim_ast_seq"):
             monkeypatch.setattr(reward_module, name, refuse)
         for mode in ("ast", "seq"):
             assert reward(REF, REF, mode=mode, memo=memo) == RewardOutcome(
@@ -328,22 +328,23 @@ class TestCopies:
             )
 
     def test_copy_classifies_the_reference_only(self, monkeypatch):
-        # Without a memo the reference goes through `classify_into`; with one,
-        # through `classify_lists_into`, so that its shape is known.
+        # With a memo or without one, the reference goes through
+        # `classify_lists_into`.
         reward_module = importlib.import_module("vsr.reward")
         seen = []
-        for name in ("classify_into", "classify_lists_into"):
-            def spy(*args, real=getattr(reward_module, name), name=name, **kw):
-                seen.append(name)
-                return real(*args, **kw)
+        real = reward_module.classify_lists_into
 
-            monkeypatch.setattr(reward_module, name, spy)
+        def spy(*args, **kw):
+            seen.append("classify_lists_into")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(reward_module, "classify_lists_into", spy)
         memo: dict = {}
         for _ in range(3):
             reward(REF, REF, memo=memo)
             reward(REF, REF)
         # the reference, once for the memo and once per call without one
-        assert seen == ["classify_lists_into"] + ["classify_into"] * 3
+        assert seen == ["classify_lists_into"] * 4
 
 
 @settings(max_examples=120, deadline=None)

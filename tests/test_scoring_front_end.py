@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import wide_module
+from helpers import classify_text, wide_module
 from vsr.deadline import DeadlineExceeded
 from vsr.lexer import _RUN, LexError, _lex_slow, lex, scan
-from vsr.parser import classify, classify_into
+from vsr.parser import classify
 from vsr.reward import reward
 from vsr.similarity import sim_ast, sim_ast_seq
 from vsr.trees import clean
@@ -141,11 +141,11 @@ def test_interning_gives_the_cleaned_tree(family):
             continue
         validity = classify(text)
         ref_table: dict = {}
-        ref_status, ref_tree = classify_into(ref, ref_table)
+        ref_status, ref_tree = classify_text(ref, ref_table)
         # into a fresh table, and into a copy of the reference's, as
         # `reward` interns a sample
         for table in ({}, dict(ref_table)):
-            status, tree = classify_into(text, table)
+            status, tree = classify_text(text, table)
             assert status is validity.status, name
             if validity.ast is None:
                 assert tree is None, name

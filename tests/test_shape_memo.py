@@ -11,10 +11,10 @@ import time
 import pytest
 
 from conftest import FIXTURE_DIR, golden_paths
-from helpers import chain_module, wide_module
+from helpers import chain_module, classify_text, wide_module
 from vsr.deadline import DeadlineExceeded
 from vsr.lexer import FIXED_TEXTS, LexError, TokenKind, lex, scan
-from vsr.parser import ValidityStatus, classify_into, shape
+from vsr.parser import ValidityStatus, shape
 from vsr.reward import ReferenceTooDeepError, reward
 from vsr.service import ServiceConfig, _evaluate_batch, evaluate
 
@@ -125,7 +125,7 @@ class TestShapeLemma:
         statuses = set()
         for source in SOURCES:
             table: dict = {}
-            status, root = classify_into(source, table)
+            status, root = classify_text(source, table)
             statuses.add(status)
             kinds = [tok.kind for tok in lex(source)]
             for _ in range(3):
@@ -133,7 +133,7 @@ class TestShapeLemma:
                 assert copy != source
                 assert [tok.kind for tok in lex(copy)] == kinds
                 assert key(copy) == key(source)
-                got_status, got_root = classify_into(copy, dict(table))
+                got_status, got_root = classify_text(copy, dict(table))
                 assert got_status is status
                 assert got_root is root
         assert statuses == {ValidityStatus.PARSED, ValidityStatus.PARSE_FAIL}
@@ -170,7 +170,7 @@ def _batch(rng: random.Random) -> list[dict]:
     duplicates, rewrites, one sample in both modes, parse-fail and prose
     duplicates, and another file; shuffled, so references recur apart."""
     items = []
-    parsed = [s for s in SOURCES if classify_into(s, {})[0] is ValidityStatus.PARSED]
+    parsed = [s for s in SOURCES if classify_text(s, {})[0] is ValidityStatus.PARSED]
     for ref in rng.sample(parsed, 3):
         broken = ref.replace(";", "", 1)
         samples = [ref, ref, _renamed_module(ref, 1), _renamed_module(ref, 2),
@@ -191,6 +191,8 @@ class TestBatches:
     @pytest.mark.parametrize("depth_limit", [512, 8])
     def test_a_batch_answers_as_its_items_one_by_one(self, seed, depth_limit, monkeypatch):
         reward_module = importlib.import_module("vsr.reward")
+        items = _batch(random.Random(seed))
+        alone = [evaluate(item, depth_limit=depth_limit) for item in items]
         parsed = []
         real = reward_module.classify_lists_into
 
@@ -199,22 +201,20 @@ class TestBatches:
             return real(texts, kinds, *args, **kwargs)
 
         monkeypatch.setattr(reward_module, "classify_lists_into", spy)
-        items = _batch(random.Random(seed))
         config = ServiceConfig(depth_limit=depth_limit)
         got = _evaluate_batch(items, config)
-        alone = [evaluate(item, depth_limit=depth_limit) for item in items]
         assert json.dumps(got) == json.dumps(alone)
         statuses = {answer["status"] for answer in got}
         if depth_limit == 512:
             assert statuses == {"parsed", "parse_fail", "not_code"}
         # In the batch a shape is parsed once per reference: the reference's
         # own, then, if the reference is not too deep, each new shape among
-        # its samples that lexes and is no copy.  (Scored alone, an item
-        # goes through `classify_into`, which the spy does not see.)
+        # its samples that lexes and is no copy.  (The items scored alone
+        # ran before the spy was in place.)
         expected = []
         for ref in dict.fromkeys(item["ref"] for item in items):
             shapes = {key(ref)}
-            if classify_into(ref, {})[1].depth <= depth_limit:
+            if classify_text(ref, {})[1].depth <= depth_limit:
                 for item in items:
                     if item["ref"] == ref and item["gen"] != ref:
                         try:
