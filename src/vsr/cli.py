@@ -396,17 +396,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timeout-ms",
         type=int,
-        default=5000,
+        default=ServiceConfig.timeout_ms,
         help="per-request deadline; scoring stops when it passes (<= 0: none)",
     )
-    p.add_argument("--max-body-bytes", type=int, default=8 * 1024 * 1024)
+    p.add_argument("--max-body-bytes", type=int, default=ServiceConfig.max_body_bytes)
     p.set_defaults(func=_cmd_serve)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sim" and args.trace and args.mode != "ast":
+        # The trace is the greedy match's; positional mode has none.
+        parser.error("sim: --trace needs --mode ast")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

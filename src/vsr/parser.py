@@ -1140,11 +1140,13 @@ def shape(texts: list[str], kinds: list[TokenKind]) -> tuple:
     still tells every token's kind, and the text of each token that has
     one of those kinds.
 
-    Two token lists of one shape, classified into copies of one table, give
-    the same status, and trees that are equal and share every node the
-    table held: the grammar tests a token by its kind, or by its text only
+    Two token lists of one shape give the same status and, when parsed,
+    equal trees, whatever tables they are classified into; into one table,
+    which keeps every key it is given, the second finds the first's tree
+    itself.  The grammar tests a token by its kind, or by its text only
     where that text is a keyword, operator or punctuation (see the module
     docstring); `_looks_like_code` tests keywords alone; directives are
-    dropped by kind; and the interner keeps no name or value.
+    dropped by kind; and the interner keeps no name or value.  So both make
+    the same builder calls, each keyed on the same kind and children.
     """
     return tuple(map(FIXED_TEXTS.get, texts, map(_KIND_VALUE, kinds)))

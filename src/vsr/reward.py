@@ -19,8 +19,8 @@ Both sides go through the scoring front end, `vsr.lexer.scan` and then
 parsed straight into hash-consed CleanNodes, with no Token, span, RawNode
 or diagnostic made.  Its status is the one `classify` gives, and its tree
 is the very object that `clean(classify(text).ast, table)` returns with the
-same table.  A reference is interned into a table of its own, and each
-sample into a copy of that table.  A sample's diagnostics are never
+same table.  A reference is interned into a table of its own, T, and each
+sample scored against it into T too.  A sample's diagnostics are never
 reported, so none are made.  A reference's are, in ReferenceParseError;
 when a reference fails, `classify` runs on it once more to give them, which
 only that error path pays for.
@@ -46,19 +46,16 @@ reference's checks have passed, a copy returns status `parsed`, sim 1.0 and
 reward 10.0 in either mode without being classified, cleaned or scored.
 
 Copies and memo hits give the full path's answer, exactly.  The full path
-parses the sample into a fresh copy of the reference's table T and scores
-that tree.
+prepares the reference with no memo, parses the sample into its table and
+scores that tree.
 
-1. Token lists of one shape, parsed into copies of one table, get one
-   status and, when parsed, equal trees (see `vsr.parser.shape`).  So a
+1. Token lists of one shape get one status and, when parsed, equal trees,
+   whatever table they are parsed into (see `vsr.parser.shape`).  So a
    shape hit's status and tree equal the full path's, and since depth is
    structural, so does the outcome of every depth check.
-2. The reference's own shape, parsed into a copy of T, gives the
-   reference's root itself: by induction over the builder calls, each is
-   keyed on the same kind and the same child objects as when the reference
-   was parsed into T, so it finds the node that call entered.  A copy has
-   the reference's shape, so it parses, and it is exactly as deep as the
-   reference, which has passed its check.
+2. T never drops a key, so the reference's shape parsed into T finds the
+   reference's root.  A copy has that shape, so it parses, and it is
+   exactly as deep as the reference, which has passed its check.
 3. `sim_ast` and `sim_ast_seq` are functions of the two trees' structure:
    sharing is only a shortcut (see `vsr.similarity`), and the depth limit
    only bounds what they accept.  So the sim of an equal tree, and the sim
@@ -66,17 +63,19 @@ that tree.
    shortcut, a pair `a is b` scores exactly 1.0, which is a copy's sim.
 
 The depth checks read the tree's depth at every call, hit or not, so one
-shape can be scored under one limit and too deep under another.  A tree's
-key in `sims` is its id: `shapes` holds every tree that `sims` names, for as
-long as the prepared reference lives, so no id is reused meanwhile.
+shape can be scored under one limit and too deep under another.  `sims` is
+keyed on a tree's id: T holds every tree, so no id is reused while the
+entry lives.
 
 A `deadline` (see `vsr.deadline`) reaches every long loop of the pipeline:
 lex, parse, clean and similarity.  Once it has passed, the loop running
 at the time raises DeadlineExceeded and `reward` stops.  The memos only
 ever receive finished results: a PreparedReference, a status and tree, a
 sim.  So work that was stopped leaves no entry and is done anew on its next
-use.  A copy or a shape hit runs no parse loop, but it checks the deadline
-once, as the parse would have.
+use.  A parse that fails or is stopped can leave nodes in T, but each is
+finished and keyed by its structure, so it changes no later result.  A copy
+or a shape hit runs no parse loop, but checks the deadline once, as the
+parse would have.
 """
 
 from __future__ import annotations
@@ -123,8 +122,8 @@ class PreparedReference:
     that holds it; no raw parse tree is ever made.  `tree` is None and
     `table` empty when the reference did not parse; the depth limit is
     judged on `tree.depth` at each call.  Scoring interns each sample into
-    a copy of `table`, so the reference's fields never change, and it can
-    serve any number of samples, whatever their depth limit.
+    `table`, which grows; `status`, `diagnostics` and `tree` stay fixed, so
+    it can serve any number of samples, whatever their depth limit.
 
     `shapes` and `sims` are the memos of the samples scored against it
     (see the module doc).  Only a reference kept in a caller's memo serves
@@ -152,8 +151,8 @@ class ReferenceTooDeepError(ValueError):
     """The reference parsed, but its cleaned tree exceeds the depth limit."""
 
 
-def _classify(text: str, new_table, shapes: dict | None, deadline: float | None):
-    """The status of `text` and, when parsed, its tree in `new_table()`.
+def _classify(text: str, table: dict, shapes: dict | None, deadline: float | None):
+    """The status of `text` and, when parsed, its tree in `table`.
 
     A text that does not lex is not code.  When `shapes` is a dict, a text
     whose shape is there gets that entry after one deadline check, and any
@@ -164,11 +163,11 @@ def _classify(text: str, new_table, shapes: dict | None, deadline: float | None)
     except LexError:
         return ValidityStatus.NOT_CODE, None
     if shapes is None:
-        return classify_lists_into(texts, kinds, new_table(), deadline=deadline)
+        return classify_lists_into(texts, kinds, table, deadline=deadline)
     key = shape(texts, kinds)
     found = shapes.get(key)
     if found is None:
-        found = shapes[key] = classify_lists_into(texts, kinds, new_table(), deadline=deadline)
+        found = shapes[key] = classify_lists_into(texts, kinds, table, deadline=deadline)
     else:
         check(deadline)
     return found
@@ -179,7 +178,7 @@ def _prepare_reference(
 ) -> PreparedReference:
     table: dict = {}
     shapes: dict = {}
-    status, tree = _classify(ref, lambda: table, shapes if batch else None, deadline)
+    status, tree = _classify(ref, table, shapes if batch else None, deadline)
     if tree is None:
         # The error path: the public classify gives the diagnostics.
         validity = classify(ref, deadline=deadline)
@@ -237,11 +236,8 @@ def reward(
         # A copy: the full path's answer, see the module doc.
         check(deadline)
         return RewardOutcome(ValidityStatus.PARSED, 1.0, REWARD_SCALE)
-    # The sample is interned into a copy of the reference's table, so it
-    # shares the reference's structure without adding its own nodes to the
-    # prepared table.
     status, gen_tree = _classify(
-        gen, prepared.table.copy, prepared.shapes if batch else None, deadline
+        gen, prepared.table, prepared.shapes if batch else None, deadline
     )
     if status is ValidityStatus.NOT_CODE:
         return RewardOutcome(status, None, REWARD_NOT_CODE)

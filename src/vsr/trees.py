@@ -291,8 +291,8 @@ def clean(
     its memo across repeated structure.
 
     Pass one table when cleaning both sides of a pair, so sharing also spans
-    the two trees (`vsr.reward` cleans each sample into a copy of its
-    prepared reference's table).  The table keeps its nodes alive, which
+    the two trees (`vsr.reward` interns a reference and every sample scored
+    against it into one table).  The table keeps its nodes alive, which
     keeps the ids in its keys valid; drop it with the pair.  Without a
     table, sharing stays within the one tree.
 

@@ -129,6 +129,21 @@ class TestSimCommand:
         assert lines[0] == "1.000000"
         assert any(line.startswith("/0\t/0\t") for line in lines[1:])
 
+    def test_trace_with_seq_mode_is_a_usage_error(self, tmp_path):
+        # The trace is the greedy match's, so it cannot stand for a seq score.
+        body = "  assign y = a;\n  assign z = a & b;\n"
+        head, end = "module m(input a, b, output y, z);\n", "endmodule\n"
+        left, right = tmp_path / "left.v", tmp_path / "right.v"
+        left.write_text(head + body + end)
+        right.write_text(head + "".join(reversed(body.splitlines(True))) + end)
+        seq = vsr("sim", str(left), str(right), "--mode", "seq")
+        assert seq.stdout == "0.833333\n"
+        proc = vsr("sim", str(left), str(right), "--mode", "seq", "--trace")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: vsr")
+        assert "--trace needs --mode ast" in proc.stderr
+
     def test_unparsable_input(self, simple_file, tmp_path):
         bad = tmp_path / "bad.v"
         bad.write_text("not verilog")
@@ -350,6 +365,13 @@ class TestServeCommand:
     def test_requires_transport(self):
         proc = vsr("serve")
         assert proc.returncode == 2
+
+    def test_defaults_are_the_service_config_defaults(self, gc_state, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "serve_stdio", lambda config: seen.append(config))
+        monkeypatch.delenv("VSR_DEPTH_LIMIT", raising=False)
+        assert cli.main(["serve", "--stdio"]) == 0
+        assert seen == [ServiceConfig()]
 
     @pytest.mark.parametrize(
         "spec, message",

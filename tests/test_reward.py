@@ -11,7 +11,7 @@ from conftest import FIXTURE_DIR, golden_paths
 from helpers import chain_module
 from vsr.corpus import MutationError, MutationKind, MutationSpec, mutate
 from vsr.lexer import scan
-from vsr.parser import ValidityStatus, classify
+from vsr.parser import ValidityStatus, classify, shape
 from vsr.reward import (
     REWARD_NOT_CODE,
     REWARD_PARSE_FAIL,
@@ -198,16 +198,41 @@ class TestReferenceMemo:
         assert memo[BROKEN].tree is None
 
     def test_scoring_leaves_the_entry_unchanged(self, golden_sources):
+        # Samples intern into the entry's own table, so the table grows; the
+        # reference's fields do not, and no key it holds is ever replaced.
         memo: dict = {}
         reward(REF, REF, memo=memo)
         entry = memo[REF]
-        tree, size = entry.tree, len(entry.table)
+        tree, status, diagnostics = entry.tree, entry.status, entry.diagnostics
+        before = dict(entry.table)
+        size = len(before)
         for name in sorted(golden_sources):
             reward(golden_sources[name], REF, memo=memo)
             reward(golden_sources[name], REF, mode="seq", memo=memo)
+            assert all(entry.table[key] is node for key, node in before.items())
+            before = dict(entry.table)
         assert memo[REF] is entry
         assert entry.tree is tree
-        assert len(entry.table) == size
+        assert entry.status is status and entry.diagnostics == diagnostics == ()
+        assert len(entry.table) > size
+
+    def test_samples_of_two_shapes_with_one_tree_are_scored_once(self, monkeypatch):
+        # The parentheses change the token shape, not the cleaned tree, and
+        # both samples intern into the reference's one table.
+        ref = "module m(input a, b, output y);\n  assign y = a & b;\nendmodule\n"
+        gens = [ref.replace("a & b", "a | b"), ref.replace("a & b", "(a | b)")]
+        assert shape(*scan(gens[0])[:2]) != shape(*scan(gens[1])[:2])
+        alone = reward(gens[0], ref)
+        reward_module = importlib.import_module("vsr.reward")
+        scored = []
+        real = reward_module.sim_ast
+        monkeypatch.setattr(
+            reward_module, "sim_ast", lambda *args, **kw: scored.append(args) or real(*args, **kw)
+        )
+        memo: dict = {}
+        assert [reward(gen, ref, memo=memo) for gen in gens] == [alone, alone]
+        assert len(scored) == 1
+        assert len(memo[ref].sims) == 1
 
     def test_entry_holds_no_raw_tree(self):
         memo: dict = {}

@@ -133,9 +133,12 @@ class TestShapeLemma:
                 assert copy != source
                 assert [tok.kind for tok in lex(copy)] == kinds
                 assert key(copy) == key(source)
-                got_status, got_root = classify_text(copy, dict(table))
-                assert got_status is status
-                assert got_root is root
+                # into a copy of the reference's table, and into that table
+                # itself, which grows with each rewrite, as `reward` uses it
+                for into in (dict(table), table):
+                    got_status, got_root = classify_text(copy, into)
+                    assert got_status is status
+                    assert got_root is root
         assert statuses == {ValidityStatus.PARSED, ValidityStatus.PARSE_FAIL}
 
     def test_a_token_of_another_kind_changes_the_key(self):
@@ -277,9 +280,29 @@ class TestBatches:
         assert stopped.traceback[-2].name in ("_advance", "_expect")
         assert list(entry.shapes) == [key(ref)] and not entry.sims
         monkeypatch.undo()
-        assert reward(gen, ref, memo=memo) == reward(gen, ref)
+        assert reward(gen, ref, memo=memo) == reward(gen, ref, memo={})
         assert list(entry.shapes) == [key(ref), key(gen)] and len(entry.sims) == 1
         # a hit past its deadline stops too, and changes nothing
         with pytest.raises(DeadlineExceeded):
             reward(gen, ref, memo=memo, deadline=time.monotonic() - 1)
         assert list(entry.shapes) == [key(ref), key(gen)] and len(entry.sims) == 1
+        # A new sample past its deadline stops, and so does one stopped two
+        # slices into its parse, which leaves finished nodes in the table;
+        # scored again, it answers as in a fresh memo.
+        items = (" + ".join(["a"] * n) for n in range(1, 150))
+        other = "module t(input a, output y);\n" + "".join(
+            f"  assign y = {chain};\n" for chain in items
+        ) + "endmodule\n"
+        with pytest.raises(DeadlineExceeded):
+            reward(other, ref, memo=memo, deadline=time.monotonic() - 1)
+        slices = -(-len(scan(other)[0]) // parser.CHECK_EVERY) + 2
+        calls.clear()
+        size = len(entry.table)
+        monkeypatch.setattr(parser, "check", late)
+        with pytest.raises(DeadlineExceeded):
+            reward(other, ref, memo=memo, deadline=time.monotonic() + 60)
+        monkeypatch.undo()
+        assert len(entry.table) > size
+        assert list(entry.shapes) == [key(ref), key(gen)] and len(entry.sims) == 1
+        got = reward(other, ref, memo=memo)
+        assert got == reward(other, ref, memo={}) and got.status is ValidityStatus.PARSED

@@ -1,12 +1,30 @@
 """Every CLI command is total: on hostile input it exits 0, 1 or 2, with one
 `vsr:` line on stderr for 1 and argparse's usage for 2, and never lets an
-exception escape `vsr.cli.main`."""
+exception escape `vsr.cli.main`.  Every library entry point is total too: on
+the same inputs, and on drawn text, it raises only the errors README lists
+for it."""
 
 import json
+from functools import partial
 
-import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vsr import cli
+from vsr.corpus import (
+    CorpusFormatError,
+    CorpusRecord,
+    MutationError,
+    MutationKind,
+    MutationSpec,
+    curate,
+    ingest,
+    mutate,
+)
+from vsr.parser import classify
+from vsr.printer import PrintError, pretty_print
+from vsr.reward import ReferenceParseError, ReferenceTooDeepError, reward
+from vsr.service import evaluate
 
 GOOD = "module m(input a, output y);\n  assign y = a;\nendmodule\n"
 CHAIN = " + ".join(["a", "4'd3"] * 600)
@@ -92,3 +110,86 @@ def test_every_command_is_total_on_hostile_input(tmp_path, capsys):
             assert err.startswith("usage: vsr"), (label, argv, err)
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+# The errors README lists for each library entry point; an empty tuple
+# means it never raises.
+DOCUMENTED = {
+    "reward": (ReferenceParseError, ReferenceTooDeepError),
+    "evaluate": (),
+    "classify": (),
+    "ingest": (CorpusFormatError, OSError),
+    "curate": (),
+    "mutate": (MutationError,),
+    "pretty_print": (PrintError,),
+}
+
+
+def _library_calls(text: str, memo: dict):
+    """(name, call) for each library entry point on `text`, as generation
+    and as reference, with and without a batch memo."""
+    for gen, ref in ((text, GOOD), (GOOD, text)):
+        for mode in ("ast", "seq"):
+            yield "reward", partial(reward, gen, ref, mode=mode)
+            yield "reward", partial(reward, gen, ref, mode=mode, memo=memo)
+        yield "evaluate", partial(evaluate, {"id": 1, "ref": ref, "gen": gen})
+    yield "classify", partial(classify, text)
+    yield "curate", partial(curate, [CorpusRecord("r", "spec", text)])
+    for kind in MutationKind:
+        yield "mutate", partial(mutate, text, MutationSpec(kind, 1))
+    root = classify(text).ast
+    if root is not None:
+        # a module item is no printable root, so it must be a PrintError
+        for node in (root, *root.children, *(m.children[0] for m in root.children if m.children)):
+            yield "pretty_print", partial(pretty_print, node)
+
+
+def _errors_raised(text: str, memo: dict) -> set:
+    """The documented error types the calls on `text` raised; any other
+    exception escapes and fails the test."""
+    raised = set()
+    for name, call in _library_calls(text, memo):
+        try:
+            call()
+        except DOCUMENTED[name] as exc:
+            raised.add(type(exc))
+    return raised
+
+
+def test_every_library_call_is_total_on_hostile_input(tmp_path):
+    memo: dict = {}
+    raised = set()
+    for name, data in {**HOSTILE, **RECORDS}.items():
+        path = _path(tmp_path, name, data)
+        try:
+            ingest(path)
+        except DOCUMENTED["ingest"] as exc:
+            raised.add(type(exc))
+        if data is not None and name in HOSTILE:
+            text = data.decode("utf-8", errors="surrogateescape")
+            raised |= _errors_raised(text, memo)
+            raised |= _errors_raised(data.decode("utf-8", errors="replace"), memo)
+    expected = {ReferenceParseError, ReferenceTooDeepError, MutationError, PrintError}
+    assert expected | {CorpusFormatError} <= raised
+
+
+PIECES = (
+    "module", "m", "(", ")", ";", "endmodule", "assign", "y", "=", "a", "+",
+    "input", "output", ",", "wire", "reg", "[7:0]", "always", "@(*)", "begin",
+    "end", "if", "else", "?", ":", "8'hff", "'d3", '"s"', "`define W 8", "`W",
+    "\\esc ", "$display", "// c\n", "/*", "*/", "\n", "{", "}", "case",
+    "endcase", "default", "\x00", "\ufeff", "\r",
+)
+DRAWN = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.sampled_from(PIECES), max_size=40).map(" ".join),
+    st.tuples(st.integers(0, len(GOOD)), st.text(max_size=8)).map(
+        lambda cut: GOOD[: cut[0]] + cut[1] + GOOD[cut[0]:]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(DRAWN)
+def test_every_library_call_is_total_on_drawn_text(text):
+    _errors_raised(text, {})
