@@ -128,6 +128,9 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
+    if args.trace and args.mode != "ast":
+        # The trace is the greedy match's; positional mode has none.
+        args.usage_error("--trace needs --mode ast")
     depth_limit = _depth_limit_from_env()
     table: dict = {}
     ref = clean(_parsed_ast(args.ref, _read_text(args.ref)), table)
@@ -340,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace", action="store_true", help="print matched node pairs (ast mode)"
     )
-    p.set_defaults(func=_cmd_sim)
+    p.set_defaults(func=_cmd_sim, usage_error=p.error)
 
     p = sub.add_parser("reward", help="tiered reward of GEN against REF")
     p.add_argument("ref")
@@ -406,11 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sim" and args.trace and args.mode != "ast":
-        # The trace is the greedy match's; positional mode has none.
-        parser.error("sim: --trace needs --mode ast")
+    args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -280,7 +280,8 @@ class TestBatches:
         assert stopped.traceback[-2].name in ("_advance", "_expect")
         assert list(entry.shapes) == [key(ref)] and not entry.sims
         monkeypatch.undo()
-        assert reward(gen, ref, memo=memo) == reward(gen, ref, memo={})
+        got = reward(gen, ref, memo=memo)
+        assert got == reward(gen, ref) and got == reward(gen, ref, memo={})
         assert list(entry.shapes) == [key(ref), key(gen)] and len(entry.sims) == 1
         # a hit past its deadline stops too, and changes nothing
         with pytest.raises(DeadlineExceeded):
@@ -305,4 +306,5 @@ class TestBatches:
         assert len(entry.table) > size
         assert list(entry.shapes) == [key(ref), key(gen)] and len(entry.sims) == 1
         got = reward(other, ref, memo=memo)
-        assert got == reward(other, ref, memo={}) and got.status is ValidityStatus.PARSED
+        assert got == reward(other, ref) and got == reward(other, ref, memo={})
+        assert got.status is ValidityStatus.PARSED
