@@ -66,9 +66,7 @@ def _depth_limit_from_env() -> int:
 def _parsed_ast(path: str, text: str) -> RawNode:
     validity = classify(text)
     if validity.status is not ValidityStatus.PARSED:
-        detail = (
-            validity.diagnostics[0].message if validity.diagnostics else "rejected"
-        )
+        detail = validity.diagnostics[0].message
         raise _CliError(f"{path}: {validity.status.value}: {detail}")
     assert validity.ast is not None
     return validity.ast

@@ -24,11 +24,9 @@ from pathlib import Path
 from vsr.lexer import KEYWORDS, LexError, scan
 # `lex` is unused here, but the benchmark tracer rebinds vsr.corpus.lex.
 from vsr.lexer import lex  # noqa: F401
-from vsr.parser import ValidityStatus, classify
+from vsr.parser import _DECL_KIND, ValidityStatus, classify
 from vsr.printer import PrintError, pretty_print
 from vsr.trees import (
-    DECL_KINDS,
-    PORT_KINDS,
     NodeKind,
     RawNode,
     TreeStats,
@@ -198,9 +196,7 @@ def curate(
             continue
         validity = classify(record.ref_code)
         if validity.status is not ValidityStatus.PARSED:
-            detail = (
-                validity.diagnostics[0].message if validity.diagnostics else "rejected"
-            )
+            detail = validity.diagnostics[0].message
             dropped.append(
                 DroppedRecord(
                     record,
@@ -272,7 +268,7 @@ def _reorder_top_items(unit: RawNode, rng: random.Random) -> None:
         raise MutationError("no module has two or more reorderable items")
 
 
-_DECLARING = PORT_KINDS | DECL_KINDS | {NodeKind.PORT_REF}
+_DECLARING = {*_DECL_KIND.values(), NodeKind.PORT_REF}
 
 
 def _rename_identifiers(unit: RawNode, rng: random.Random) -> None:
@@ -389,9 +385,7 @@ def mutate(code: str, spec: MutationSpec) -> str:
     """
     validity = classify(code)
     if validity.status is not ValidityStatus.PARSED:
-        detail = (
-            validity.diagnostics[0].message if validity.diagnostics else "rejected"
-        )
+        detail = validity.diagnostics[0].message
         raise MutationError(f"input is {validity.status.value}: {detail}")
     # The tree was built for this call alone, so it is edited in place.
     unit = validity.ast

@@ -636,7 +636,7 @@ class Parser:
             self._advance()
             mods += ("signed",)
         kids: list = []
-        for word in ("integer", "real", "time"):
+        for word in _VAR_KIND:
             if self._at(word):
                 self._advance()
                 mods += (word,)

@@ -5,10 +5,28 @@ rewriting) can be turned back into source text deterministically.  Output is
 normalized: four-space indentation, one item per line, explicit parentheses
 around every compound expression.  Re-parsing printed output yields a tree
 whose cleaned form is identical to the input's cleaned form.
+
+A word or operator that tells node kinds apart (operators, declaration
+keywords, case keywords, assignments, edges, part selects and function
+return types) is spelled by inverting the parser's text -> kind tables
+(`_BINARY`, `_UNARY_KIND`, `_DECL_KIND` and the rest), so it is written
+down in `vsr.parser` alone.  A kind with two spellings prints as the first
+one the parser lists: binary XNOR as `^~` and reduction XNOR as `~^`.
 """
 
 from __future__ import annotations
 
+from vsr.parser import (
+    _ASSIGN_KIND,
+    _BINARY,
+    _CASE_KIND,
+    _DECL_KIND,
+    _DIRECTION_KIND,
+    _EDGE_KIND,
+    _SELECT_KIND,
+    _UNARY_KIND,
+    _VAR_KIND,
+)
 from vsr.trees import NodeKind, RawNode, tree_stats
 
 # Defensive bound; printing recurses over expressions and real trees sit far
@@ -20,67 +38,24 @@ class PrintError(ValueError):
     pass
 
 
-_BINARY_TEXT = {
-    NodeKind.LOGICAL_OR: "||",
-    NodeKind.LOGICAL_AND: "&&",
-    NodeKind.OR: "|",
-    NodeKind.XOR: "^",
-    NodeKind.XNOR: "^~",
-    NodeKind.AND: "&",
-    NodeKind.EQ: "==",
-    NodeKind.NEQ: "!=",
-    NodeKind.CASE_EQ: "===",
-    NodeKind.CASE_NEQ: "!==",
-    NodeKind.LT: "<",
-    NodeKind.LTE: "<=",
-    NodeKind.GT: ">",
-    NodeKind.GTE: ">=",
-    NodeKind.SHL: "<<",
-    NodeKind.SHR: ">>",
-    NodeKind.ASHL: "<<<",
-    NodeKind.ASHR: ">>>",
-    NodeKind.PLUS: "+",
-    NodeKind.MINUS: "-",
-    NodeKind.MUL: "*",
-    NodeKind.DIV: "/",
-    NodeKind.MOD: "%",
-    NodeKind.POW: "**",
-}
+def _spellings(pairs) -> dict:
+    """Kind -> text from a parser table's (text, kind) pairs; a kind with
+    two spellings prints as the first one listed."""
+    texts: dict = {}
+    for text, kind in pairs:
+        texts.setdefault(kind, text)
+    return texts
 
-_UNARY_TEXT = {
-    NodeKind.NOT: "!",
-    NodeKind.BIT_NOT: "~",
-    NodeKind.UNARY_MINUS: "-",
-    NodeKind.UNARY_PLUS: "+",
-    NodeKind.REDUCE_AND: "&",
-    NodeKind.REDUCE_OR: "|",
-    NodeKind.REDUCE_XOR: "^",
-    NodeKind.REDUCE_NAND: "~&",
-    NodeKind.REDUCE_NOR: "~|",
-    NodeKind.REDUCE_XNOR: "~^",
-}
 
-_PORT_TEXT = {
-    NodeKind.INPUT_PORT: "input",
-    NodeKind.OUTPUT_PORT: "output",
-    NodeKind.INOUT_PORT: "inout",
-}
+_BINARY_TEXT = _spellings((text, kind) for text, (_, kind) in _BINARY.items())
+_UNARY_TEXT = _spellings(_UNARY_KIND.items())
+_PORT_TEXT = _spellings(_DIRECTION_KIND.items())
+_DECL_TEXT = _spellings(_DECL_KIND.items())  # ports included
+_CASE_TEXT = _spellings(_CASE_KIND.items())
+_ASSIGN_TEXT = _spellings(_ASSIGN_KIND.items())
+_EDGE_TEXT = _spellings(_EDGE_KIND.items())
+_SELECT_TEXT = _spellings(_SELECT_KIND.items())
 
-_DECL_TEXT = {
-    NodeKind.WIRE_DECL: "wire",
-    NodeKind.REG_DECL: "reg",
-    NodeKind.INTEGER_DECL: "integer",
-    NodeKind.REAL_DECL: "real",
-    NodeKind.TIME_DECL: "time",
-    NodeKind.PARAM_DECL: "parameter",
-    NodeKind.LOCAL_PARAM_DECL: "localparam",
-}
-
-_CASE_TEXT = {
-    NodeKind.CASE_STMT: "case",
-    NodeKind.CASEZ_STMT: "casez",
-    NodeKind.CASEX_STMT: "casex",
-}
 
 # The node kinds the printer tests, bound to module names as in the parser:
 # reading a member off an Enum class, as in `NodeKind.ID`, takes over 100 ns
@@ -88,12 +63,9 @@ _CASE_TEXT = {
 _ALWAYS = NodeKind.ALWAYS
 _BIT_SELECT = NodeKind.BIT_SELECT
 _BLOCK = NodeKind.BLOCK
-_BLOCKING_ASSIGN = NodeKind.BLOCKING_ASSIGN
 _CONCAT = NodeKind.CONCAT
 _CONST = NodeKind.CONST
 _CONTINUOUS_ASSIGN = NodeKind.CONTINUOUS_ASSIGN
-_EDGE_NEGEDGE = NodeKind.EDGE_NEGEDGE
-_EDGE_POSEDGE = NodeKind.EDGE_POSEDGE
 _FUNC_CALL = NodeKind.FUNC_CALL
 _FUNC_DECL = NodeKind.FUNC_DECL
 _ID = NodeKind.ID
@@ -101,12 +73,8 @@ _IF_STMT = NodeKind.IF_STMT
 _INITIAL = NodeKind.INITIAL
 _INSTANCE = NodeKind.INSTANCE
 _MODULE_DEF = NodeKind.MODULE_DEF
-_NONBLOCKING_ASSIGN = NodeKind.NONBLOCKING_ASSIGN
 _NULL_STMT = NodeKind.NULL_STMT
 _PARAM_DECL = NodeKind.PARAM_DECL
-_PART_SELECT = NodeKind.PART_SELECT
-_PART_SELECT_MINUS = NodeKind.PART_SELECT_MINUS
-_PART_SELECT_PLUS = NodeKind.PART_SELECT_PLUS
 _PORT_REF = NodeKind.PORT_REF
 _REPEAT = NodeKind.REPEAT
 _SOURCE_UNIT = NodeKind.SOURCE_UNIT
@@ -147,15 +115,12 @@ def _expr(node: RawNode) -> str:
     if kind is _BIT_SELECT:
         target, index = node.children
         return f"{_expr(target)}[{_expr(index)}]"
-    if kind is _PART_SELECT:
-        target, msb, lsb = node.children
-        return f"{_expr(target)}[{_expr(msb)}:{_expr(lsb)}]"
-    if kind is _PART_SELECT_PLUS:
-        target, base, width = node.children
-        return f"{_expr(target)}[{_expr(base)} +: {_expr(width)}]"
-    if kind is _PART_SELECT_MINUS:
-        target, base, width = node.children
-        return f"{_expr(target)}[{_expr(base)} -: {_expr(width)}]"
+    op = _SELECT_TEXT.get(kind)
+    if op is not None:
+        target, first, second = node.children
+        if op != ":":  # an indexed part select
+            op = f" {op} "
+        return f"{_expr(target)}[{_expr(first)}{op}{_expr(second)}]"
     if kind is _FUNC_CALL:
         args = ", ".join(_expr(c) for c in node.children)
         return f"{_ident(node.name or '')}({args})"
@@ -173,14 +138,9 @@ def _decl(node: RawNode) -> str:
     A module item adds the ';'; a `#(...)` header or an ANSI port list
     joins its declarations with ', '.
     """
-    kind = node.kind
-    direction = _PORT_TEXT.get(kind)
-    if direction is not None:
-        words = [direction]
-        if "reg" in node.mods:
-            words.append("reg")
-    else:
-        words = [_DECL_TEXT[kind]]
+    words = [_DECL_TEXT[node.kind]]
+    if "reg" in node.mods and node.kind in _PORT_TEXT:
+        words.append("reg")
     if "signed" in node.mods:
         words.append("signed")
     kids = list(node.children)
@@ -200,10 +160,8 @@ def _sens(node: RawNode) -> str:
     for item in node.children:
         if item.kind is _STAR_SENSE:
             parts.append("*")
-        elif item.kind is _EDGE_POSEDGE:
-            parts.append("posedge " + _expr(item.children[0]))
-        elif item.kind is _EDGE_NEGEDGE:
-            parts.append("negedge " + _expr(item.children[0]))
+        elif item.kind in _EDGE_TEXT:
+            parts.append(_EDGE_TEXT[item.kind] + " " + _expr(item.children[0]))
         else:
             parts.append(_expr(item.children[0]))
     return "@(" + " or ".join(parts) + ")"
@@ -226,12 +184,9 @@ class _Emitter:
             for child in node.children:
                 self.stmt(child, indent + 1)
             self.line(indent, "end")
-        elif kind is _BLOCKING_ASSIGN:
+        elif kind in _ASSIGN_TEXT:
             lhs, rhs = node.children
-            self.line(indent, f"{_expr(lhs)} = {_expr(rhs)};")
-        elif kind is _NONBLOCKING_ASSIGN:
-            lhs, rhs = node.children
-            self.line(indent, f"{_expr(lhs)} <= {_expr(rhs)};")
+            self.line(indent, f"{_expr(lhs)} {_ASSIGN_TEXT[kind]} {_expr(rhs)};")
         elif kind is _IF_STMT:
             cond = node.children[0]
             self.line(indent, f"if ({_expr(cond)})")
@@ -265,7 +220,7 @@ class _Emitter:
 
     def item(self, node: RawNode, indent: int) -> None:
         kind = node.kind
-        if kind in _PORT_TEXT or kind in _DECL_TEXT:
+        if kind in _DECL_TEXT:
             self.line(indent, _decl(node) + ";")
         elif kind is _CONTINUOUS_ASSIGN:
             lhs, rhs = node.children
@@ -292,7 +247,7 @@ class _Emitter:
                 head += " automatic"
             if "signed" in node.mods:
                 head += " signed"
-            for word in ("integer", "real", "time"):
+            for word in _VAR_KIND:
                 if word in node.mods:
                     head += " " + word
             kids = list(node.children)
@@ -310,7 +265,7 @@ class _Emitter:
             self.line(indent, f"{head} {_ident(node.name or '')};")
             kids = list(node.children)
             body = None
-            if kids and kids[-1].kind not in _PORT_TEXT and kids[-1].kind not in _DECL_TEXT:
+            if kids and kids[-1].kind not in _DECL_TEXT:
                 body = kids.pop()
             for decl in kids:
                 self.item(decl, indent + 1)

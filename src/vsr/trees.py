@@ -27,7 +27,9 @@ class NodeKind(Enum):
     The string values are the names used by the canonical text form, so they
     are stable: adding a kind is a format extension, renaming one is a
     breaking change.  Operators get one kind each; port direction and case
-    flavor are part of the kind rather than node payload.
+    flavor are part of the kind rather than node payload.  A new keyword or
+    operator kind is its member here plus one entry in a `vsr.parser`
+    text -> kind table; the printer inverts those tables for its spellings.
     """
 
     # source structure
@@ -122,22 +124,6 @@ class NodeKind(Enum):
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in NodeKind}
-
-PORT_KINDS = frozenset(
-    {NodeKind.INPUT_PORT, NodeKind.OUTPUT_PORT, NodeKind.INOUT_PORT}
-)
-
-DECL_KINDS = frozenset(
-    {
-        NodeKind.WIRE_DECL,
-        NodeKind.REG_DECL,
-        NodeKind.INTEGER_DECL,
-        NodeKind.REAL_DECL,
-        NodeKind.TIME_DECL,
-        NodeKind.PARAM_DECL,
-        NodeKind.LOCAL_PARAM_DECL,
-    }
-)
 
 
 @dataclass(slots=True)

@@ -1,8 +1,9 @@
 import pytest
 
+from vsr import parser
 from vsr.parser import classify, parse_source
 from vsr.printer import PrintError, pretty_print
-from vsr.trees import NodeKind, RawNode, clean
+from vsr.trees import NodeKind, RawNode, clean, iter_tree
 
 
 def test_round_trip_preserves_cleaned_tree(golden_source):
@@ -98,3 +99,116 @@ def test_depth_guard():
     unit = RawNode(kind=NodeKind.SOURCE_UNIT, children=[mod])
     with pytest.raises(PrintError):
         pretty_print(unit)
+
+
+def _id(name):
+    return RawNode(NodeKind.ID, name=name)
+
+
+def _const(text):
+    return RawNode(NodeKind.CONST, value=text)
+
+
+def _assign_y(expr):
+    return RawNode(NodeKind.CONTINUOUS_ASSIGN, [_id("y"), expr])
+
+
+_NULL = RawNode(NodeKind.NULL_STMT)
+
+# Binary operator kind -> the text it prints as; XNOR has two spellings in
+# the parser and prints as the first.
+BINARY_SPELLING = {
+    NodeKind.LOGICAL_OR: "||", NodeKind.LOGICAL_AND: "&&", NodeKind.OR: "|",
+    NodeKind.XOR: "^", NodeKind.XNOR: "^~", NodeKind.AND: "&",
+    NodeKind.EQ: "==", NodeKind.NEQ: "!=", NodeKind.CASE_EQ: "===",
+    NodeKind.CASE_NEQ: "!==", NodeKind.LT: "<", NodeKind.LTE: "<=",
+    NodeKind.GT: ">", NodeKind.GTE: ">=", NodeKind.SHL: "<<",
+    NodeKind.SHR: ">>", NodeKind.ASHL: "<<<", NodeKind.ASHR: ">>>",
+    NodeKind.PLUS: "+", NodeKind.MINUS: "-", NodeKind.MUL: "*",
+    NodeKind.DIV: "/", NodeKind.MOD: "%", NodeKind.POW: "**",
+}
+# Reduction XNOR has two spellings too, and prints as `~^`.
+UNARY_SPELLING = {
+    NodeKind.NOT: "!", NodeKind.BIT_NOT: "~", NodeKind.UNARY_MINUS: "-",
+    NodeKind.UNARY_PLUS: "+", NodeKind.REDUCE_AND: "&", NodeKind.REDUCE_OR: "|",
+    NodeKind.REDUCE_XOR: "^", NodeKind.REDUCE_NAND: "~&",
+    NodeKind.REDUCE_NOR: "~|", NodeKind.REDUCE_XNOR: "~^",
+}
+DECL_SPELLING = {
+    NodeKind.PARAM_DECL: "parameter", NodeKind.LOCAL_PARAM_DECL: "localparam",
+    NodeKind.INPUT_PORT: "input", NodeKind.OUTPUT_PORT: "output",
+    NodeKind.INOUT_PORT: "inout", NodeKind.WIRE_DECL: "wire",
+    NodeKind.REG_DECL: "reg", NodeKind.INTEGER_DECL: "integer",
+    NodeKind.REAL_DECL: "real", NodeKind.TIME_DECL: "time",
+}
+_PARAMS = (NodeKind.PARAM_DECL, NodeKind.LOCAL_PARAM_DECL)
+
+
+def _table_spellings():
+    """(kind, module item of that kind, the item's exact printed lines)."""
+    for kind, op in BINARY_SPELLING.items():
+        yield kind, _assign_y(RawNode(kind, [_id("a"), _id("b")])), [f"assign y = (a {op} b);"]
+    for kind, op in UNARY_SPELLING.items():
+        yield kind, _assign_y(RawNode(kind, [_id("a")])), [f"assign y = ({op}a);"]
+    for kind, word in DECL_SPELLING.items():
+        init = [_const("1")] if kind in _PARAMS else []
+        tail = " = 1" if kind in _PARAMS else ""
+        yield kind, RawNode(kind, init, name="x"), [f"{word} x{tail};"]
+    for kind, text in (
+        (NodeKind.PART_SELECT, "v[a:b]"),
+        (NodeKind.PART_SELECT_PLUS, "v[a +: b]"),
+        (NodeKind.PART_SELECT_MINUS, "v[a -: b]"),
+    ):
+        select = RawNode(kind, [_id("v"), _id("a"), _id("b")])
+        yield kind, _assign_y(select), [f"assign y = {text};"]
+    for kind, op in ((NodeKind.BLOCKING_ASSIGN, "="), (NodeKind.NONBLOCKING_ASSIGN, "<=")):
+        stmt = RawNode(kind, [_id("a"), _id("b")])
+        yield kind, RawNode(NodeKind.INITIAL, [stmt]), ["initial", f"    a {op} b;"]
+    for kind, word in ((NodeKind.EDGE_POSEDGE, "posedge"), (NodeKind.EDGE_NEGEDGE, "negedge")):
+        sens = RawNode(NodeKind.SENS_LIST, [RawNode(kind, [_id("c")])])
+        yield kind, RawNode(NodeKind.ALWAYS, [sens, _NULL]), [f"always @({word} c)", "    ;"]
+    for kind, word in (
+        (NodeKind.CASE_STMT, "case"),
+        (NodeKind.CASEZ_STMT, "casez"),
+        (NodeKind.CASEX_STMT, "casex"),
+    ):
+        stmt = RawNode(kind, [_id("a"), RawNode(NodeKind.CASE_ITEM, [_NULL])])
+        lines = ["initial", f"    {word} (a)", "        default:", "            ;", "    endcase"]
+        yield kind, RawNode(NodeKind.INITIAL, [stmt]), lines
+
+
+SPELLINGS = list(_table_spellings())
+
+
+def test_every_parser_table_kind_has_a_pinned_spelling():
+    tables = (
+        parser._UNARY_KIND, parser._DECL_KIND, parser._CASE_KIND,
+        parser._ASSIGN_KIND, parser._EDGE_KIND, parser._SELECT_KIND, parser._VAR_KIND,
+    )
+    kinds = {kind for _, kind in parser._BINARY.values()}
+    kinds.update(kind for table in tables for kind in table.values())
+    assert kinds == {kind for kind, _, _ in SPELLINGS}
+
+
+@pytest.mark.parametrize(
+    ("kind", "item", "lines"), SPELLINGS, ids=[kind.value for kind, _, _ in SPELLINGS]
+)
+def test_table_spelling_exact_text_and_reparse(kind, item, lines):
+    module = RawNode(NodeKind.MODULE_DEF, [item], name="m")
+    printed = pretty_print(module)
+    assert printed == "module m;\n" + "".join(f"    {line}\n" for line in lines) + "endmodule\n"
+    validity = classify(printed)
+    assert validity.is_parsed, printed
+    assert kind in {node.kind for node in iter_tree(validity.ast)}
+    assert clean(validity.ast.children[0]) == clean(module)
+
+
+@pytest.mark.parametrize("word", ["integer", "real", "time"])
+def test_function_return_type_spelling(word):
+    body = RawNode(NodeKind.BLOCKING_ASSIGN, [_id("f"), _const("1")])
+    func = RawNode(NodeKind.FUNC_DECL, [body], name="f", mods=(word,))
+    printed = pretty_print(RawNode(NodeKind.MODULE_DEF, [func], name="m"))
+    assert printed == (
+        f"module m;\n    function {word} f;\n        f = 1;\n    endfunction\nendmodule\n"
+    )
+    assert classify(printed).ast.children[0].children[0].mods == (word,)

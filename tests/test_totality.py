@@ -137,7 +137,10 @@ def _library_calls(text: str, memo: dict):
     yield "curate", partial(curate, [CorpusRecord("r", "spec", text)])
     for kind in MutationKind:
         yield "mutate", partial(mutate, text, MutationSpec(kind, 1))
-    root = classify(text).ast
+    validity = classify(text)
+    # every non-parsed result names its one cause
+    assert validity.is_parsed or len(validity.diagnostics) == 1, validity
+    root = validity.ast
     if root is not None:
         # a module item is no printable root, so it must be a PrintError
         for node in (root, *root.children, *(m.children[0] for m in root.children if m.children)):
