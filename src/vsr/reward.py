@@ -29,7 +29,8 @@ In RL one reference is scored against a group of samples, so a reference
 can be prepared once per batch: the caller passes the same `memo` dict to
 every `reward` call of the batch, and each reference text is classified
 and cleaned on its first use only.  The memo belongs to the caller and
-lives as long as the caller keeps it; nothing is cached globally.
+lives as long as the caller keeps it; this module caches nothing.
+`vsr.service` keeps the entries of its batch memos across batches.
 
 Many samples of a group are the same code up to names and constants, which
 `clean` drops.  So with a memo, each prepared reference also keeps two

@@ -7,7 +7,9 @@ same response bytes whether it arrives on stdin or over HTTP:
          response per request per output line; a malformed line produces an
          error response with a null id, never a crash or exit.
   HTTP   POST /v1/reward (one request object), POST /v1/reward/batch
-         (array of request objects), GET /healthz.
+         (array of request objects), GET /healthz ({"status": "ok",
+         "version", "references": {"kept", "size", "hits", "misses"}};
+         see the reference store below).
 
 Request:  {"id": any, "ref": str, "gen": str, "mode": "ast" | "seq"}
           mode is optional and defaults to "ast".
@@ -24,11 +26,26 @@ cooperative: the scoring loops check the deadline as they go (see
 `evaluation exceeded N ms`; nothing keeps running afterwards.  A
 `timeout_ms` of 0 or less means no deadline.
 
-A batch (a stdio {"batch": [...]} line or a /v1/reward/batch body) gets a
-fresh reference memo (see `vsr.reward`), so each distinct reference in it is
-prepared once, and against it each sample shape is parsed once and each tree
-scored once per mode; an entry is dropped after the batch's last item using
-it.
+A batch (a stdio {"batch": [...]} line or a /v1/reward/batch body) scores
+through a reference memo (see `vsr.reward`), so each distinct reference in it
+is prepared once, and against it each sample shape is parsed once and each
+tree scored once per mode.  The memo's entries are kept across batches in
+one process-wide store of prepared references.  At a batch's start each of
+its distinct reference texts is taken out of the store when it is there;
+after the batch's last item using it, the entry goes back as the most
+recently used.  A later batch on that reference then starts from its tree,
+its table and the shapes and scores of its samples, with the same answers.
+No two threads hold one entry: a batch asking for a reference that another
+batch holds prepares its own, and the entry put back last is kept.  The
+store counts an entry's size in units of about 32 bytes: its interned
+nodes and the tokens of its memoized shapes, one unit per 32 characters of
+its text, and 32 more for its records.  Past `_STORE_BOUND` (2**19) units,
+about 15 MB of golden-sized references and at most about 29 MB of tiny
+ones, it drops its least recently used entries.  So a cycle of
+references larger than the store never hits in it, and then costs only the
+putting back.  Single requests take no memo, and neither read nor fill the
+store.  /healthz reports the store's entries (kept), its units (size), and
+how many references batches found there (hits) and did not (misses).
 
 HTTP framing.  The server is a `socketserver.ThreadingTCPServer`, one thread
 per connection, and the handler runs the HTTP/1.1 keep-alive loop itself;
@@ -63,12 +80,18 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING
 
 from vsr.deadline import DeadlineExceeded
-from vsr.reward import ReferenceParseError, ReferenceTooDeepError, reward
+from vsr.reward import (
+    PreparedReference,
+    ReferenceParseError,
+    ReferenceTooDeepError,
+    reward,
+)
 from vsr.similarity import DEFAULT_DEPTH_LIMIT
 
 if TYPE_CHECKING:
@@ -167,19 +190,88 @@ def _reference_text(item) -> str | None:
     return ref if isinstance(ref, str) else None
 
 
+# The most units (about 32 bytes each) the reference store keeps; see the
+# module doc and `_ReferenceStore.check_in`.
+_STORE_BOUND = 1 << 19
+
+
+class _ReferenceStore:
+    """Prepared references kept across batches, least recently used first.
+
+    Entries are checked out into a batch's memo and checked in after their
+    last use (see the module doc).  Each access is a few dict operations
+    under one lock, and no scoring runs under it; the hit and miss counters
+    count the references checked out.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: dict[str, tuple[PreparedReference, int]] = {}
+        self._size = 0
+        self._hits = self._misses = 0
+
+    def check_out(self, refs) -> dict[str, PreparedReference]:
+        """A batch memo holding the kept entries of `refs`, taken out."""
+        memo = {}
+        with self._lock:
+            for ref in refs:
+                kept = self._entries.pop(ref, None)
+                if kept is not None:
+                    memo[ref] = kept[0]
+                    self._size -= kept[1]
+                else:
+                    self._misses += 1
+            self._hits += len(memo)
+        return memo
+
+    def check_in(self, ref: str, prepared: PreparedReference) -> None:
+        """Keep `prepared` as the most recently used, within the bound."""
+        # A unit is about 32 bytes: so is an interned node or a shape token
+        # on average, an entry's records and dicts come to about 32 units,
+        # and its text to one unit per 32 characters.  Counting the last two
+        # keeps the bound on entries of tiny modules or mostly comments.
+        table, shapes = prepared.table, prepared.shapes
+        size = 32 + len(ref) // 32 + len(table) + sum(map(len, shapes))
+        entries = self._entries
+        with self._lock:
+            old = entries.pop(ref, None)
+            if old is not None:
+                self._size -= old[1]
+            entries[ref] = (prepared, size)
+            self._size += size
+            while self._size > _STORE_BOUND:
+                self._size -= entries.pop(next(iter(entries)))[1]
+
+    def counters(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "kept": len(self._entries),
+                "size": self._size,
+                "hits": self._hits,
+                "misses": self._misses,
+            }
+
+
+_REFERENCES = _ReferenceStore()
+
+
 def _evaluate_batch(items: list, config: ServiceConfig) -> list[dict]:
-    # One memo per batch, so each distinct reference is prepared once.  An
-    # entry is dropped after the last item that uses it: a prepared
+    # The batch's memo starts with the store's entries for its references,
+    # so each distinct reference is prepared at most once.  An entry goes
+    # back to the store after the last item that uses it: a prepared
     # reference is tens of times larger than its text, and a batch of
     # unique references must not hold them all at once.
     last_use = {_reference_text(item): i for i, item in enumerate(items)}
-    memo: dict = {}
+    store = _REFERENCES
+    memo = store.check_out(ref for ref in last_use if ref is not None)
     responses = []
     for i, item in enumerate(items):
         responses.append(_evaluate_with_timeout(item, config, memo))
         ref = _reference_text(item)
         if last_use[ref] == i:
-            memo.pop(ref, None)
+            prepared = memo.pop(ref, None)
+            if prepared is not None:
+                store.check_in(ref, prepared)
     return responses
 
 
@@ -364,7 +456,12 @@ class _RewardHandler:
             if path == "/healthz":
                 from vsr import __version__
 
-                return self._send(200, {"status": "ok", "version": __version__}, close)
+                health = {
+                    "status": "ok",
+                    "version": __version__,
+                    "references": _REFERENCES.counters(),
+                }
+                return self._send(200, health, close)
             return self._send(404, {"error": f"unknown path {path}"}, close)
         if method != b"POST":
             return self._refuse(501, f"unsupported method {method.decode('latin-1')}")

@@ -1,11 +1,25 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def empty_reference_store(monkeypatch):
+    """Each test starts with an empty reference store (see `vsr.service`).
+
+    The store lives as long as the module, so without this one test's
+    batches would warm the next.  A test that has not loaded the service
+    needs nothing, and this imports nothing.
+    """
+    service = sys.modules.get("vsr.service")
+    if service is not None:
+        monkeypatch.setattr(service, "_REFERENCES", service._ReferenceStore())
 
 
 def golden_paths() -> list[Path]:

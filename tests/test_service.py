@@ -3,8 +3,10 @@ import http.client
 import importlib
 import io
 import json
+import random
 import re
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -206,6 +208,28 @@ class TestStdio:
         assert statuses == ["parsed"] * 3 + ["reference_error"] + ["parsed"] * 2
         # REF is kept until its last use (item 2), then dropped
         assert held == [[], [REF], [REF, REF2], [REF2], [REF2], [REF2]]
+        # The same batch again starts from the stored entries: it prepares
+        # no reference and parses no shape, and it answers as before.
+        reward_module = importlib.import_module("vsr.reward")
+        prepared, parsed = [], []
+        real_prepare = reward_module._prepare_reference
+        real_parse = reward_module.classify_lists_into
+
+        def prepare_spy(ref, *args):
+            prepared.append(ref)
+            return real_prepare(ref, *args)
+
+        def parse_spy(*args, **kwargs):
+            parsed.append(args)
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(reward_module, "_prepare_reference", prepare_spy)
+        monkeypatch.setattr(reward_module, "classify_lists_into", parse_spy)
+        held.clear()
+        assert handle_line(json.dumps({"batch": batch})) == out
+        assert prepared == [] and parsed == []
+        both = [REF, REF2]
+        assert held == [both, both, both, [REF2], [REF2], [REF2]]
 
     def test_malformed_line_yields_error_response(self):
         # Nesting past the decoder's recursion limit is malformed too.
@@ -319,12 +343,32 @@ class TestHttp:
         assert (status, json.loads(payload)) == (200, [])
 
     def test_healthz(self, http_server):
-        with urllib.request.urlopen(http_server + "/healthz", timeout=10) as resp:
-            assert resp.status == 200
-            body = json.loads(resp.read())
+        def health():
+            with urllib.request.urlopen(http_server + "/healthz", timeout=10) as resp:
+                assert resp.status == 200
+                return json.loads(resp.read())
+
         from vsr import __version__
 
-        assert body == {"status": "ok", "version": __version__}
+        def expected(kept, size, hits, misses):
+            references = {"kept": kept, "size": size, "hits": hits, "misses": misses}
+            return {"status": "ok", "version": __version__, "references": references}
+
+        assert health() == expected(0, 0, 0, 0)
+        # Single requests leave the store alone; a batch checks out each of
+        # its distinct references once, the broken one too.
+        http_post(http_server, "/v1/reward", json.dumps({"ref": REF, "gen": GEN}).encode())
+        assert health() == expected(0, 0, 0, 0)
+        batch = [{"ref": ref, "gen": GEN} for ref in (REF, REF, REF2, BROKEN_REF)]
+        http_post(http_server, "/v1/reward/batch", json.dumps(batch).encode())
+        size = 0
+        for ref in (REF, REF2, BROKEN_REF):
+            memo: dict = {}
+            evaluate({"ref": ref, "gen": GEN}, memo=memo)
+            size += entry_size(ref, memo[ref])
+        assert health() == expected(3, size, 0, 3)
+        http_post(http_server, "/v1/reward/batch", json.dumps(batch).encode())
+        assert health() == expected(3, size, 3, 3)
 
     def test_malformed_json_is_400(self, http_server):
         status, payload = http_post(http_server, "/v1/reward", b"{oops")
@@ -709,3 +753,128 @@ class TestTimeout:
         }
         assert [json.dumps(r) for r in out[1:]] == singles[1:]
         assert json.loads(singles[1])["sim"] == 1.0
+
+
+def entry_size(ref: str, prepared) -> int:
+    """An entry's size in the reference store (see `vsr.service`)."""
+    return 32 + len(ref) // 32 + len(prepared.table) + sum(map(len, prepared.shapes))
+
+
+class TestReferenceStore:
+    def test_the_bound_drops_the_least_recently_used_first(self, monkeypatch):
+        service = importlib.import_module("vsr.service")
+        # Five references of one shape, so every entry has one size.
+        refs = dict(
+            (name, REF.replace("module m", f"module {name}")) for name in "ABCDE"
+        )
+
+        def batch(name):
+            ref = refs[name]
+            gens = [ref, GEN, REF2, "prose", "module m(input a endmodule"]
+            return [{"id": i, "ref": ref, "gen": gen} for i, gen in enumerate(gens)]
+
+        alone = {
+            name: [service.evaluate(item) for item in batch(name)] for name in refs
+        }
+        names = {ref: name for name, ref in refs.items()}
+        store = service._REFERENCES
+
+        def kept():
+            return [names[ref] for ref in store._entries]
+
+        def run(name):
+            assert handle_line(json.dumps({"batch": batch(name)})) == alone[name]
+            counters = store.counters()
+            entries = store._entries.items()
+            assert counters["size"] == sum(entry_size(r, p) for r, (p, _) in entries)
+            assert counters["size"] <= service._STORE_BOUND
+            return counters
+
+        handle_line(json.dumps({"ref": refs["A"], "gen": GEN}))  # single: no store
+        assert store.counters() == {"kept": 0, "size": 0, "hits": 0, "misses": 0}
+        size = run("A")["size"]
+        assert size == entry_size(refs["A"], store._entries[refs["A"]][0])
+        monkeypatch.setattr(service, "_STORE_BOUND", 3 * size)
+        for name in "BC":
+            run(name)
+        assert kept() == ["A", "B", "C"]
+        run("A")  # a hit makes A the most recently used
+        assert kept() == ["B", "C", "A"]
+        run("D")
+        assert kept() == ["C", "A", "D"]
+        # B was dropped: it misses, is prepared again, and answers as before
+        assert run("B") == {"kept": 3, "size": 3 * size, "hits": 1, "misses": 5}
+        assert kept() == ["A", "D", "B"]
+        # an entry larger than the whole store is not kept
+        monkeypatch.setattr(service, "_STORE_BOUND", size - 1)
+        assert run("E") == {"kept": 0, "size": 0, "hits": 1, "misses": 6}
+
+    def test_two_connections_on_one_reference_answer_serially(self):
+        service = importlib.import_module("vsr.service")
+        batch = mixed_batch()
+        ref = batch[0]["ref"]
+        body = json.dumps([item for item in batch if item["ref"] == ref]).encode()
+        serial = json.dumps([service.evaluate(item) for item in json.loads(body)])
+        rounds = 12
+
+        def client(port, out):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                for _ in range(rounds):
+                    conn.request("POST", "/v1/reward/batch", body)
+                    resp = conn.getresponse()
+                    out.append((resp.status, resp.read().decode()))
+            finally:
+                conn.close()
+
+        results: list[list] = [[], []]
+        with serving() as port:
+            threads = [
+                threading.Thread(target=client, args=(port, out)) for out in results
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert results == [[(200, serial)] * rounds] * 2
+        counters = service._REFERENCES.counters()
+        assert list(service._REFERENCES._entries) == [ref]
+        assert counters["kept"] == 1 and counters["hits"] + counters["misses"] == 2 * rounds
+
+    def test_concurrent_check_outs_and_check_ins_lose_no_update(self, monkeypatch):
+        service = importlib.import_module("vsr.service")
+        texts = [REF.replace("module m", f"module r{i}") for i in range(6)]
+        prepared = {}
+        for ref in texts:
+            memo: dict = {}
+            reward(GEN, ref, memo=memo)
+            prepared[ref] = memo[ref]
+        size = entry_size(texts[0], prepared[texts[0]])
+        monkeypatch.setattr(service, "_STORE_BOUND", 4 * size)
+        store = service._REFERENCES
+        workers, steps = 6, 1500
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(steps):
+                picks = rng.sample(texts, 2)
+                memo = store.check_out(picks)
+                for ref in picks:
+                    store.check_in(ref, memo.get(ref, prepared[ref]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        counters = store.counters()
+        assert counters["hits"] + counters["misses"] == workers * steps * 2
+        assert counters["kept"] == len(store._entries) == 4
+        assert counters["size"] == sum(s for _, s in store._entries.values()) == 4 * size

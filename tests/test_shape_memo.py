@@ -226,6 +226,11 @@ class TestBatches:
                             pass
             expected += shapes
         assert sorted(parsed) == sorted(expected)
+        # The store now holds each reference with its samples' shapes, so
+        # the same batch again parses nothing and answers byte for byte.
+        parsed.clear()
+        assert json.dumps(_evaluate_batch(items, config)) == json.dumps(alone)
+        assert parsed == []
 
     def test_a_shape_too_deep_under_one_limit_is_scored_under_another(self):
         ref = "module m(input a, output y);\n  assign y = a;\nendmodule\n"
@@ -308,3 +313,55 @@ class TestBatches:
         got = reward(other, ref, memo=memo)
         assert got == reward(other, ref) and got == reward(other, ref, memo={})
         assert got.status is ValidityStatus.PARSED
+
+    def test_a_batch_after_one_stopped_by_the_deadline_answers_as_fresh(
+        self, monkeypatch
+    ):
+        # The memo deadline test above, through the reference store: a batch
+        # whose one item is stopped two slices into its parse leaves that
+        # parse's finished nodes in the stored table, and the same batch
+        # again, with no deadline, answers as each item with no memo.
+        parser = importlib.import_module("vsr.parser")
+        service = importlib.import_module("vsr.service")
+        ref = wide_module(200)
+        chains = (" + ".join(["a"] * n) for n in range(1, 150))
+        stopped = "module t(input a, output y);\n" + "".join(
+            f"  assign y = {chain};\n" for chain in chains
+        ) + "endmodule\n"
+        gens = [ref, wide_module(1500, name="other"), stopped, PROSE, _renamed_module(ref, 1)]
+        items = [{"id": i, "ref": ref, "gen": gen} for i, gen in enumerate(gens)]
+        items.append({"id": "seq", "ref": ref, "gen": gens[1], "mode": "seq"})
+        fresh = [evaluate(item) for item in items]
+        slices = -(-len(scan(stopped)[0]) // parser.CHECK_EVERY) + 2
+        real_evaluate = service.evaluate
+
+        def stop_mid_parse(request, **kwargs):
+            if request["gen"] != stopped:
+                return real_evaluate(request, **kwargs)
+            calls = []
+
+            def late(deadline):
+                calls.append(deadline)
+                if len(calls) > slices:
+                    raise DeadlineExceeded("deadline passed")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(parser, "check", late)
+                return real_evaluate(request, **kwargs)
+
+        monkeypatch.setattr(service, "evaluate", stop_mid_parse)
+        first = _evaluate_batch(items, ServiceConfig())
+        assert first[2]["error"] == "evaluation exceeded 5000 ms"
+        assert [a for i, a in enumerate(first) if i != 2] == fresh[:2] + fresh[3:]
+        ((entry, _),) = service._REFERENCES._entries.values()
+        built = len(entry.table)
+        memo: dict = {}
+        for item in items[:2] + items[3:]:
+            evaluate(item, memo=memo)
+        assert built > len(memo[ref].table)  # the stopped parse left nodes
+        assert key(stopped) not in entry.shapes
+        monkeypatch.setattr(service, "evaluate", real_evaluate)
+        again = _evaluate_batch(items, ServiceConfig(timeout_ms=0))
+        assert json.dumps(again) == json.dumps(fresh)
+        assert again[2]["status"] == "parsed"
+        assert service._REFERENCES._entries[ref][0] is entry
