@@ -5,17 +5,20 @@ kept as `directive` tokens so later stages can drop them without losing
 span bookkeeping.  Token spans are (start, end) offsets into the source
 string; every token's text is exactly `source[start:end]`.
 
-`scan` is the tokenizer.  It fills parallel lists of token texts and kinds,
-and of spans when the caller needs them; `lex` builds its Token list from
-those lists, and the parser reads them as they are.  Two paths share the
-work, and give the same tokens and errors:
+`scan` is the tokenizer.  It fills a list of token texts, and a parallel
+list of spans when the caller needs them; neither of its paths records a
+kind.  A token's kind is decided in one place, `kinds_of`, from its text
+alone: the kind of its first character, except that a word in the keyword
+set is a keyword.  That is exact because each lexeme class starts with
+characters of its own (see `vsr.parser`).  `lex` builds its Token list from
+those lists, and the parser reads the texts and the kinds `kinds_of` gives.
+Two paths share the scan, and give the same tokens and errors:
 
 - The bulk scan reads runs of whole lines, about 16 KiB each, with one
   `re.findall` per run, so a common lexeme costs no Python bytecode of its
   own.  It finds keywords, identifiers (plain, system and escaped),
   numbers, operators, punctuation and one-line strings, and skips blanks,
-  line comments and one-line block comments.  A lexeme's kind is read off
-  its first character, and for a word off the keyword set.
+  line comments and one-line block comments.
 - The per-match path takes one master-pattern match per token.  It lexes
   what the bulk scan leaves: directives (a backtick's whole-line rule
   needs the line), block comments and strings that span lines, malformed
@@ -125,10 +128,6 @@ _PUNCT_RE = r"[()\[\]{};,.:#@]"
 # together with the rest of the run, which ends in a newline, so it is the
 # only text that holds one: the run stops there and the per-match path
 # takes over at that character.
-#
-# A lexeme's kind follows from its first character, and for a word from
-# the keyword set: each lexeme class starts with characters of its own (see
-# `vsr.parser`).
 _SKIP = r"[ \t\r\f\v\n]*+(?:(?://[^\n]*|/\*[^\n]*?\*/)[ \t\r\f\v\n]*+)*+"
 _LEXEME = (
     rf"{_ID_RE.pattern}|{_PUNCT_RE}|{_OPERATOR_RE}|(?=[0-9'])(?:{_NUMBER})|{_SYS_ID}"
@@ -148,13 +147,17 @@ _RUN = 16384
 _DENSE = 64
 _LINE_BLANKS = " \t\r\f\v\n"
 
-_FIRST_KIND = {
+# The kind of a token by its first character; a word in the keyword set
+# is a keyword instead.  `kinds_of` and `vsr.parser.shape` read kinds off
+# this table and the keyword set, and nothing else decides one.
+FIRST_KIND = {
     **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", TokenKind.IDENTIFIER),
     **dict.fromkeys("abcdefghijklmnopqrstuvwxyz_$\\", TokenKind.IDENTIFIER),
     **dict.fromkeys("0123456789'", TokenKind.NUMBER),
     **dict.fromkeys("-+*%&|^~!<>=?/", TokenKind.OPERATOR),
     **dict.fromkeys("()[]{};,.:#@", TokenKind.PUNCTUATION),
     '"': TokenKind.STRING,
+    "`": TokenKind.DIRECTIVE,
 }
 _KEYWORD_KIND = dict.fromkeys(KEYWORDS, TokenKind.KEYWORD)
 # Every text a keyword, operator or punctuation token can have, each mapped
@@ -165,7 +168,7 @@ FIXED_TEXTS = {
     for text in (
         *KEYWORDS,
         *_OPERATORS,
-        *(c for c, kind in _FIRST_KIND.items()
+        *(c for c, kind in FIRST_KIND.items()
           if kind is TokenKind.OPERATOR or kind is TokenKind.PUNCTUATION),
     )
 }
@@ -174,34 +177,26 @@ _second = itemgetter(1)
 
 # ---- The per-match path ----
 #
-# One master pattern for the common lexemes (the tokenizer recipe from the
-# `re` module docs); its group number is the lexeme class.  Each match takes
-# the blank run before its lexeme too, so the scan makes one match per token
-# rather than one more per blank run; token text and span are read from the
-# lexeme's group.  A number must start with an ASCII digit or a quote, as
-# `\d` alone would admit other scripts' digits.  The last group takes any
-# other character, which starts a lexeme `_lex_rare` handles: block comment,
-# directive, string, escaped or system identifier, or an error.  A line
-# comment, and the end of the text after trailing blanks, match no group.
-# Every match but the one at the end consumes at least one character, so
-# scanning never stalls.
-_WORD, _NUMBER_GROUP, _OPERATOR, _PUNCT, _RARE = range(1, 6)
+# One master pattern (the tokenizer recipe from the `re` module docs).  Each
+# match takes the blank run before its lexeme too, so the scan makes one
+# match per token rather than one more per blank run.  The first group
+# takes a common lexeme: a word, a number, an operator or punctuation, in
+# that order; token text and span are read from it.  A number must start
+# with an ASCII digit or a quote, as `\d` alone would admit other scripts'
+# digits.  The second group takes any other character, which starts a
+# lexeme `_lex_rare` handles: block comment, directive, string, escaped or
+# system identifier, or an error.  A line comment, and the end of the text
+# after trailing blanks, match no group.  Every match but the one at the
+# end consumes at least one character, so scanning never stalls.
+_COMMON, _RARE = 1, 2
 _MASTER_RE = re.compile(
     r"[ \t\r\f\v\n]*(?:"
     r"//[^\n]*"
-    rf"|({_ID_RE.pattern})"
-    rf"|(?=[0-9'])({_NUMBER})"
-    rf"|({_OPERATOR_RE})"
-    rf"|({_PUNCT_RE})"
+    rf"|({_ID_RE.pattern}|(?=[0-9'])(?:{_NUMBER})|{_OPERATOR_RE}|{_PUNCT_RE})"
     r"|(.)"
     r"|\Z)",
     re.DOTALL,
 )
-_KIND_OF_GROUP = {
-    _NUMBER_GROUP: TokenKind.NUMBER,
-    _OPERATOR: TokenKind.OPERATOR,
-    _PUNCT: TokenKind.PUNCTUATION,
-}
 # A string literal's run up to its next quote, backslash or newline, and an
 # escaped identifier's run up to the next whitespace (`\s` matches exactly
 # the characters for which `str.isspace()` is true).
@@ -222,23 +217,37 @@ def lex(source: str, *, deadline: float | None = None) -> list[Token]:
     also a directive token.  Raises DeadlineExceeded once `deadline` (a
     `time.monotonic()` value) has passed; see `vsr.deadline`.
     """
-    texts, kinds, spans = scan(source, deadline, spans=True)
-    return list(map(_new_token, zip(kinds, texts, spans)))
+    texts, spans = scan(source, deadline, spans=True)
+    return list(map(_new_token, zip(kinds_of(texts, deadline), texts, spans)))
+
+
+def kinds_of(texts: list[str], deadline: float | None = None) -> list[TokenKind]:
+    """The kind of each token text of `scan`, by the one rule for a kind.
+
+    A token's kind is its first character's in `FIRST_KIND`, except that a
+    word in the keyword set is a keyword.  The texts are read in slices of
+    CHECK_EVERY, and the deadline is checked after each.
+    """
+    kinds: list[TokenKind] = []
+    for lo in range(0, len(texts), CHECK_EVERY):
+        part = texts[lo : lo + CHECK_EVERY]
+        kinds += map(_KEYWORD_KIND.get, part, map(FIRST_KIND.__getitem__, map(_first, part)))
+        check(deadline)
+    return kinds
 
 
 def scan(
     source: str, deadline: float | None = None, *, spans: bool = False
-) -> tuple[list[str], list[TokenKind], list[tuple[int, int]] | None]:
-    """Tokenize `source` into parallel lists: texts, kinds and spans.
+) -> tuple[list[str], list[tuple[int, int]] | None]:
+    """Tokenize `source` into parallel lists: texts and spans.
 
-    The tokens are those of `lex`, and so are the errors and the spans.
-    The spans are computed only when `spans` is true and are None
-    otherwise.  Runs of whole lines go to the bulk scan and the rest to the
-    per-match path (see the comments above); the deadline is checked after
-    each run and as the per-match path goes.
+    The tokens are those of `lex`, and so are the errors and the spans;
+    `kinds_of` gives their kinds.  The spans are computed only when `spans`
+    is true and are None otherwise.  Runs of whole lines go to the bulk
+    scan and the rest to the per-match path (see the comments above); the
+    deadline is checked after each run and as the per-match path goes.
     """
     texts: list[str] = []
-    kinds: list[TokenKind] = []
     found_spans: list[tuple[int, int]] | None = [] if spans else None
     n = len(source)
     pos = 0
@@ -249,15 +258,15 @@ def scan(
             back = source.rfind("\n", pos, pos + _RUN)
             if back < 0:
                 # The line at `pos` is longer than a run.
-                pos = _lex_slow(source, pos, pos, texts, kinds, found_spans, deadline)
+                pos = _lex_slow(source, pos, pos, texts, found_spans, deadline)
                 continue
             end = back + 1  # the run stops before the long line
-        pos = _lex_bulk(source, pos, end, texts, kinds, found_spans, deadline)
+        pos = _lex_bulk(source, pos, end, texts, found_spans, deadline)
         check(deadline)
-    return texts, kinds, found_spans
+    return texts, found_spans
 
 
-def _lex_bulk(source, pos, end, texts, kinds, spans, deadline) -> int:
+def _lex_bulk(source, pos, end, texts, spans, deadline) -> int:
     """Lex `source[pos:end]` in one findall; return where lexing stands.
 
     That is `end`, unless the run held a lexeme the bulk scan leaves to the
@@ -276,7 +285,6 @@ def _lex_bulk(source, pos, end, texts, kinds, spans, deadline) -> int:
         found.pop()  # the match at the end of the run
     rest = found.pop() if found and found[-1][-1] == "\n" else ""
     texts += found
-    kinds += map(_KEYWORD_KIND.get, found, map(_FIRST_KIND.__getitem__, map(_first, found)))
     if spans is not None:
         # Each match is its skip and its lexeme, so its lexeme ends where it
         # does; `map` stops with `found`.
@@ -292,7 +300,7 @@ def _lex_bulk(source, pos, end, texts, kinds, spans, deadline) -> int:
     # reads them.
     at = base + hi - len(rest)
     first = pos + len(source[pos:at].rstrip(_LINE_BLANKS))
-    return _lex_slow(source, first, at, texts, kinds, spans, deadline)
+    return _lex_slow(source, first, at, texts, spans, deadline)
 
 
 def _line_end(source: str, at: int) -> int:
@@ -301,7 +309,7 @@ def _line_end(source: str, at: int) -> int:
     return len(source) if nl < 0 else nl + 1
 
 
-def _lex_slow(source, pos, past, texts, kinds, spans, deadline) -> int:
+def _lex_slow(source, pos, past, texts, spans, deadline) -> int:
     """Lex from `pos` one master match at a time, to the end of a line.
 
     That is the line that holds offset `past`, or a later one: a rare
@@ -312,12 +320,9 @@ def _lex_slow(source, pos, past, texts, kinds, spans, deadline) -> int:
     slices of CHECK_EVERY matches, and the deadline is checked between
     slices and after each rare lexeme, at no cost per lexeme.
     """
-    add_text, add_kind = texts.append, kinds.append
+    add_text = texts.append
     add_span = None if spans is None else spans.append
     scan = _MASTER_RE.finditer
-    keywords = KEYWORDS
-    kind_of_group = _KIND_OF_GROUP
-    identifier, keyword = TokenKind.IDENTIFIER, TokenKind.KEYWORD
     # The scan ends at a line end, and no common lexeme holds a newline, so
     # it cuts none; `_lex_rare` reads past it on its own.
     stop = _line_end(source, past)
@@ -325,31 +330,25 @@ def _lex_slow(source, pos, past, texts, kinds, spans, deadline) -> int:
     while True:
         for m in islice(matches, CHECK_EVERY):
             group = m.lastindex
-            if group == _WORD:
-                text = m[group]
-                add_text(text)
-                add_kind(keyword if text in keywords else identifier)
+            if group == _COMMON:
+                add_text(m[_COMMON])
+                if add_span is not None:
+                    add_span(m.span(_COMMON))
             elif group is None:  # a line comment, or the end of the scan
                 if m.end() == stop:
                     return stop
-                continue
-            elif group != _RARE:
-                add_text(m[group])
-                add_kind(kind_of_group[group])
             else:
-                pos = _lex_rare(source, m, texts, kinds, spans, deadline)
+                pos = _lex_rare(source, m, texts, spans, deadline)
                 if pos + _DENSE >= stop:
                     stop = _line_end(source, pos + 2 * _DENSE)
                 check(deadline)
                 matches = scan(source, pos, stop)
                 break
-            if add_span is not None:
-                add_span(m.span(group))
         else:
             check(deadline)
 
 
-def _lex_rare(source: str, m: re.Match, texts, kinds, spans, deadline) -> int:
+def _lex_rare(source: str, m: re.Match, texts, spans, deadline) -> int:
     """Lex the lexeme that starts at the rare group of master match `m`.
 
     Appends its token to the lists, if it makes one, and returns the offset
@@ -387,7 +386,6 @@ def _lex_rare(source: str, m: re.Match, texts, kinds, spans, deadline) -> int:
             if name is None:
                 raise LexError("stray backtick", (i, i + 1))
             end = name.end()
-        kind = TokenKind.DIRECTIVE
     elif ch == '"':
         run = _STRING_RUN_RE.match
         steps = CHECK_EVERY
@@ -407,13 +405,11 @@ def _lex_rare(source: str, m: re.Match, texts, kinds, spans, deadline) -> int:
                 check(deadline)
                 steps = CHECK_EVERY
             end = run(source, end + 2).end()
-        kind = TokenKind.STRING
     elif ch == "\\":
         # escaped identifier: backslash through the next whitespace
         end = _ESCAPED_RUN_RE.match(source, i + 1).end()
         if end == i + 1:
             raise LexError("empty escaped identifier", (i, i + 1))
-        kind = TokenKind.IDENTIFIER
     elif ch == "'":  # a quote the number pattern rejected
         raise LexError("malformed number literal", (i, i + 1))
     elif ch == "$":
@@ -423,11 +419,9 @@ def _lex_rare(source: str, m: re.Match, texts, kinds, spans, deadline) -> int:
         if name is None:
             raise LexError("stray '$'", (i, i + 1))
         end = name.end()
-        kind = TokenKind.IDENTIFIER
     else:
         raise LexError(f"illegal character {ch!r}", (i, i + 1))
     texts.append(source[i:end])
-    kinds.append(kind)
     if spans is not None:
         spans.append((i, end))
     return end

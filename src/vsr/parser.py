@@ -34,18 +34,20 @@ The nesting cap counts one level per `_expr` and per unary operator, and
 same with and without the fast path.
 
 The parser reads parallel lists, not Token objects: the texts and kinds of
-the tokens, and their start and end offsets when it builds spans.  Tokens
-are tested by their text alone, never by text and kind.  That is exact
-because the lexer never gives one text two kinds: keywords, operators and
-punctuation are disjoint sets; a word lexes as a keyword exactly when it is
-in the keyword set; and escaped identifiers start with `\\`, system
-identifiers with `$`, strings with `"`, numbers with a digit or `'`, and
-directives (which the parser drops first) with a backtick, none of which
-starts a keyword, operator or punctuation text.  Kind tests remain only
-where any token of a kind will do: identifiers, constants and the
-unsupported-keyword errors.  The hot routines test `self._texts[self._pos]`
-inline rather than through `_at`; two end tokens with empty text close the
-lists, so that look-up never runs off their end.  Every token is still
+the tokens, and their spans when it builds RawNodes.  Tokens are tested by
+their text alone, never by text and kind.  That is exact because a kind is
+a function of the text: `vsr.lexer.kinds_of` is the one rule, the kind of
+the first character, except that a word in the keyword set is a keyword.
+Under it no keyword, operator or punctuation text has another kind:
+keywords, operators and punctuation are disjoint sets, and escaped
+identifiers start with `\\`, system identifiers with `$`, strings with
+`"`, numbers with a digit or `'`, and directives (which the parser drops
+first) with a backtick, none of which starts a keyword, operator or
+punctuation text.  Kind tests remain only where any token of a kind will
+do: identifiers, constants and the unsupported-keyword errors.  The hot
+routines test `self._texts[self._pos]` inline rather than through `_at`;
+two end tokens with empty text close the lists, so that look-up never runs
+off their end.  Every token is still
 consumed through `_advance` or `_expect`, which check the deadline by
 position; a routine whose caller has already looked at its first token
 consumes that token with `_advance`.
@@ -75,11 +77,11 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from operator import attrgetter, is_not, itemgetter
+from operator import is_not, itemgetter
 from typing import NoReturn
 
-from vsr.deadline import CHECK_EVERY, check
-from vsr.lexer import FIXED_TEXTS, LexError, Token, TokenKind, scan
+from vsr.deadline import CHECK_EVERY, DeadlineExceeded, check
+from vsr.lexer import FIRST_KIND, FIXED_TEXTS, LexError, Token, TokenKind, kinds_of, scan
 # `lex` is unused here, but the benchmark tracer rebinds vsr.parser.lex.
 from vsr.lexer import lex  # noqa: F401
 from vsr.trees import CleanNode, NodeKind, RawNode, clone_raw
@@ -256,10 +258,11 @@ _TASK_DECL = NodeKind.TASK_DECL
 _TERNARY = NodeKind.TERNARY
 _WIDTH = NodeKind.WIDTH
 
-# Field readers for tokens.
+# Field readers for tokens, and a text's first character.
 _KIND, _TEXT, _SPAN = itemgetter(0), itemgetter(1), itemgetter(2)
-# A token kind's value, read without the Python-level `Enum.value` property.
-_KIND_VALUE = attrgetter("_value_")
+_FIRST_CHAR = itemgetter(0)
+# The value of a first character's kind, as `shape` masks a text.
+_FIRST_VALUE = {c: kind.value for c, kind in FIRST_KIND.items()}
 
 
 class Parser:
@@ -1056,7 +1059,8 @@ def parse(tokens: list[Token], *, deadline: float | None = None) -> RawNode:
 
 def parse_source(text: str) -> RawNode:
     """Lex and parse `text`; raises LexError or ParseError."""
-    return _parse_lists(*scan(text, spans=True), None)
+    texts, spans = scan(text, spans=True)
+    return _parse_lists(texts, kinds_of(texts), spans, None)
 
 
 def _looks_like_code(texts: list[str]) -> bool:
@@ -1087,7 +1091,7 @@ def classify(source: str, *, deadline: float | None = None) -> Validity:
     and is no verdict on the text.
     """
     try:
-        texts, kinds, spans = scan(source, deadline, spans=True)
+        texts, spans = scan(source, deadline, spans=True)
     except LexError as exc:
         diag = Diagnostic("error", str(exc), exc.span)
         return Validity(ValidityStatus.NOT_CODE, None, (diag,))
@@ -1097,7 +1101,7 @@ def classify(source: str, *, deadline: float | None = None) -> Validity:
         )
         return Validity(ValidityStatus.NOT_CODE, None, (diag,))
     try:
-        ast = _parse_lists(texts, kinds, spans, deadline)
+        ast = _parse_lists(texts, kinds_of(texts, deadline), spans, deadline)
     except ParseError as exc:
         diag = Diagnostic("error", str(exc), exc.span)
         return Validity(ValidityStatus.PARSE_FAIL, None, (diag,))
@@ -1108,45 +1112,57 @@ def classify(source: str, *, deadline: float | None = None) -> Validity:
 
 
 def classify_lists_into(
-    texts: list[str], kinds: list[TokenKind], table: dict, *, deadline: float | None = None
+    texts: list[str], table: dict, *, deadline: float | None = None
 ) -> tuple[ValidityStatus, CleanNode | None]:
-    """`classify` for scoring, on a text that has lexed: `scan`'s texts and kinds.
+    """`classify` for scoring, on a text that has lexed: `scan`'s texts.
 
     Gives the status, and the cleaned tree when parsed.  The tree is built
     straight into `table` as `clean(classify(source).ast, table)` would
     intern it, and is that very object; no token, span, RawNode or
-    diagnostic is made.  A failed parse may leave nodes in the table.  The
-    lists are consumed.  The result is a function of `shape(texts, kinds)`
-    and the table alone (see `shape`).  Raises DeadlineExceeded as
-    `classify` does.
+    diagnostic is made.  A parse that fails or is stopped leaves the table
+    exactly as it was: the interner only adds keys, and `dict.popitem`
+    takes the newest first, so popping as many keys as the parse added
+    removes just those, each of which names only nodes the parse built.
+    No other parse may use the table meanwhile.  The list is consumed.  The
+    result is a function of `shape(texts)` and the table alone (see
+    `shape`).  Raises DeadlineExceeded as `classify` does.
     """
     if not _looks_like_code(texts):
         return ValidityStatus.NOT_CODE, None
+    kinds = kinds_of(texts, deadline)
+    texts, kinds = _drop_directives(kinds, [texts, kinds], deadline)
+    size = len(table)
     try:
-        texts, kinds = _drop_directives(kinds, [texts, kinds], deadline)
         tree = _Interner(texts, kinds, table, deadline).parse_source_unit()
-    except (ParseError, RecursionError):
+    except (ParseError, RecursionError, DeadlineExceeded) as exc:
+        for _ in range(len(table) - size):
+            table.popitem()
+        if isinstance(exc, DeadlineExceeded):
+            raise
         return ValidityStatus.PARSE_FAIL, None
     return ValidityStatus.PARSED, tree
 
 
-def shape(texts: list[str], kinds: list[TokenKind]) -> tuple:
+def shape(texts: list[str]) -> tuple:
     """The shape of a token list: its texts, names and literals replaced by kinds.
 
     Each identifier, number, string and directive text becomes its kind's
     value, and each keyword, operator and punctuation text stays, as its
     shared copy in `FIXED_TEXTS`; so a shape holds one pointer per token
-    and nothing of its own.  No kind's value is a fixed text, so a shape
-    still tells every token's kind, and the text of each token that has
-    one of those kinds.
+    and nothing of its own.  A text that is not fixed is no keyword, so
+    its kind is its first character's (see `vsr.lexer.kinds_of`), and that
+    is the value read off it here; no kinds list is built.  No kind's value
+    is a fixed text, so a shape still tells every token's kind, and the
+    text of each token that has one of those kinds.
 
     Two token lists of one shape give the same status and, when parsed,
     equal trees, whatever tables they are classified into; into one table,
-    which keeps every key it is given, the second finds the first's tree
-    itself.  The grammar tests a token by its kind, or by its text only
+    which keeps every key of a tree parsed into it, the second finds the
+    first's tree itself.  The grammar tests a token by its kind, or by its text only
     where that text is a keyword, operator or punctuation (see the module
     docstring); `_looks_like_code` tests keywords alone; directives are
     dropped by kind; and the interner keeps no name or value.  So both make
     the same builder calls, each keyed on the same kind and children.
     """
-    return tuple(map(FIXED_TEXTS.get, texts, map(_KIND_VALUE, kinds)))
+    values = map(_FIRST_VALUE.__getitem__, map(_FIRST_CHAR, texts))
+    return tuple(map(FIXED_TEXTS.get, texts, values))

@@ -39,8 +39,9 @@ shape (`vsr.parser.shape`: its tokens with each name, number, string and
 directive text replaced by its kind) to its status and tree, and `sims`
 maps a tree and a mode to its similarity.  The reference's own shape is
 entered when it is prepared.  A sample whose shape is there is lexed but
-not parsed, and one whose tree was already scored in its mode is not
-scored again.  Without a memo no shape is computed.
+not parsed: it runs only `scan` and `shape`, and no token kind is derived
+for it.  One whose tree was already scored in its mode is not scored
+again.  Without a memo no shape is computed.
 
 A sample whose text equals its reference text is a copy.  Once the
 reference's checks have passed, a copy returns status `parsed`, sim 1.0 and
@@ -54,9 +55,11 @@ scores that tree.
    whatever table they are parsed into (see `vsr.parser.shape`).  So a
    shape hit's status and tree equal the full path's, and since depth is
    structural, so does the outcome of every depth check.
-2. T never drops a key, so the reference's shape parsed into T finds the
-   reference's root.  A copy has that shape, so it parses, and it is
-   exactly as deep as the reference, which has passed its check.
+2. T never drops a key that a kept tree uses: only a parse that fails or
+   is stopped drops keys, and only those it added itself.  So the
+   reference's shape parsed into T finds the reference's root.  A copy
+   has that shape, so it parses, and it is exactly as deep as the
+   reference, which has passed its check.
 3. `sim_ast` and `sim_ast_seq` are functions of the two trees' structure:
    sharing is only a shortcut (see `vsr.similarity`), and the depth limit
    only bounds what they accept.  So the sim of an equal tree, and the sim
@@ -65,18 +68,18 @@ scores that tree.
 
 The depth checks read the tree's depth at every call, hit or not, so one
 shape can be scored under one limit and too deep under another.  `sims` is
-keyed on a tree's id: T holds every tree, so no id is reused while the
-entry lives.
+keyed on a tree's id: T holds every tree that parsed into it, so no id is
+reused while the entry lives.
 
 A `deadline` (see `vsr.deadline`) reaches every long loop of the pipeline:
 lex, parse, clean and similarity.  Once it has passed, the loop running
 at the time raises DeadlineExceeded and `reward` stops.  The memos only
 ever receive finished results: a PreparedReference, a status and tree, a
 sim.  So work that was stopped leaves no entry and is done anew on its next
-use.  A parse that fails or is stopped can leave nodes in T, but each is
-finished and keyed by its structure, so it changes no later result.  A copy
-or a shape hit runs no parse loop, but checks the deadline once, as the
-parse would have.
+use.  A parse that fails or is stopped leaves T exactly as it was (see
+`vsr.parser.classify_lists_into`), so it keeps no node and changes no
+later result.  A copy or a shape hit runs no parse loop, but checks the
+deadline once, as the parse would have.
 """
 
 from __future__ import annotations
@@ -160,15 +163,15 @@ def _classify(text: str, table: dict, shapes: dict | None, deadline: float | Non
     other is parsed and its result entered (see the module doc).
     """
     try:
-        texts, kinds, _ = scan(text, deadline)
+        texts, _ = scan(text, deadline)
     except LexError:
         return ValidityStatus.NOT_CODE, None
     if shapes is None:
-        return classify_lists_into(texts, kinds, table, deadline=deadline)
-    key = shape(texts, kinds)
+        return classify_lists_into(texts, table, deadline=deadline)
+    key = shape(texts)
     found = shapes.get(key)
     if found is None:
-        found = shapes[key] = classify_lists_into(texts, kinds, table, deadline=deadline)
+        found = shapes[key] = classify_lists_into(texts, table, deadline=deadline)
     else:
         check(deadline)
     return found

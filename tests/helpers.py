@@ -81,10 +81,10 @@ def classify_text(text: str, table: dict):
     lists, and `not_code` for a text that does not lex, as `vsr.reward`
     runs it."""
     try:
-        texts, kinds, _ = scan(text)
+        texts, _ = scan(text)
     except LexError:
         return ValidityStatus.NOT_CODE, None
-    return classify_lists_into(texts, kinds, table)
+    return classify_lists_into(texts, table)
 
 
 def wide_module(assign_count: int, name: str = "gen_block") -> str:

@@ -9,7 +9,7 @@ import pytest
 from helpers import wide_module
 import vsr.lexer
 from vsr.deadline import CHECK_EVERY, DeadlineExceeded
-from vsr.lexer import LexError, TokenKind, lex
+from vsr.lexer import LexError, TokenKind, kinds_of, lex
 from vsr.parser import classify, parse
 from vsr.reward import reward
 from vsr.similarity import _INDEX_WIDTH, sim_ast, sim_ast_seq
@@ -48,6 +48,10 @@ class TestEachLoopStops:
     def test_lex(self):
         with pytest.raises(DeadlineExceeded):
             lex(FAT, deadline=passed())
+
+    def test_kinds(self):
+        with pytest.raises(DeadlineExceeded):
+            kinds_of(["a"] * (CHECK_EVERY + 1), deadline=passed())
 
     def test_parse(self):
         tokens = lex(FAT)

@@ -221,7 +221,7 @@ class TestReferenceMemo:
         # both samples intern into the reference's one table.
         ref = "module m(input a, b, output y);\n  assign y = a & b;\nendmodule\n"
         gens = [ref.replace("a & b", "a | b"), ref.replace("a & b", "(a | b)")]
-        assert shape(*scan(gens[0])[:2]) != shape(*scan(gens[1])[:2])
+        assert shape(scan(gens[0])[0]) != shape(scan(gens[1])[0])
         alone = reward(gens[0], ref)
         reward_module = importlib.import_module("vsr.reward")
         scored = []
@@ -252,9 +252,18 @@ class TestReferenceMemo:
     def test_hit_does_not_classify_the_reference_again(self, monkeypatch):
         # With a memo, `reward` lexes through `scan` and parses through
         # `classify_lists_into`, both looked up on the module, not the
-        # `reward` function the package re-exports.
+        # `reward` function the package re-exports; the parser derives the
+        # kinds of each text it parses through `kinds_of`, looked up on
+        # `vsr.parser`.
         reward_module = importlib.import_module("vsr.reward")
-        lexed, parsed = [], []
+        parser_module = importlib.import_module("vsr.parser")
+        lexed, parsed, derived = [], [], []
+        real_kinds_of = parser_module.kinds_of
+        monkeypatch.setattr(
+            parser_module,
+            "kinds_of",
+            lambda texts, *args: derived.append(tuple(texts)) or real_kinds_of(texts, *args),
+        )
         real_scan, real_parse = reward_module.scan, reward_module.classify_lists_into
         monkeypatch.setattr(
             reward_module,
@@ -278,6 +287,9 @@ class TestReferenceMemo:
         # so `spaced`, which has the reference's shape, never is.
         assert lexed == [REF, spaced, BROKEN, PROSE, spaced]
         assert parsed == [tuple(scan(text)[0]) for text in (REF, BROKEN, PROSE)]
+        # Kinds are derived once for each text that reaches the parser, and
+        # never for a shape hit or for `PROSE`, which fails the module test.
+        assert derived == [tuple(scan(text)[0]) for text in (REF, BROKEN)]
 
 
 def _full_path(gen: str, ref: str, mode: str) -> RewardOutcome:

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import classify_text, wide_module
 from vsr.deadline import DeadlineExceeded
-from vsr.lexer import _RUN, LexError, _lex_slow, lex, scan
+from vsr.lexer import _RUN, LexError, _lex_slow, kinds_of, lex, scan
 from vsr.parser import classify
 from vsr.reward import reward
 from vsr.similarity import sim_ast, sim_ast_seq
@@ -40,21 +40,20 @@ FAMILIES = sorted({name.split("/")[0] for name, _, _ in INPUTS})
 
 
 def per_match(text: str):
-    """The tokens of the per-match path alone, or its error."""
-    texts, kinds, spans = [], [], []
+    """The token texts and spans of the per-match path alone, or its error."""
+    texts, spans = [], []
     try:
-        _lex_slow(text, 0, len(text), texts, kinds, spans, None)
+        _lex_slow(text, 0, len(text), texts, spans, None)
     except LexError as exc:
         return ("error", str(exc), exc.span)
-    return texts, kinds, spans
+    return texts, spans
 
 
 def bulk(text: str, spans: bool):
     try:
-        texts, kinds, found_spans = scan(text, spans=spans)
+        return scan(text, spans=spans)
     except LexError as exc:
         return ("error", str(exc), exc.span)
-    return texts, kinds, found_spans
 
 
 def assert_lexes_alike(text: str) -> None:
@@ -64,12 +63,12 @@ def assert_lexes_alike(text: str) -> None:
     if want[0] == "error":
         assert without == want
     else:
-        assert without == (want[0], want[1], None)
+        assert without == (want[0], None)
         tokens = lex(text)
         assert [t.text for t in tokens] == want[0]
-        assert [t.kind for t in tokens] == want[1]
-        assert [t.span for t in tokens] == want[2]
-        assert all(text[a:b] == t for (a, b), t in zip(want[2], want[0]))
+        assert [t.kind for t in tokens] == kinds_of(want[0])
+        assert [t.span for t in tokens] == want[1]
+        assert all(text[a:b] == t for (a, b), t in zip(want[1], want[0]))
 
 
 # Every lexeme class: keywords, identifiers, numbers of each form, operators

@@ -13,7 +13,7 @@ import pytest
 from conftest import FIXTURE_DIR, golden_paths
 from helpers import chain_module, classify_text, wide_module
 from vsr.deadline import DeadlineExceeded
-from vsr.lexer import FIXED_TEXTS, LexError, TokenKind, lex, scan
+from vsr.lexer import FIXED_TEXTS, LexError, TokenKind, kinds_of, lex, scan
 from vsr.parser import ValidityStatus, shape
 from vsr.reward import ReferenceTooDeepError, reward
 from vsr.service import ServiceConfig, _evaluate_batch, evaluate
@@ -41,8 +41,14 @@ PROSE = "Sure! Here is a module that does it."
 
 
 def key(text: str) -> tuple:
-    texts, kinds, _ = scan(text)
-    return shape(texts, kinds)
+    return shape(scan(text)[0])
+
+
+def table_form(table: dict) -> list:
+    """The table's entries in order, each node as its kind and the places
+    of its children, so tables of two runs compare key for key."""
+    place = {id(node): i for i, node in enumerate(table.values())}
+    return [(node.kind, *(place[id(kid)] for kid in node.children)) for node in table.values()]
 
 
 def _new_lexeme(kind: TokenKind, text: str, start: int, rng: random.Random) -> str | None:
@@ -101,10 +107,10 @@ class TestShapeLemma:
         for n in (1, 2, 3):
             for chars in itertools.product(alphabet, repeat=n):
                 try:
-                    texts, kinds, _ = scan("".join(chars))
+                    texts, _ = scan("".join(chars))
                 except LexError:
                     continue
-                seen.update(t for t, k in zip(texts, kinds)
+                seen.update(t for t, k in zip(texts, kinds_of(texts))
                             if k in (TokenKind.OPERATOR, TokenKind.PUNCTUATION))
         assert seen <= FIXED_TEXTS.keys()
         fixed_kinds = (TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.PUNCTUATION)
@@ -114,8 +120,8 @@ class TestShapeLemma:
 
     def test_shape_elements_are_shared(self):
         for source in SOURCES[:5] + EXTRA:
-            texts, kinds, _ = scan(source)
-            for element, text in zip(shape(texts, kinds), texts):
+            texts, _ = scan(source)
+            for element, text in zip(shape(texts), texts):
                 assert element is FIXED_TEXTS.get(text, element)
                 assert isinstance(element, str)
 
@@ -199,9 +205,9 @@ class TestBatches:
         parsed = []
         real = reward_module.classify_lists_into
 
-        def spy(texts, kinds, *args, **kwargs):
-            parsed.append(shape(texts, kinds))
-            return real(texts, kinds, *args, **kwargs)
+        def spy(texts, *args, **kwargs):
+            parsed.append(shape(texts))
+            return real(texts, *args, **kwargs)
 
         monkeypatch.setattr(reward_module, "classify_lists_into", spy)
         config = ServiceConfig(depth_limit=depth_limit)
@@ -293,7 +299,7 @@ class TestBatches:
             reward(gen, ref, memo=memo, deadline=time.monotonic() - 1)
         assert list(entry.shapes) == [key(ref), key(gen)] and len(entry.sims) == 1
         # A new sample past its deadline stops, and so does one stopped two
-        # slices into its parse, which leaves finished nodes in the table;
+        # slices into its parse, which leaves the table exactly as it was;
         # scored again, it answers as in a fresh memo.
         items = (" + ".join(["a"] * n) for n in range(1, 150))
         other = "module t(input a, output y);\n" + "".join(
@@ -303,13 +309,18 @@ class TestBatches:
             reward(other, ref, memo=memo, deadline=time.monotonic() - 1)
         slices = -(-len(scan(other)[0]) // parser.CHECK_EVERY) + 2
         calls.clear()
-        size = len(entry.table)
+        keys = list(entry.table)
         monkeypatch.setattr(parser, "check", late)
         with pytest.raises(DeadlineExceeded):
             reward(other, ref, memo=memo, deadline=time.monotonic() + 60)
         monkeypatch.undo()
-        assert len(entry.table) > size
+        assert list(entry.table) == keys
         assert list(entry.shapes) == [key(ref), key(gen)] and len(entry.sims) == 1
+        # So does a sample whose parse fails late, at its last item.
+        broken = other.replace(";\nendmodule", "\nendmodule")
+        failed = reward(broken, ref, memo=memo)
+        assert failed == reward(broken, ref) and failed.status is ValidityStatus.PARSE_FAIL
+        assert list(entry.table) == keys
         got = reward(other, ref, memo=memo)
         assert got == reward(other, ref) and got == reward(other, ref, memo={})
         assert got.status is ValidityStatus.PARSED
@@ -318,9 +329,9 @@ class TestBatches:
         self, monkeypatch
     ):
         # The memo deadline test above, through the reference store: a batch
-        # whose one item is stopped two slices into its parse leaves that
-        # parse's finished nodes in the stored table, and the same batch
-        # again, with no deadline, answers as each item with no memo.
+        # whose one item is stopped two slices into its parse stores the
+        # table the batch's other items build, and the same batch again,
+        # with no deadline, answers as each item with no memo.
         parser = importlib.import_module("vsr.parser")
         service = importlib.import_module("vsr.service")
         ref = wide_module(200)
@@ -354,11 +365,11 @@ class TestBatches:
         assert first[2]["error"] == "evaluation exceeded 5000 ms"
         assert [a for i, a in enumerate(first) if i != 2] == fresh[:2] + fresh[3:]
         ((entry, _),) = service._REFERENCES._entries.values()
-        built = len(entry.table)
         memo: dict = {}
         for item in items[:2] + items[3:]:
             evaluate(item, memo=memo)
-        assert built > len(memo[ref].table)  # the stopped parse left nodes
+        # the stopped parse left no node
+        assert table_form(entry.table) == table_form(memo[ref].table)
         assert key(stopped) not in entry.shapes
         monkeypatch.setattr(service, "evaluate", real_evaluate)
         again = _evaluate_batch(items, ServiceConfig(timeout_ms=0))
