@@ -1143,7 +1143,7 @@ def classify_lists_into(
     return ValidityStatus.PARSED, tree
 
 
-def shape(texts: list[str]) -> tuple:
+def shape(texts: list[str], deadline: float | None = None) -> tuple:
     """The shape of a token list: its texts, names and literals replaced by kinds.
 
     Each identifier, number, string and directive text becomes its kind's
@@ -1163,6 +1163,13 @@ def shape(texts: list[str]) -> tuple:
     docstring); `_looks_like_code` tests keywords alone; directives are
     dropped by kind; and the interner keeps no name or value.  So both make
     the same builder calls, each keyed on the same kind and children.
+
+    The texts are read in slices of CHECK_EVERY, and the deadline is
+    checked after each, as in `vsr.lexer.kinds_of`.
     """
-    values = map(_FIRST_VALUE.__getitem__, map(_FIRST_CHAR, texts))
-    return tuple(map(FIXED_TEXTS.get, texts, values))
+    key: list = []
+    for lo in range(0, len(texts), CHECK_EVERY):
+        part = texts[lo : lo + CHECK_EVERY]
+        key += map(FIXED_TEXTS.get, part, map(_FIRST_VALUE.__getitem__, map(_FIRST_CHAR, part)))
+        check(deadline)
+    return tuple(key)

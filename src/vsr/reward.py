@@ -168,7 +168,7 @@ def _classify(text: str, table: dict, shapes: dict | None, deadline: float | Non
         return ValidityStatus.NOT_CODE, None
     if shapes is None:
         return classify_lists_into(texts, table, deadline=deadline)
-    key = shape(texts)
+    key = shape(texts, deadline)
     found = shapes.get(key)
     if found is None:
         found = shapes[key] = classify_lists_into(texts, table, deadline=deadline)

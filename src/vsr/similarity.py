@@ -14,11 +14,15 @@ position instead of greedily, everything else is identical.  Reordering
 semantically equivalent items lowers this score, which is exactly what it
 exists to show.
 
-Both walk the trees iteratively and reject inputs deeper than a configured
-limit instead of overflowing the interpreter stack.  The depth check reads
-each root's `depth` (see `vsr.trees.CleanNode`) and does not walk.  Both
-take an optional `deadline` (see `vsr.deadline`) and stop with
-DeadlineExceeded once it has passed.
+Every pair is scored by a row generator, which runs the pair's rows (one
+per left child) and yields each child pair whose score it needs, on one
+iterative driver (see `_scores`).  The two measures differ only in the
+generator they use: the greedy rows of `_greedy_scores` or the positional
+row.  Neither recurses, and both reject inputs deeper than a configured
+limit.  The depth check reads each root's `depth` (see
+`vsr.trees.CleanNode`) and does not walk.  Both take an optional
+`deadline` (see `vsr.deadline`) and stop with DeadlineExceeded once it has
+passed.
 
 Cleaned trees are hash-consed (see `vsr.trees.clean`), so equal subtrees are
 often one shared object, within a tree and across the two sides of a pair.
@@ -227,14 +231,226 @@ def _column_index(
     return index, countdown
 
 
-def _frame(a: CleanNode, b: CleanNode, key: tuple[int, int], index_width: int) -> tuple:
-    """The frame that starts scoring the pair (a, b): a narrow one for the
-    plain scan when `b` has fewer than `index_width` children, else a wide
-    one (see `_greedy_scores`)."""
-    n = len(b.children)
-    if n < index_width:
-        return (a, b, key, 0, 0, 0.0, -1, 0.0, [False] * n, [])
-    return (a, b, key, 0, 0.0, -1, 0.0, [False] * n, [], None, None, None, -1, None, None, -1)
+def _scores(
+    t1: CleanNode,
+    t2: CleanNode,
+    ordered: bool,
+    choices: dict[tuple[int, int], list[int]] | None,
+    deadline: float | None,
+) -> dict[tuple[int, int], float]:
+    """Score the root pair, memoizing every node pair its rows need.
+
+    A pair's row generator keeps its state in locals.  When a row needs a
+    child pair's score that is not in `scores`, it yields that pair as
+    (left, right, key) and reads `scores[key]` once resumed.  The driver at
+    the end starts a generator for each pair yielded and pops one when it
+    has stored its pair's score.  Pairs run `positional` when `ordered`
+    (`sim_ast_seq`), else `narrow` or `wide` by the width of the right node
+    (`_greedy_scores`, which also says what `choices` receives).  Only pairs
+    of one kind that are not one node and not yet scored get a generator.
+    """
+    root = (id(t1), id(t2))
+    if t1 is t2 or t1.kind is not t2.kind:
+        return {root: 1.0 if t1 is t2 else 0.0}
+    scores: dict[tuple[int, int], float] = {}
+    # Leaf-path profiles and their path trie, for this call only.
+    profiles: dict[int, dict[int, float]] = {}
+    trie: list[dict[int, int]] = [{}]
+    # A row's scan costs at most the right node's width, and each pair it
+    # yields costs its own rows and a constant more, so charging each row
+    # one plus that width (a positional pair one plus its left width), and
+    # every profile walk one per node, bounds the work between checks.
+    countdown = CHECK_EVERY
+
+    def narrow(a, b, key):
+        """The plain scan: each row scores its untaken same-kind columns in
+        order and stops early only at a score of 1.0."""
+        nonlocal countdown
+        c2s = b.children
+        n2 = len(c2s)
+        taken = [False] * n2
+        chosen = []
+        total = 0.0
+        for ca in a.children:
+            countdown -= n2 + 1
+            if countdown <= 0:
+                countdown = CHECK_EVERY
+                check(deadline)
+            kind = ca.kind
+            best_s = 0.0
+            best_j = -1
+            for j, cb in enumerate(c2s):
+                if taken[j] or cb.kind is not kind:
+                    continue
+                if ca is cb:
+                    s = 1.0
+                else:
+                    pair = (id(ca), id(cb))
+                    s = scores.get(pair)
+                    if s is None:
+                        yield ca, cb, pair
+                        s = scores[pair]
+                if s > best_s:
+                    best_s = s
+                    best_j = j
+                    if s == 1.0:
+                        break
+            chosen.append(best_j)
+            if best_j >= 0:
+                total += best_s
+                taken[best_j] = True
+        m = max(len(a.children), n2)
+        scores[key] = total / m if m > 0 else 1.0
+        if choices is not None:
+            choices[key] = chosen
+
+    def wide(a, b, key):
+        """The probe, the prefix filter and the deferred pass of each row
+        (see `_greedy_scores`), over a path index built on the first row."""
+        nonlocal countdown
+        c2s = b.children
+        n2 = len(c2s)
+        taken = [False] * n2
+        chosen = []
+        total = 0.0
+        index = None
+        for ca in a.children:
+            countdown -= n2 + 1
+            if countdown <= 0:
+                countdown = CHECK_EVERY
+                check(deadline)
+            if index is None:
+                index, countdown = _column_index(c2s, profiles, trie, countdown, deadline)
+            best_s = 0.0
+            best_j = -1
+            by_path = index.get(id(ca.kind))
+            if by_path is not None:
+                left = profiles.get(id(ca))
+                if left is None:
+                    countdown = _profile(ca, profiles, trie, countdown, deadline)
+                    left = profiles[id(ca)]
+                # The row's paths that some column holds, rarest first.
+                ranked = sorted([(len(cols), p, cols) for p in left if (cols := by_path.get(p))])
+                bounds = {}
+                probe = -1
+                for _, _, cols in ranked:
+                    top = -1.0
+                    for col in cols:
+                        if taken[col]:
+                            continue
+                        cb = c2s[col]
+                        if cb is ca:
+                            probe = col
+                            break
+                        bound = bounds[col] = _bound(left, profiles[id(cb)])
+                        if bound > top:
+                            top = bound
+                            probe = col
+                    if probe >= 0:
+                        break
+                if probe >= 0:
+                    cb = c2s[probe]
+                    if ca is cb:
+                        s = 1.0
+                    else:
+                        pair = (id(ca), id(cb))
+                        s = scores.get(pair)
+                        if s is None:
+                            yield ca, cb, pair
+                            s = scores[pair]
+                    # As in the scan, only a score above 0 takes the row.
+                    if s > 0.0:
+                        best_s = s
+                        best_j = probe
+                    # Drop the most common paths while their mass stays
+                    # below the best minus the margin; a column holding
+                    # only dropped paths scores below the probe.
+                    keep = len(ranked)
+                    dropped = 0.0
+                    while keep:
+                        weight = left[ranked[keep - 1][1]]
+                        if dropped + weight >= best_s - _BOUND_MARGIN:
+                            break
+                        dropped += weight
+                        keep -= 1
+                    cands = {col for _, _, cols in ranked[:keep] for col in cols}
+                    deferred = []
+                    for col in cands:
+                        if taken[col]:
+                            continue
+                        cb = c2s[col]
+                        if ca is cb:
+                            s = 1.0
+                        else:
+                            s = scores.get((id(ca), id(cb)))
+                            if s is None:
+                                bound = bounds.get(col)
+                                if bound is None:
+                                    bound = _bound(left, profiles[id(cb)])
+                                if bound >= best_s - _BOUND_MARGIN:
+                                    deferred.append((-bound, col))
+                                continue
+                        if s > best_s or (s == best_s and col < best_j):
+                            best_s = s
+                            best_j = col
+                    deferred.sort()
+                    for neg_bound, col in deferred:
+                        if -neg_bound < best_s - _BOUND_MARGIN:
+                            break
+                        cb = c2s[col]
+                        pair = (id(ca), id(cb))
+                        s = scores.get(pair)
+                        if s is None:
+                            yield ca, cb, pair
+                            s = scores[pair]
+                        if s > best_s or (s == best_s and col < best_j):
+                            best_s = s
+                            best_j = col
+            chosen.append(best_j)
+            if best_j >= 0:
+                total += best_s
+                taken[best_j] = True
+        m = max(len(a.children), n2)
+        scores[key] = total / m if m > 0 else 1.0
+        if choices is not None:
+            choices[key] = chosen
+
+    def positional(a, b, key):
+        """Children paired by index, one row for them all."""
+        nonlocal countdown
+        c1s, c2s = a.children, b.children
+        countdown -= len(c1s) + 1
+        if countdown <= 0:
+            countdown = CHECK_EVERY
+            check(deadline)
+        total = 0.0
+        for ca, cb in zip(c1s, c2s):
+            if ca is cb:
+                s = 1.0
+            elif ca.kind is not cb.kind:
+                s = 0.0
+            else:
+                pair = (id(ca), id(cb))
+                s = scores.get(pair)
+                if s is None:
+                    yield ca, cb, pair
+                    s = scores[pair]
+            total += s
+        m = max(len(c1s), len(c2s))
+        scores[key] = total / m if m > 0 else 1.0
+
+    def greedy(a, b, key):
+        return narrow(a, b, key) if len(b.children) < _INDEX_WIDTH else wide(a, b, key)
+
+    row = positional if ordered else greedy
+    stack = [row(t1, t2, root)]
+    while stack:
+        need = next(stack[-1], None)
+        if need is None:
+            stack.pop()
+        else:
+            stack.append(row(*need))
+    return scores
 
 
 def _greedy_scores(
@@ -245,22 +461,23 @@ def _greedy_scores(
 ) -> dict[tuple[int, int], float]:
     """Score the root pair, memoizing every node pair the matching visits.
 
-    Pair scores are computed on demand: a row scan that needs a child pair's
-    score suspends, the child pair is evaluated, and the scan resumes.  Only
-    pairs the greedy matching actually inspects are ever scored, which keeps
-    near-identical trees close to linear instead of quadratic.  A pair of
-    one shared node scores 1.0 without a walk (see the module docstring).
+    Pair scores are computed on demand: a row that needs a child pair's
+    score yields the pair, the driver of `_scores` scores it with a row
+    generator of its own, and the row resumes.  Only pairs the greedy
+    matching actually inspects are ever scored, which keeps near-identical
+    trees close to linear instead of quadratic.  A pair of one shared node
+    scores 1.0 without a walk (see the module docstring).
 
     Each left child takes the first highest-scoring unmatched right child of
     its kind; accumulation order is fixed so results are bit-identical
     across runs.  A pair whose right node has fewer than `_INDEX_WIDTH`
-    children runs the plain scan: each row scores its untaken same-kind
-    columns in order and stops early only at a score of 1.0, which no later
-    column can beat.
+    children runs the plain scan (`narrow`): each row scores its untaken
+    same-kind columns in order and stops early only at a score of 1.0,
+    which no later column can beat.
 
-    A wider pair builds a path index on its first row: for each kind and
-    leaf path, the columns whose profile holds that path.  Each row then
-    makes two passes:
+    A wider pair (`wide`) builds a path index on its first row: for each
+    kind and leaf path, the columns whose profile holds that path.  Each row
+    then makes two passes:
 
     1. The row bounds the untaken columns on its rarest path that has one
        and scores a probe, the one with the highest bound (lowest column on
@@ -286,201 +503,7 @@ def _greedy_scores(
     receives, per scored pair, the chosen right index of every left child
     (-1 for none).  Raises DeadlineExceeded once `deadline` has passed.
     """
-    root = (id(t1), id(t2))
-    if t1 is t2 or t1.kind is not t2.kind:
-        return {root: 1.0 if t1 is t2 else 0.0}
-    scores: dict[tuple[int, int], float] = {}
-    # Leaf-path profiles and their path trie, for this call only.
-    profiles: dict[int, dict[int, float]] = {}
-    trie: list[dict[int, int]] = [{}]
-    index_width = _INDEX_WIDTH
-    # One frame per suspended pair (see `_frame`).  A narrow frame holds
-    # (a, b, key, row i, column j, best score and column so far in row i,
-    # sum of finished rows, taken columns, chosen column per finished row).
-    # A wide frame drops j and adds the path index or None, and row i's left
-    # profile, ranked paths, probe column (-1 before it is picked or when
-    # there is none), the probe path's bounds by column, deferred
-    # (-bound, column) list and the position in that list (-1 until pass 1
-    # ends); the row's fields are None until it reaches them.  Only pairs
-    # of the same kind that are not one node and not yet scored are ever
-    # pushed.
-    stack = [_frame(t1, t2, root, index_width)]
-    # A row's scan costs at most its width, and each pushed frame is
-    # followed by its parent row resuming, so charging every row entry one
-    # plus its width, and every profile walk one per node, bounds the work
-    # between checks.
-    countdown = CHECK_EVERY
-    while stack:
-        frame = stack[-1]
-        a, b = frame[0], frame[1]
-        c1s, c2s = a.children, b.children
-        n1, n2 = len(c1s), len(c2s)
-        missing = None
-        if n2 < index_width:
-            _, _, key, i, j, best_s, best_j, total, taken, chosen = frame
-            while i < n1:
-                countdown -= n2 + 1
-                if countdown <= 0:
-                    countdown = CHECK_EVERY
-                    check(deadline)
-                ca = c1s[i]
-                kind = ca.kind
-                while j < n2:
-                    cb = c2s[j]
-                    if taken[j] or cb.kind is not kind:
-                        j += 1
-                        continue
-                    if ca is cb:
-                        s = 1.0
-                    else:
-                        pair = (id(ca), id(cb))
-                        s = scores.get(pair)
-                        if s is None:
-                            missing = (ca, cb, pair)
-                            break
-                    if s > best_s:
-                        best_s = s
-                        best_j = j
-                        if s == 1.0:
-                            break
-                    j += 1
-                if missing is not None:
-                    stack[-1] = (a, b, key, i, j, best_s, best_j, total, taken, chosen)
-                    break
-                chosen.append(best_j)
-                if best_j >= 0:
-                    total += best_s
-                    taken[best_j] = True
-                i += 1
-                j = 0
-                best_s = 0.0
-                best_j = -1
-        else:
-            (_, _, key, i, best_s, best_j, total, taken, chosen, index, left, ranked, probe,
-             bounds, deferred, pos) = frame
-            while i < n1:
-                countdown -= n2 + 1
-                if countdown <= 0:
-                    countdown = CHECK_EVERY
-                    check(deadline)
-                ca = c1s[i]
-                if pos < 0:
-                    if index is None:
-                        index, countdown = _column_index(c2s, profiles, trie, countdown, deadline)
-                    by_path = index.get(id(ca.kind))
-                    if by_path is not None and ranked is None:
-                        left = profiles.get(id(ca))
-                        if left is None:
-                            countdown = _profile(ca, profiles, trie, countdown, deadline)
-                            left = profiles[id(ca)]
-                        # The row's paths that some column holds, rarest first.
-                        ranked = sorted(
-                            [(len(cols), p, cols) for p in left if (cols := by_path.get(p))]
-                        )
-                        bounds = {}
-                        for _, _, cols in ranked:
-                            top = -1.0
-                            for col in cols:
-                                if taken[col]:
-                                    continue
-                                cb = c2s[col]
-                                if cb is ca:
-                                    probe = col
-                                    break
-                                bound = bounds[col] = _bound(left, profiles[id(cb)])
-                                if bound > top:
-                                    top = bound
-                                    probe = col
-                            if probe >= 0:
-                                break
-                    if probe >= 0:
-                        cb = c2s[probe]
-                        if ca is cb:
-                            s = 1.0
-                        else:
-                            pair = (id(ca), id(cb))
-                            s = scores.get(pair)
-                            if s is None:
-                                missing = (ca, cb, pair)
-                                break
-                        # As in the scan, only a score above 0 takes the row.
-                        if s > 0.0:
-                            best_s = s
-                            best_j = probe
-                        # Drop the most common paths while their mass stays
-                        # below the best minus the margin; a column holding
-                        # only dropped paths scores below the probe.
-                        keep = len(ranked)
-                        dropped = 0.0
-                        while keep:
-                            weight = left[ranked[keep - 1][1]]
-                            if dropped + weight >= best_s - _BOUND_MARGIN:
-                                break
-                            dropped += weight
-                            keep -= 1
-                        cands = {col for _, _, cols in ranked[:keep] for col in cols}
-                        deferred = []
-                        for col in cands:
-                            if taken[col]:
-                                continue
-                            cb = c2s[col]
-                            if ca is cb:
-                                s = 1.0
-                            else:
-                                s = scores.get((id(ca), id(cb)))
-                                if s is None:
-                                    bound = bounds.get(col)
-                                    if bound is None:
-                                        bound = _bound(left, profiles[id(cb)])
-                                    if bound >= best_s - _BOUND_MARGIN:
-                                        deferred.append((-bound, col))
-                                    continue
-                            if s > best_s or (s == best_s and col < best_j):
-                                best_s = s
-                                best_j = col
-                        deferred.sort()
-                    pos = 0
-                if deferred is not None:
-                    while pos < len(deferred):
-                        neg_bound, col = deferred[pos]
-                        if -neg_bound < best_s - _BOUND_MARGIN:
-                            break
-                        cb = c2s[col]
-                        pair = (id(ca), id(cb))
-                        s = scores.get(pair)
-                        if s is None:
-                            missing = (ca, cb, pair)
-                            break
-                        if s > best_s or (s == best_s and col < best_j):
-                            best_s = s
-                            best_j = col
-                        pos += 1
-                    if missing is not None:
-                        break
-                chosen.append(best_j)
-                if best_j >= 0:
-                    total += best_s
-                    taken[best_j] = True
-                i += 1
-                best_s = 0.0
-                best_j = -1
-                left = ranked = bounds = deferred = None
-                probe = pos = -1
-            if missing is not None:
-                stack[-1] = (
-                    a, b, key, i, best_s, best_j, total, taken, chosen, index, left, ranked,
-                    probe, bounds, deferred, pos,
-                )
-        if missing is not None:
-            ca, cb, pair = missing
-            stack.append(_frame(ca, cb, pair, index_width))
-            continue
-        m = max(n1, n2)
-        scores[key] = total / m if m > 0 else 1.0
-        if choices is not None:
-            choices[key] = chosen
-        stack.pop()
-    return scores
+    return _scores(t1, t2, False, choices, deadline)
 
 
 def _pair_score(scores: dict[tuple[int, int], float], a: CleanNode, b: CleanNode) -> float:
@@ -555,29 +578,4 @@ def sim_ast_seq(
     differs.
     """
     _check_depth(t1, t2, depth_limit)
-    scores: dict[tuple[int, int], float] = {}
-    stack: list[tuple[CleanNode, CleanNode, bool]] = [(t1, t2, False)]
-    countdown = CHECK_EVERY
-    while stack:
-        countdown -= 1
-        if not countdown:
-            countdown = CHECK_EVERY
-            check(deadline)
-        a, b, ready = stack.pop()
-        key = (id(a), id(b))
-        if ready:
-            total = 0.0
-            for ca, cb in zip(a.children, b.children):
-                total += _pair_score(scores, ca, cb)
-            m = max(len(a.children), len(b.children))
-            scores[key] = total / m if m > 0 else 1.0
-            continue
-        if a is b or key in scores:
-            continue
-        if a.kind is not b.kind:
-            scores[key] = 0.0
-            continue
-        stack.append((a, b, True))
-        for ca, cb in zip(a.children, b.children):
-            stack.append((ca, cb, False))
-    return _pair_score(scores, t1, t2)
+    return _pair_score(_scores(t1, t2, True, None, deadline), t1, t2)

@@ -10,7 +10,7 @@ from helpers import wide_module
 import vsr.lexer
 from vsr.deadline import CHECK_EVERY, DeadlineExceeded
 from vsr.lexer import LexError, TokenKind, kinds_of, lex
-from vsr.parser import classify, parse
+from vsr.parser import classify, parse, shape
 from vsr.reward import reward
 from vsr.similarity import _INDEX_WIDTH, sim_ast, sim_ast_seq
 from vsr.trees import CleanNode, NodeKind, clean
@@ -53,6 +53,10 @@ class TestEachLoopStops:
         with pytest.raises(DeadlineExceeded):
             kinds_of(["a"] * (CHECK_EVERY + 1), deadline=passed())
 
+    def test_shape(self):
+        with pytest.raises(DeadlineExceeded):
+            shape(["a"] * (CHECK_EVERY + 1), deadline=passed())
+
     def test_parse(self):
         tokens = lex(FAT)
         with pytest.raises(DeadlineExceeded):
@@ -82,9 +86,9 @@ class TestEachLoopStops:
 
     def test_greedy_similarity_narrow_rows(self):
         # Built without interning, and every row is narrower than the path
-        # index's cut-off, so only the plain scan runs.  The rows of one
-        # Always pair charge 20 x 21 steps per pass and resume once per
-        # child pair, far past one check interval.
+        # index's cut-off, so only the plain scan runs.  Each row charges
+        # its width plus one, so each of the 400 Always pairs the module's
+        # rows need charges 20 x 21 steps, far past one check interval.
         def tree(leaf_kind):
             assign = NodeKind.CONTINUOUS_ASSIGN
             return CleanNode(

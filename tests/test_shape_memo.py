@@ -274,10 +274,12 @@ class TestBatches:
         memo: dict = {}
         reward(ref, ref, memo=memo)
         entry = memo[ref]
-        assert list(entry.shapes) == [key(ref)] and not entry.sims
-        # The parser checks the deadline once per slice of tokens before it
-        # parses, then as it consumes them; stop it at the first check after.
-        slices = -(-len(scan(gen)[0]) // parser.CHECK_EVERY)
+        ref_key = key(ref)  # before `check` is spied on, as `shape` calls it
+        assert list(entry.shapes) == [ref_key] and not entry.sims
+        # `shape`, then the parser, check the deadline once per slice of
+        # tokens before it parses, then as it consumes them; stop it at the
+        # first check after.
+        slices = 2 * -(-len(scan(gen)[0]) // parser.CHECK_EVERY)
         calls = []
 
         def late(deadline):
@@ -289,7 +291,7 @@ class TestBatches:
         with pytest.raises(DeadlineExceeded) as stopped:
             reward(gen, ref, memo=memo, deadline=time.monotonic() + 60)
         assert stopped.traceback[-2].name in ("_advance", "_expect")
-        assert list(entry.shapes) == [key(ref)] and not entry.sims
+        assert list(entry.shapes) == [ref_key] and not entry.sims
         monkeypatch.undo()
         got = reward(gen, ref, memo=memo)
         assert got == reward(gen, ref) and got == reward(gen, ref, memo={})

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -588,11 +589,17 @@ class TestDepthLimit:
             sim_ast(t, t, depth_limit=2)
 
     def test_deep_but_within_limit_is_iterative(self):
-        t = leaf(S)
-        for _ in range(450):
-            t = node(Q, t)
-        assert sim_ast(t, t) == 1.0  # would blow the C stack if recursive
-        assert sim_ast_seq(t, t) == 1.0
+        # Two separate chains, so no pair is one node and every level is
+        # walked, deeper than the interpreter's recursion limit: a recursive
+        # walk would raise RecursionError.
+        depth = 3000
+        assert depth > sys.getrecursionlimit()
+        a, b = self.chain(depth), self.chain(depth)
+        assert sim_ast(a, b, depth_limit=4000) == 1.0
+        assert sim_ast_seq(a, b, depth_limit=4000) == 1.0
+        score, steps = sim_ast_with_trace(a, b, depth_limit=4000)
+        assert score == 1.0 and len(steps) == depth - 1
+        assert len(_greedy_scores(a, b)) == depth  # one scored pair per level
 
     def test_bad_limit_rejected(self):
         with pytest.raises(ValueError):
